@@ -12,7 +12,7 @@ from polyspec import (dimer_preset, empirical_ids, find_critical_energies,
 
 V = 1 / np.sqrt(2)
 model = dimer_preset(V, 0.5)
-ids = empirical_ids(model, L_ids=1500, realizations=160, seed=11)
+ids = empirical_ids(model, L_ids=1500, seed=11, realization_indices=range(160))
 
 print(f"random dimer, V = {V:.4f}, pooled eigenvalues: {ids.total_count}")
 for rep in find_critical_energies(model):

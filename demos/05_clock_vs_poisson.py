@@ -21,7 +21,7 @@ print(f"  mean rescaled gap {summary['mean']:.4f}, variance {summary['variance']
 ks_clock = kstest(sample.rescaled_gaps, "expon").statistic
 
 L = 2000
-ids = empirical_ids(model, L_ids=L, realizations=500, seed=331)
+ids = empirical_ids(model, L_ids=L, seed=331, realization_indices=range(500))
 samples = les_ensemble(model, 1.2, L, 500, seed=22, window_atoms=10, ids=ids)
 gs = gap_statistics(samples)
 print(f"\nPoisson side (E_0 = 1.2, unfolded):")

@@ -31,7 +31,7 @@ from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          dos_at_critical, unfold, les_sample, les_ensemble,
                          gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test,
-                         holder_probe, minami_probe)
+                         psi_errors, holder_probe, minami_probe)
 from .transport import (EvolutionSetup, MomentCurve, BoundaryContaminationError,
                         evolution_setup, evolve_amplitudes, moment,
                         moment_curve, transport_exponent)

@@ -1,12 +1,12 @@
 """Experiment driver: configured, reproducible runs with CSV/JSON outputs.
 
-Usage: polyspec <kind> [--config cfg.json] [--seed N] [--workers K]
-[--out DIR] [--param key=value ...].  Exit code 0 when all configured
-statistical checks pass, 2 when any fails, 1 on configuration or runtime
-errors.  Identical configs produce byte-identical outputs regardless of
-worker count: realizations are split into fixed chunks consumed by a thread
-pool and merged in index order, and every realization draws from its own
-counter-based substream.
+Usage: polyspec <kind> [--config cfg.json] [--seed N] [--out DIR]
+[--param key=value ...].  Exit code 0 when all configured statistical checks
+pass, 2 when any fails, 1 on configuration or runtime errors.  Each kind
+calls its library ensemble once for all realizations; every realization
+draws from its own counter-based substream, so identical configs produce
+byte-identical outputs.  Summaries are strict JSON: an undefined statistic
+is written as null.
 """
 from __future__ import annotations
 
@@ -16,22 +16,18 @@ import json
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import __version__
-from .model import (PolymerModel, model_from_dict, anderson_preset,
-                    potentials_for_sites_batch)
-from .transfer import find_critical_energies, expansion_coeffs, _lyapunov_gammas
-from .statistics import (pool_spectra, EmpiricalIDS, ids_at_critical,
-                         dos_at_critical, les_ensemble, gap_statistics,
-                         counting_statistics, clock_spacing_statistic,
-                         uniformity_test, holder_probe, minami_probe)
-from .prufer import free_phase_batch, angle_map_m
+from .model import PolymerModel, model_from_dict, anderson_preset
+from .transfer import find_critical_energies, expansion_coeffs, lyapunov
+from .statistics import (empirical_ids, ids_at_critical, dos_at_critical,
+                         les_ensemble, gap_statistics, counting_statistics,
+                         clock_spacing_statistic, uniformity_test, psi_errors,
+                         holder_probe, minami_probe)
 from .transport import transport_exponent
 
 __all__ = ["ExperimentConfig", "RunReport", "validate", "run", "main", "KINDS"]
@@ -47,15 +43,10 @@ class ExperimentConfig:
     model: dict
     params: dict
     seed: int
-    workers: int
     out: str
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "model": self.model, "params": self.params,
-                "seed": self.seed, "workers": self.workers, "out": self.out}
-
     def semantic_dict(self) -> dict:
-        """The fields that determine the results; workers and out do not."""
+        """The fields that determine the results; out does not."""
         return {"kind": self.kind, "model": self.model, "params": self.params,
                 "seed": self.seed}
 
@@ -78,6 +69,8 @@ def _config_hash(config: ExperimentConfig) -> str:
 
 
 def _fmt(x) -> str:
+    if x is None:  # an undefined value is an empty field
+        return ""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -89,19 +82,11 @@ def _write_csv(path: Path, header, rows, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _chunked(total: int, chunk: int, fn, workers: int) -> list:
-    """Apply fn(start, stop) over fixed chunks; merge preserves chunk order."""
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if workers <= 1 or len(spans) <= 1:
-        return [fn(*span) for span in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda sp: fn(*sp), spans))
-
-
 # ---------------------------------------------------------------------------
 # defaults and validation
 
-_COMMON_DEFAULTS = {"seed": 20240801, "workers": 1, "out": "polyspec-out"}
+_COMMON_DEFAULTS = {"seed": 20240801, "out": "polyspec-out"}
+_CONFIG_KEYS = {"kind", "model", "params", *_COMMON_DEFAULTS}
 
 _KIND_DEFAULTS = {
     "critical": {
@@ -182,6 +167,10 @@ KINDS = tuple(sorted(_KIND_DEFAULTS))
 def build_config(kind: str, raw: dict) -> ExperimentConfig:
     if kind not in _KIND_DEFAULTS:
         raise ConfigError(f"unknown kind {kind!r}; available: {list(KINDS)}")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; "
+                          f"allowed: {sorted(_CONFIG_KEYS)}")
     defaults = _KIND_DEFAULTS[kind]
     params = dict(defaults["params"])
     params.update(raw.get("params", {}))
@@ -190,7 +179,6 @@ def build_config(kind: str, raw: dict) -> ExperimentConfig:
         model=raw.get("model", defaults["model"]),
         params=params,
         seed=int(raw.get("seed", _COMMON_DEFAULTS["seed"])),
-        workers=int(raw.get("workers", _COMMON_DEFAULTS["workers"])),
         out=str(raw.get("out", _COMMON_DEFAULTS["out"])),
     )
 
@@ -217,27 +205,38 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("params.beta: beta must lie in (0, 1)")
         if not (0.0 < p.get("gamma", 1.0) <= 1.0):
             diags.append("params.gamma: gamma must lie in (0, 1]")
-    for key in ("realizations", "L", "L_ids", "steps", "grid"):
-        if key in p and p[key] is not None and int(p[key]) < 1:
+    # every integer size or count must be positive
+    for key in ("realizations", "L", "L_ids", "steps", "grid", "irr_k_max", "ids_L",
+                "ids_realizations", "control_L", "control_realizations", "window_atoms",
+                "control_window_atoms", "j_max", "box_radius", "free_box_radius",
+                "quadrature_points", "x_points"):
+        if key in p and p[key] is not None and not _positive_int(p[key]):
             diags.append(f"params.{key}: must be a positive integer")
-    if config.workers < 1:
-        diags.append("workers: must be >= 1")
+    if "L_list" in p and not (isinstance(p["L_list"], list) and p["L_list"]
+                              and all(_positive_int(L) for L in p["L_list"])):
+        diags.append("params.L_list: must be a nonempty list of positive integers")
     return diags
+
+
+def _positive_int(x) -> bool:
+    try:
+        return int(x) >= 1
+    except (TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations: each returns (stats, passes, tables)
 
-def _single_report(model: PolymerModel, search, energy_hint: float | None = None):
-    reports = find_critical_energies(model, search=search)
+def _single_report(model: PolymerModel):
+    """The highest critical energy in the default search interval."""
+    reports = find_critical_energies(model)
     if not reports:
         raise ConfigError("model has no critical energy in the search interval")
-    if energy_hint is None:
-        return max(reports, key=lambda r: r.energy)
-    return min(reports, key=lambda r: abs(r.energy - energy_hint))
+    return max(reports, key=lambda r: r.energy)
 
 
-def _exp_critical(model, params, seed, workers):
+def _exp_critical(model, params, seed):
     reports = find_critical_energies(model, search=tuple(params["search"]),
                                      grid=int(params["grid"]), tol=params["tol"],
                                      irr_k_max=int(params["irr_k_max"]))
@@ -263,28 +262,22 @@ def _exp_critical(model, params, seed, workers):
     return {"reports": stats, "count": len(reports)}, {}, tables
 
 
-def _exp_lyapunov(model, params, seed, workers):
+def _exp_lyapunov(model, params, seed):
     steps = int(params["steps"])
     R = int(params["realizations"])
     rows, stats = [], {}
     for E in params["energies"]:
-        parts = _chunked(R, 8, lambda s, t, E=E: _lyapunov_gammas(
-            model, float(E), steps, range(s, t), seed), workers)
-        gammas = np.concatenate(parts)
-        g, se = float(gammas.mean()), float(gammas.std(ddof=1) / np.sqrt(R))
+        g, se = lyapunov(model, float(E), steps, R, seed)
         rows.append((E, g, se, steps, R))
         stats[str(E)] = {"gamma": g, "stderr": se}
     return stats, {}, {"lyapunov": (["energy", "gamma", "stderr", "steps",
                                      "realizations"], rows)}
 
 
-def _exp_ids(model, params, seed, workers):
-    R = int(params["realizations"])
-    L = int(params["L_ids"])
-    parts = _chunked(R, 32, lambda s, t: pool_spectra(model, L, seed, range(s, t)),
-                     workers)
-    pooled = np.sort(np.concatenate(parts))
-    ids = EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+def _exp_ids(model, params, seed):
+    ids = empirical_ids(model, int(params["L_ids"]), seed,
+                        range(int(params["realizations"])))
+    pooled = ids.pooled
     grid = np.linspace(pooled[0], pooled[-1], 513)
     curve_rows = [(float(E), float(ids.evaluate(E))) for E in grid]
     sym_grid = np.linspace(0.0, float(np.abs(pooled).max()), 129)
@@ -298,7 +291,7 @@ def _exp_ids(model, params, seed, workers):
         probe_rows.append((rep.energy, emp, formula))
         branch_err = max(branch_err, abs(emp - formula))
     extra = params.get("probe_energies") or []
-    probe_rows.extend((float(E), float(ids.evaluate(E)), float("nan")) for E in extra)
+    probe_rows.extend((float(E), float(ids.evaluate(E)), None) for E in extra)
     stats = {"pooled_count": int(pooled.size), "symmetry_error": sym_err,
              "branch_error": branch_err,
              "probes": [{"energy": r[0], "empirical": r[1], "formula": r[2]}
@@ -313,96 +306,74 @@ def _exp_ids(model, params, seed, workers):
     return stats, passes, tables
 
 
-def _build_ids(model, params, seed, workers):
-    R = int(params["ids_realizations"])
-    L = int(params["ids_L"])
+def _build_ids(model, params, seed):
     # the IDS pool draws from a shifted substream block so it stays
     # independent of the LES realizations
-    parts = _chunked(R, 32, lambda s, t: pool_spectra(
-        model, L, seed, range(10 ** 6 + s, 10 ** 6 + t)), workers)
-    pooled = np.sort(np.concatenate(parts))
-    return EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+    return empirical_ids(model, int(params["ids_L"]), seed,
+                         range(10 ** 6, 10 ** 6 + int(params["ids_realizations"])))
 
 
-def _gap_rows(samples):
-    rows = []
-    for s in samples:
-        for g in np.diff(s.atoms):
-            rows.append((s.realization_index, float(g)))
-    return rows
+def _gap_rows(samples, *prefix):
+    return [(*prefix, s.realization_index, float(g))
+            for s in samples for g in np.diff(s.atoms)]
 
 
-def _exp_les_poisson(model, params, seed, workers):
-    ids = _build_ids(model, params, seed, workers)
-    R = int(params["realizations"])
-    L = int(params["L"])
-    E0 = float(params["E0"])
-    parts = _chunked(R, 256, lambda s, t: les_ensemble(
-        model, E0, L, t - s, seed, window_atoms=int(params["window_atoms"]),
-        ids=ids, realization_offset=s), workers)
-    samples = [x for part in parts for x in part]
+def _les_outputs(samples):
+    """Gap statistics and the gaps/atoms tables that both LES kinds write."""
     gs = gap_statistics(samples)
+    stats = {"num_gaps": int(gs.gaps.size), "gap_mean": gs.mean,
+             "ks_vs_exp1": gs.ks_vs_exp1, "frac_near_one": gs.frac_near_one}
+    atom_rows = [(s.realization_index, float(a)) for s in samples for a in s.atoms]
+    return gs, stats, {"gaps": (["realization", "gap"], _gap_rows(samples)),
+                       "atoms": (["realization", "atom"], atom_rows)}
+
+
+def _exp_les_poisson(model, params, seed):
+    ids = _build_ids(model, params, seed)
+    samples = les_ensemble(model, float(params["E0"]), int(params["L"]),
+                           int(params["realizations"]), seed,
+                           window_atoms=int(params["window_atoms"]), ids=ids)
+    gs, stats, tables = _les_outputs(samples)
     cs = counting_statistics(samples, params["count_intervals"])
     cov_off = float(cs.count_covariance[0, 1]) if len(cs.intervals) > 1 else 0.0
-    stats = {"num_samples": len(samples), "num_gaps": int(gs.gaps.size),
-             "gap_mean": gs.mean, "ks_vs_exp1": gs.ks_vs_exp1,
-             "frac_near_one": gs.frac_near_one,
-             "chi2_pvalues": cs.chi2_pvalues.tolist(),
-             "count_covariance": cov_off}
+    stats.update(num_samples=len(samples), chi2_pvalues=cs.chi2_pvalues.tolist(),
+                 count_covariance=cov_off)
     passes = {"ks_exp1": gs.ks_vs_exp1 < params["ks_threshold"],
               "counting_chi2": bool(np.all(cs.chi2_pvalues > params["chi2_pvalue_min"])),
               "count_covariance": abs(cov_off) <= params["covariance_tolerance"]}
-    atom_rows = [(s.realization_index, float(a)) for s in samples for a in s.atoms]
     count_rows = [(s.realization_index, iv[0], iv[1], int(cs.counts[i, j]))
                   for i, s in enumerate(samples) for j, iv in enumerate(cs.intervals)]
-    tables = {"gaps": (["realization", "gap"], _gap_rows(samples)),
-              "atoms": (["realization", "atom"], atom_rows),
-              "counts": (["realization", "interval_lo", "interval_hi", "count"],
-                         count_rows)}
+    tables["counts"] = (["realization", "interval_lo", "interval_hi", "count"], count_rows)
     return stats, passes, tables
 
 
-def _exp_les_clock(model, params, seed, workers):
-    report = _single_report(model, (-3.0, 3.0))
+def _exp_les_clock(model, params, seed):
+    report = _single_report(model)
     if report.irrationality_violations:
         warnings.warn("irrationality condition fails for this model; "
                       "clock statistics may not converge", stacklevel=2)
-    R = int(params["realizations"])
-    parts = _chunked(R, 256, lambda s, t: les_ensemble(
-        model, report.energy, int(params["L"]), t - s, seed,
-        window_atoms=int(params["window_atoms"]), report=report,
-        realization_offset=s), workers)
-    samples = [x for part in parts for x in part]
-    gs = gap_statistics(samples)
+    samples = les_ensemble(model, report.energy, int(params["L"]),
+                           int(params["realizations"]), seed,
+                           window_atoms=int(params["window_atoms"]), report=report)
+    gs, stats, tables = _les_outputs(samples)
+    stats.update(critical_energy=report.energy,
+                 irrationality_violations=report.irrationality_violations)
     lo, hi = params["mean_band"]
-    stats = {"critical_energy": report.energy, "num_gaps": int(gs.gaps.size),
-             "gap_mean": gs.mean, "ks_vs_exp1": gs.ks_vs_exp1,
-             "frac_near_one": gs.frac_near_one,
-             "irrationality_violations": report.irrationality_violations}
-    passes = {"mean_in_band": lo <= gs.mean <= hi}
-    atom_rows = [(s.realization_index, float(a)) for s in samples for a in s.atoms]
-    tables = {"gaps": (["realization", "gap"], _gap_rows(samples)),
-              "atoms": (["realization", "atom"], atom_rows)}
-    return stats, passes, tables
+    return stats, {"mean_in_band": lo <= gs.mean <= hi}, tables
 
 
-def _exp_clock_spacing(model, params, seed, workers):
-    report = _single_report(model, (-3.0, 3.0))
+def _exp_clock_spacing(model, params, seed):
+    report = _single_report(model)
     R = int(params["realizations"])
     j_max = int(params["j_max"])
     rows = []
     per_size = {}
     for L in params["L_list"]:
-        parts = _chunked(R, 256, lambda s, t, L=L: clock_spacing_statistic(
-            model, report, int(L), t - s, j_max, seed, realization_offset=s),
-            workers)
-        gaps = np.concatenate([p[0].rescaled_gaps for p in parts])
-        reals = np.concatenate([p[1]["realization_ids"] for p in parts])
-        summary = {"mean": float(gaps.mean()), "variance": float(gaps.var(ddof=1)),
-                   "frac_in_band": float(np.mean(np.abs(gaps - 1.0) <= 0.1)),
-                   "num_gaps": int(gaps.size)}
-        per_size[str(int(L))] = summary
-        rows.extend((int(L), int(r), float(g)) for r, g in zip(reals, gaps))
+        sample, summary = clock_spacing_statistic(model, report, int(L), R, j_max, seed)
+        per_size[str(int(L))] = {k: summary[k] for k in
+                                 ("mean", "variance", "frac_in_band", "num_gaps")}
+        rows.extend((int(L), int(r), float(g)) for r, g in
+                    zip(summary["realization_ids"], sample.rescaled_gaps))
     lo, hi = params["mean_band"]
     sizes = [str(int(L)) for L in params["L_list"]]
     variances = [per_size[s]["variance"] for s in sizes]
@@ -413,14 +384,11 @@ def _exp_clock_spacing(model, params, seed, workers):
     return stats, passes, {"spacing": (["L_sites", "realization", "gap"], rows)}
 
 
-def _exp_uniformity(model, params, seed, workers):
-    report = _single_report(model, (-3.0, 3.0))
+def _exp_uniformity(model, params, seed):
+    report = _single_report(model)
     R = int(params["realizations"])
-    parts = _chunked(R, 256, lambda s, t: uniformity_test(
-        model, report, int(params["L"]), t - s, seed, realization_offset=s),
-        workers)
-    phis = np.concatenate([p["phis"] for p in parts])
-    ks = float(kstest(phis / np.pi, "uniform").statistic)
+    out = uniformity_test(model, report, int(params["L"]), R, seed)
+    phis, ks = out["phis"], out["ks_statistic"]
     stats = {"critical_energy": report.energy, "ks_statistic": ks,
              "num_realizations": R,
              "irrationality_violations": report.irrationality_violations}
@@ -429,73 +397,46 @@ def _exp_uniformity(model, params, seed, workers):
     return stats, passes, {"phis": (["realization", "phi_over_pi"], rows)}
 
 
-def _exp_psi_convergence(model, params, seed, workers):
-    report = _single_report(model, (-3.0, 3.0))
+def _exp_psi_convergence(model, params, seed):
+    report = _single_report(model)
     n_Ec = dos_at_critical(expansion_coeffs(model, report), model)
     xs = np.linspace(params["x_range"][0], params["x_range"][1],
                      int(params["x_points"]))
     R = int(params["realizations"])
-    M = report.diagonalizer
-    Ec = report.energy
     rows = []
     medians = {}
     for L in params["L_list"]:
         L = int(L)
-
-        def chunk_err(s, t, L=L):
-            v, th = potentials_for_sites_batch(model, L, seed, range(s, t))
-            energies = Ec + np.concatenate([[0.0], xs]) / (n_Ec * L)
-            E_mat = np.tile(energies, (t - s, 1))
-            free = free_phase_batch(v, th, E_mat)
-            mod = angle_map_m(M, free)
-            psi = (mod[:, 1:] - mod[:, [0]]) / np.pi
-            return np.abs(psi - xs[None, :]).max(axis=1)
-
-        parts = _chunked(R, 16, chunk_err, workers)
-        errs = np.concatenate(parts)
+        errs = psi_errors(model, report, L, xs, R, seed)
         medians[str(L)] = float(np.median(errs))
         rows.extend((L, r, float(e)) for r, e in enumerate(errs))
     med_list = [medians[str(int(L))] for L in params["L_list"]]
     passes = {"monotone_decreasing": all(a > b for a, b in zip(med_list, med_list[1:]))}
-    stats = {"critical_energy": Ec, "dos_critical": n_Ec, "medians": medians}
+    stats = {"critical_energy": report.energy, "dos_critical": n_Ec, "medians": medians}
     return stats, passes, {"psi_errors": (["L_sites", "realization", "sup_abs_err"],
                                           rows)}
 
 
-def _exp_sharpness(model, params, seed, workers):
-    report = _single_report(model, (-3.0, 3.0))
+def _exp_sharpness(model, params, seed):
+    report = _single_report(model)
     n_Ec = dos_at_critical(expansion_coeffs(model, report), model)
     L = int(params["L"])
     delta = float(params["delta"])
     E0_L = report.energy + L ** (-delta)
-    R = int(params["realizations"])
-    j_max = int(params["j_max"])
-
     # clock-like run centered at the drifting energy E0(L)
-    parts = _chunked(R, 256, lambda s, t: les_ensemble(
-        model, E0_L, L, t - s, seed, window_atoms=j_max + 4, report=report,
-        realization_offset=s), workers)
-    sharp_samples = [x for part in parts for x in part]
+    sharp_samples = les_ensemble(model, E0_L, L, int(params["realizations"]), seed,
+                                 window_atoms=int(params["j_max"]) + 4, report=report)
     sharp = gap_statistics(sharp_samples)
 
-    # Poisson control at a fixed noncritical energy (unfolded for the KS test)
-    ids = _build_ids(model, params, seed, workers)
-    E0c = float(params["control_E0"])
-    Lc = int(params["control_L"])
-    parts = _chunked(int(params["control_realizations"]), 256,
-                     lambda s, t: les_ensemble(model, E0c, Lc, t - s, seed,
-                                               window_atoms=int(params["control_window_atoms"]),
-                                               ids=ids, realization_offset=s),
-                     workers)
-    control_samples = [x for part in parts for x in part]
-    control_unfolded = gap_statistics(control_samples)
-    # same control, rescaled with the critical DOS as the clock test would be
-    parts = _chunked(int(params["control_realizations"]), 256,
-                     lambda s, t: les_ensemble(model, E0c, Lc, t - s, seed,
-                                               window_atoms=int(params["control_window_atoms"]),
-                                               dos_value=n_Ec, realization_offset=s),
-                     workers)
-    control_resc_samples = [x for part in parts for x in part]
+    # Poisson control at a fixed noncritical energy, unfolded for the KS test
+    # and rescaled with the critical DOS as the clock test would be
+    control = (model, float(params["control_E0"]), int(params["control_L"]),
+               int(params["control_realizations"]), seed)
+    control_atoms = int(params["control_window_atoms"])
+    control_unfolded = gap_statistics(les_ensemble(
+        *control, window_atoms=control_atoms, ids=_build_ids(model, params, seed)))
+    control_resc_samples = les_ensemble(*control, window_atoms=control_atoms,
+                                        dos_value=n_Ec)
     control_resc = gap_statistics(control_resc_samples)
 
     lo, hi = params["mean_band"]
@@ -510,74 +451,49 @@ def _exp_sharpness(model, params, seed, workers):
                               and control_resc.frac_near_one < 0.5 * sharp.frac_near_one,
         "control_ks_exp1": control_unfolded.ks_vs_exp1 < params["ks_threshold"],
     }
-    rows = [("sharp", s.realization_index, float(g))
-            for s in sharp_samples for g in np.diff(s.atoms)]
-    rows += [("control", s.realization_index, float(g))
-             for s in control_resc_samples for g in np.diff(s.atoms)]
+    rows = _gap_rows(sharp_samples, "sharp") + _gap_rows(control_resc_samples, "control")
     return stats, passes, {"sharp_gaps": (["regime", "realization", "gap"], rows)}
 
 
-def _exp_minami(model, params, seed, workers):
-    R = int(params["realizations"])
-    parts = _chunked(R, 512, lambda s, t: minami_probe(
-        model, int(params["L"]), float(params["beta"]), float(params["gamma"]),
-        float(params["c2"]), t - s, float(params["E0"]), seed,
-        realization_offset=s), workers)
-    counts = np.concatenate([p["counts"] for p in parts])
-    p1 = float(np.mean(counts >= 1))
-    p2 = float(np.mean(counts >= 2))
-    stats = {"box_sites": parts[0]["box_sites"], "interval": list(parts[0]["interval"]),
+def _exp_minami(model, params, seed):
+    out = minami_probe(model, int(params["L"]), float(params["beta"]),
+                       float(params["gamma"]), float(params["c2"]),
+                       int(params["realizations"]), float(params["E0"]), seed)
+    p1, p2 = out["p_ge1"], out["p_ge2"]
+    stats = {"box_sites": out["box_sites"], "interval": list(out["interval"]),
              "p_ge1": p1, "p_ge2": p2,
-             "ratio_p2_over_p1sq": p2 / p1 ** 2 if p1 > 0 else float("nan")}
-    rows = [(r, int(c)) for r, c in enumerate(counts)]
+             "ratio_p2_over_p1sq": p2 / p1 ** 2 if p1 > 0 else None}
+    rows = [(r, int(c)) for r, c in enumerate(out["counts"])]
     return stats, {}, {"counts": (["realization", "count"], rows)}
 
 
-def _exp_holder(model, params, seed, workers):
-    ids = _build_ids(model, params, seed, workers)
-    rep = holder_probe(ids, float(params["E0"]), params["scales"])
+def _exp_holder(model, params, seed):
+    rep = holder_probe(_build_ids(model, params, seed), float(params["E0"]),
+                       params["scales"])
     stats = {"rho1": rep.rho1, "rho2": rep.rho2, "product": rep.product,
              "satisfies_condition": rep.satisfies_condition}
-    E0 = float(params["E0"])
-    u0 = float(ids.evaluate(E0))
-    rows = []
-    for h in rep.scales:
-        dN = 0.5 * (abs(float(ids.evaluate(E0 + h)) - u0)
-                    + abs(u0 - float(ids.evaluate(E0 - h))))
-        dE = 0.5 * (abs(float(ids.invert(min(u0 + h, 1.0))) - float(ids.invert(u0)))
-                    + abs(float(ids.invert(u0)) - float(ids.invert(max(u0 - h, 0.0)))))
-        rows.append((float(h), dN, dE))
+    rows = [(float(h), float(a), float(b))
+            for h, a, b in zip(rep.scales, rep.dN, rep.dE_inverse)]
     return stats, {}, {"increments": (["scale", "dN", "dE_inverse"], rows)}
 
 
-def _exp_transport(model, params, seed, workers):
-    q = float(params["q"])
-    Ts = [float(x) for x in params["T_grid"]]
-    radius = int(params["box_radius"])
-    R = int(params["realizations"])
-    qp = int(params["quadrature_points"])
+def _exp_transport(model, params, seed):
     averaging = params["averaging"]
-    runs = {}
-    rows = []
-
-    def run_window(name, window, grid, rad, reals, mdl):
-        res = transport_exponent(mdl, q, grid, rad, window=window,
-                                 realizations=reals, seed=seed,
-                                 averaging=averaging, quadrature_points=qp)
-        runs[name] = res
-        for r, curve in enumerate(res["curves"]):
-            for T, val in zip(curve.times, curve.values(averaging)):
-                rows.append((name, r, float(T), float(val)))
-        return res
-
-    crit = run_window("critical_window", tuple(params["critical_window"]),
-                      Ts, radius, R, model)
-    loc = run_window("localized_window", tuple(params["localized_window"]),
-                     Ts, radius, R, model)
-    free_model = anderson_preset(0.0, 0.5)
-    free = run_window("free_chain", None, [float(x) for x in params["free_T_grid"]],
-                      int(params["free_box_radius"]), 1, free_model)
-
+    Ts = [float(x) for x in params["T_grid"]]
+    radius, R = int(params["box_radius"]), int(params["realizations"])
+    runs, rows = {}, []
+    for name, mdl, window, grid, rad, reals in (
+            ("critical_window", model, tuple(params["critical_window"]), Ts, radius, R),
+            ("localized_window", model, tuple(params["localized_window"]), Ts, radius, R),
+            ("free_chain", anderson_preset(0.0, 0.5), None,
+             [float(x) for x in params["free_T_grid"]], int(params["free_box_radius"]), 1)):
+        res = runs[name] = transport_exponent(
+            mdl, float(params["q"]), grid, rad, window=window, realizations=reals,
+            seed=seed, averaging=averaging,
+            quadrature_points=int(params["quadrature_points"]))
+        rows.extend((name, r, float(T), float(val)) for r, curve in enumerate(res["curves"])
+                    for T, val in zip(curve.times, curve.values(averaging)))
+    crit, loc, free = runs.values()
     passes = {
         "critical_slope": crit["slope"] >= params["critical_slope_min"],
         "localized_slope": loc["slope"] <= params["localized_slope_max"],
@@ -615,8 +531,7 @@ def run(config: ExperimentConfig) -> RunReport:
         raise ConfigError("; ".join(diags))
     model = model_from_dict(config.model)
     t0 = time.perf_counter()
-    stats, passes, tables = _EXPERIMENTS[config.kind](model, config.params,
-                                                      config.seed, config.workers)
+    stats, passes, tables = _EXPERIMENTS[config.kind](model, config.params, config.seed)
     wall = time.perf_counter() - t0
     chash = _config_hash(config)
     outdir = Path(config.out)
@@ -638,9 +553,10 @@ def run(config: ExperimentConfig) -> RunReport:
         "pass": passed,
     }
     spath = outdir / f"{prefix}_summary.json"
-    spath.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
+    spath.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                                default=_json_default) + "\n")
     files.append(str(spath))
-    return RunReport(config=config.to_dict(), config_hash=chash, version=__version__,
+    return RunReport(config=asdict(config), config_hash=chash, version=__version__,
                      statistics=stats, passes=passes, passed=passed,
                      wall_seconds=wall, files=files)
 
@@ -661,7 +577,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(kind)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="override one params entry "
@@ -682,8 +597,6 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
     if args.out is not None:
         raw["out"] = args.out
     params = dict(raw.get("params", {}))
@@ -700,18 +613,10 @@ def main(argv=None) -> int:
 
     try:
         config = build_config(kind, raw)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-
-    if args.kind == "validate":
-        diags = validate(config)
-        for d in diags:
-            print(d)
-        print("valid" if not diags else f"{len(diags)} problem(s)")
-        return 0 if not diags else 1
-
-    try:
+        if args.kind == "validate":
+            diags = validate(config)
+            print("\n".join(diags + ["valid" if not diags else f"{len(diags)} problem(s)"]))
+            return 0 if not diags else 1
         report = run(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

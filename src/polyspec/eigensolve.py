@@ -69,15 +69,16 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Strictly increasing eigenvalues, optionally restricted to a window."""
+    """Nondecreasing eigenvalues, optionally restricted to a window; ones closer
+    than the bisection tol come out equal, listed once per multiplicity."""
 
     eigenvalues: np.ndarray
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, float)))
-        if self.eigenvalues.size > 1 and not np.all(np.diff(self.eigenvalues) > 0):
-            raise ValueError("eigenvalues must be strictly increasing")
+        if self.eigenvalues.size > 1 and not np.all(np.diff(self.eigenvalues) >= 0):
+            raise ValueError("eigenvalues must be nondecreasing")
 
     def __len__(self):
         return self.eigenvalues.size

@@ -27,6 +27,7 @@ __all__ = [
     "phase_parts",
     "eigenvalue_count",
     "relative_prufer",
+    "relative_prufer_batch",
     "phase_shift",
     "oscillatory_sum",
 ]
@@ -173,18 +174,27 @@ def eigenvalue_count(seq: LatticeSequences, E, theta0: float = 0.0):
     return int(counts[0]) if np.ndim(E) == 0 else counts
 
 
-def relative_prufer(seq: LatticeSequences, M: np.ndarray, E_c: float,
-                    n_Ec: float, xs) -> np.ndarray:
-    """Relative Prufer angle Psi_L(x) = (theta_L(E_c + x/(n L)) - theta_L(E_c)) / pi."""
+def relative_prufer_batch(v: np.ndarray, t: np.ndarray, M: np.ndarray, E_c: float,
+                          n_Ec: float, xs) -> np.ndarray:
+    """Relative Prufer angle Psi_L(x) = (theta_L(E_c + x/(n L)) - theta_L(E_c)) / pi.
+
+    v, t are (L, R) per-site potentials and hoppings, one realization per
+    column; returns (R, len(xs)).
+    """
     if n_Ec <= 0:
         raise ValueError("n_Ec must be positive")
     xs = np.asarray(xs, float)
-    L = seq.num_sites
+    L, R = v.shape
     energies = E_c + np.concatenate([[0.0], xs]) / (n_Ec * L)
-    th = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None],
-                          energies[None, :])[0]
-    thm = angle_map_m(M, th)
-    return (thm[1:] - thm[0]) / np.pi
+    thm = angle_map_m(M, free_phase_batch(v, t, np.tile(energies, (R, 1))))
+    return (thm[:, 1:] - thm[:, [0]]) / np.pi
+
+
+def relative_prufer(seq: LatticeSequences, M: np.ndarray, E_c: float,
+                    n_Ec: float, xs) -> np.ndarray:
+    """Psi_L(x) of one box; see relative_prufer_batch."""
+    return relative_prufer_batch(seq.potentials[:, None], seq.hoppings[:, None],
+                                 M, E_c, n_Ec, xs)[0]
 
 
 def _conjugated_polymer(model: PolymerModel, report: CriticalEnergyReport,

@@ -17,10 +17,10 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from .model import PolymerModel, substream, lattice_for_sites, potentials_for_sites_batch
+from .model import PolymerModel, lattice_for_sites, potentials_for_sites_batch
 from .eigensolve import Spectrum, eigenvalues_in_window_batch, sturm_counts_batch
 from .transfer import CriticalEnergyReport, ExpansionCoeffs, expansion_coeffs
-from .prufer import free_phase_batch, angle_map_m
+from .prufer import free_phase_batch, angle_map_m, relative_prufer_batch
 
 __all__ = [
     "InsufficientDataError",
@@ -41,11 +41,14 @@ __all__ = [
     "counting_statistics",
     "clock_spacing_statistic",
     "uniformity_test",
+    "psi_errors",
     "holder_probe",
     "minami_probe",
 ]
 
-_CHUNK = 256  # fixed realization chunk; results never depend on worker count
+# fixed realization batch sizes; the Sturm pivot floor is taken per batch
+_BATCH = 256
+_PSI_BATCH = 16
 
 
 class InsufficientDataError(ValueError):
@@ -97,10 +100,10 @@ def pool_spectra(model: PolymerModel, L_ids: int, seed: int,
     return np.concatenate(pool)
 
 
-def empirical_ids(model: PolymerModel, L_ids: int, realizations: int,
-                  seed: int) -> EmpiricalIDS:
-    """Pool the full spectra of iid boxes of L_ids sites."""
-    pooled = np.sort(pool_spectra(model, L_ids, seed, range(realizations)))
+def empirical_ids(model: PolymerModel, L_ids: int, seed: int,
+                  realization_indices) -> EmpiricalIDS:
+    """Pool the full spectra of iid boxes of L_ids sites, one per index."""
+    pooled = np.sort(pool_spectra(model, L_ids, seed, realization_indices))
     return EmpiricalIDS(pooled=pooled, total_count=pooled.size)
 
 
@@ -132,7 +135,8 @@ class PointProcessSample:
 
 @dataclass(frozen=True)
 class ClockSpacingSample:
-    """Rescaled nearest-neighbor spacings n(E_c) L (E'_{j+1} - E'_j) near E_c."""
+    """Rescaled nearest-neighbor spacings n(E_c) L (E'_{j+1} - E'_j) near E_c;
+    a gap is zero where two eigenvalues coincide within the bisection tol."""
 
     rescaled_gaps: np.ndarray
 
@@ -140,8 +144,22 @@ class ClockSpacingSample:
         g = np.asarray(self.rescaled_gaps, float)
         g.flags.writeable = False
         object.__setattr__(self, "rescaled_gaps", g)
-        if g.size and not np.all(g > 0):
-            raise ValueError("rescaled gaps must be positive")
+        if g.size and not np.all(g >= 0):
+            raise ValueError("rescaled gaps must be nonnegative")
+
+
+def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realizations: int,
+             offset: int = 0, size: int = _BATCH) -> list:
+    """[fn(indices, v, t)] over consecutive fixed-size realization batches.
+
+    Each batch's disorder (v, t) exists only as fn's arguments, so one batch
+    at a time is in memory.
+    """
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
+    stop = offset + realizations
+    return [fn(idx, *potentials_for_sites_batch(model, L_sites, seed, idx))
+            for idx in (range(s, min(s + size, stop)) for s in range(offset, stop, size))]
 
 
 def unfold(spectrum: Spectrum, ids: EmpiricalIDS, E0: float,
@@ -184,23 +202,20 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
         a, b = E0 - half, E0 + half
     if not b > a:
         raise ValueError("empty energy window (window_atoms too small for the IDS resolution)")
+    parts = _batched(lambda idx, v, t: eigenvalues_in_window_batch(v, t[1:] ** 2, a, b),
+                     model, L_sites, seed, realizations, realization_offset)
     samples = []
-    for start in range(0, realizations, _CHUNK):
-        idx = range(realization_offset + start,
-                    realization_offset + min(start + _CHUNK, realizations))
-        v, t = potentials_for_sites_batch(model, L_sites, seed, idx)
-        evs = eigenvalues_in_window_batch(v, t[1:] ** 2, a, b)
-        for r, e in zip(idx, evs):
-            if ids is not None:
-                atoms = L_sites * (ids.evaluate(e) - N0)
-                kind = "unfolded"
-            else:
-                atoms = n_Ec * L_sites * (e - E0)
-                kind = "dos_rescaled"
-            samples.append(PointProcessSample(atoms=np.sort(atoms),
-                                              center_energy=float(E0),
-                                              box_sites=int(L_sites), kind=kind,
-                                              realization_index=int(r)))
+    for r, e in enumerate([e for part in parts for e in part], realization_offset):
+        if ids is not None:
+            atoms = L_sites * (ids.evaluate(e) - N0)
+            kind = "unfolded"
+        else:
+            atoms = n_Ec * L_sites * (e - E0)
+            kind = "dos_rescaled"
+        samples.append(PointProcessSample(atoms=np.sort(atoms),
+                                          center_energy=float(E0),
+                                          box_sites=int(L_sites), kind=kind,
+                                          realization_index=int(r)))
     return samples
 
 
@@ -300,7 +315,7 @@ def counting_statistics(samples, intervals) -> CountingStatistics:
 
 def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
                             L_sites: int, realizations: int, j_max: int,
-                            seed: int, realization_offset: int = 0):
+                            seed: int):
     """Rescaled spacings around E_c, re-indexed so E'_{-1} < E_c <= E'_0.
 
     Returns (ClockSpacingSample, summary dict).  Gaps j in [-j_max, j_max)
@@ -314,8 +329,7 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
     n_Ec = _critical_density(model, report)
     Ec = report.energy
     samples = les_ensemble(model, Ec, L_sites, realizations, seed,
-                           window_atoms=j_max + 4, report=report,
-                           realization_offset=realization_offset)
+                           window_atoms=j_max + 4, report=report)
     gaps, gap_reals = [], []
     for s in samples:
         atoms = s.atoms
@@ -341,21 +355,28 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
 
 
 def uniformity_test(model: PolymerModel, report: CriticalEnergyReport,
-                    L_sites: int, realizations: int, seed: int,
-                    realization_offset: int = 0) -> dict:
+                    L_sites: int, realizations: int, seed: int) -> dict:
     """KS distance of the fractional Prufer phase phi(E_c, L)/pi to U[0,1)."""
-    M = report.diagonalizer
-    Ec = report.energy
-    phis = np.empty(realizations)
-    for start in range(0, realizations, _CHUNK):
-        stop = min(start + _CHUNK, realizations)
-        idx = range(realization_offset + start, realization_offset + stop)
-        v, t = potentials_for_sites_batch(model, L_sites, seed, idx)
-        th_free = free_phase_batch(v, t, np.full((len(idx), 1), Ec))[:, 0]
-        th_mod = angle_map_m(M, th_free)
-        phis[start:stop] = th_mod % np.pi
+    def batch(idx, v, t):
+        free = free_phase_batch(v, t, np.full((len(idx), 1), report.energy))[:, 0]
+        return angle_map_m(report.diagonalizer, free) % np.pi
+
+    phis = np.concatenate(_batched(batch, model, L_sites, seed, realizations))
     ks = float(kstest(phis / np.pi, "uniform").statistic)
     return {"ks_statistic": ks, "phis": phis, "num_realizations": realizations}
+
+
+def psi_errors(model: PolymerModel, report: CriticalEnergyReport, L_sites: int,
+               xs, realizations: int, seed: int) -> np.ndarray:
+    """Per-realization sup_x |Psi_L(x) - x| over the points xs."""
+    n_Ec = _critical_density(model, report)
+    xs = np.asarray(xs, float)
+    def batch(idx, v, t):
+        psi = relative_prufer_batch(v, t, report.diagonalizer, report.energy, n_Ec, xs)
+        return np.abs(psi - xs[None, :]).max(axis=1)
+
+    return np.concatenate(_batched(batch, model, L_sites, seed, realizations,
+                                   size=_PSI_BATCH))
 
 
 @dataclass(frozen=True)
@@ -367,6 +388,8 @@ class HolderReport:
     product: float
     satisfies_condition: bool  # rho1 * rho2 > 2/3
     scales: np.ndarray
+    dN: np.ndarray          # IDS increment at each scale
+    dE_inverse: np.ndarray  # inverse-IDS increment at each scale
 
 
 def holder_probe(ids: EmpiricalIDS, E0: float, scales) -> HolderReport:
@@ -380,34 +403,28 @@ def holder_probe(ids: EmpiricalIDS, E0: float, scales) -> HolderReport:
     scales = np.asarray(sorted(scales), float)
     if np.any(scales <= 0):
         raise ValueError("scales must be positive")
-    N0 = float(ids.evaluate(E0))
-    u0 = N0
-    hs, dN = [], []
-    ks, dE = [], []
+    u0 = float(ids.evaluate(E0))
+    dN, dE, ks = [], [], []
     for h in scales:
-        inc = 0.5 * (abs(float(ids.evaluate(E0 + h)) - N0)
-                     + abs(N0 - float(ids.evaluate(E0 - h))))
-        if inc > 0:
-            hs.append(h)
-            dN.append(inc)
-        kup = min(u0 + h, 1.0)
-        kdn = max(u0 - h, 0.0)
-        inc2 = 0.5 * (abs(float(ids.invert(kup)) - float(ids.invert(u0)))
-                      + abs(float(ids.invert(u0)) - float(ids.invert(kdn))))
-        if inc2 > 0 and (kup - u0 > 0 or u0 - kdn > 0):
-            ks.append(0.5 * ((kup - u0) + (u0 - kdn)))
-            dE.append(inc2)
-    if len(hs) < 2 or len(ks) < 2:
+        dN.append(0.5 * (abs(float(ids.evaluate(E0 + h)) - u0)
+                         + abs(u0 - float(ids.evaluate(E0 - h)))))
+        kup, kdn = min(u0 + h, 1.0), max(u0 - h, 0.0)
+        dE.append(0.5 * (abs(float(ids.invert(kup)) - float(ids.invert(u0)))
+                         + abs(float(ids.invert(u0)) - float(ids.invert(kdn)))))
+        ks.append(0.5 * ((kup - u0) + (u0 - kdn)))
+    dN, dE, ks = np.array(dN), np.array(dE), np.array(ks)
+    okN, okE = dN > 0, (dE > 0) & (ks > 0)
+    if okN.sum() < 2 or okE.sum() < 2:
         raise InsufficientDataError("not enough nondegenerate scales for regression")
-    rho1 = float(np.polyfit(np.log(hs), np.log(dN), 1)[0])
-    rho2 = float(np.polyfit(np.log(ks), np.log(dE), 1)[0])
+    rho1 = float(np.polyfit(np.log(scales[okN]), np.log(dN[okN]), 1)[0])
+    rho2 = float(np.polyfit(np.log(ks[okE]), np.log(dE[okE]), 1)[0])
     return HolderReport(rho1=rho1, rho2=rho2, product=rho1 * rho2,
-                        satisfies_condition=rho1 * rho2 > 2.0 / 3.0, scales=scales)
+                        satisfies_condition=rho1 * rho2 > 2.0 / 3.0, scales=scales,
+                        dN=dN, dE_inverse=dE)
 
 
 def minami_probe(model: PolymerModel, L_sites: int, beta: float, gamma: float,
-                 c2: float, realizations: int, E0: float, seed: int,
-                 realization_offset: int = 0) -> dict:
+                 c2: float, realizations: int, E0: float, seed: int) -> dict:
     """Frequencies of >=1 and >=2 eigenvalues of a size-L^beta box in a
     width c2/L^gamma interval centered at E0."""
     if not (0.0 < beta < 1.0):
@@ -417,13 +434,11 @@ def minami_probe(model: PolymerModel, L_sites: int, beta: float, gamma: float,
     ell1 = max(int(round(L_sites ** beta)), 2)
     width = c2 / L_sites ** gamma
     a, b = E0 - width / 2.0, E0 + width / 2.0
-    counts = np.empty(realizations, dtype=np.int64)
-    for start in range(0, realizations, _CHUNK):
-        stop = min(start + _CHUNK, realizations)
-        idx = range(realization_offset + start, realization_offset + stop)
-        v, t = potentials_for_sites_batch(model, ell1, seed, idx)
+    def batch(idx, v, t):
         ends = sturm_counts_batch(v, t[1:] ** 2, np.tile([[a, b]], (len(idx), 1)))
-        counts[start:stop] = ends[:, 1] - ends[:, 0]
+        return ends[:, 1] - ends[:, 0]
+
+    counts = np.concatenate(_batched(batch, model, ell1, seed, realizations))
     return {
         "box_sites": ell1,
         "interval": (a, b),

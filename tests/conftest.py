@@ -1,12 +1,11 @@
 import time
 
-import numpy as np
 import pytest
 
 from polyspec.model import dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs
-from polyspec.statistics import (EmpiricalIDS, pool_spectra, dos_at_critical,
-                                 les_ensemble, clock_spacing_statistic)
+from polyspec.statistics import (empirical_ids, dos_at_critical, les_ensemble,
+                                 clock_spacing_statistic)
 
 ACCEPT_SEED = 20240801
 
@@ -23,10 +22,8 @@ def dimer06():
 @pytest.fixture(scope="session")
 def ids06(dimer06):
     """Pooled IDS for the V=0.6 dimer, box-size matched to the LES ensembles."""
-    model = dimer06["model"]
-    pooled = np.sort(pool_spectra(model, 4000, ACCEPT_SEED,
-                                  range(10 ** 6, 10 ** 6 + 1200)))
-    return EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+    return empirical_ids(dimer06["model"], 4000, ACCEPT_SEED,
+                         range(10 ** 6, 10 ** 6 + 1200))
 
 
 @pytest.fixture(scope="session")

@@ -15,15 +15,11 @@ from scipy.stats import kstest
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec.eigensolve import (build_hamiltonian, gershgorin_interval,
                                  eigenvalues_in_window, dense_oracle)
-from polyspec.transfer import (find_critical_energies, expansion_coeffs, lyapunov,
-                               polymer_matrix)
-from polyspec.prufer import (eigenvalue_count, relative_prufer, phase_shift,
-                             free_phase_batch, angle_map_m)
-from polyspec.model import potentials_for_sites_batch
-from polyspec.statistics import (pool_spectra, EmpiricalIDS, ids_at_critical,
-                                 dos_at_critical, gap_statistics,
+from polyspec.transfer import find_critical_energies, lyapunov
+from polyspec.prufer import eigenvalue_count, phase_shift
+from polyspec.statistics import (empirical_ids, ids_at_critical, gap_statistics,
                                  counting_statistics, les_ensemble,
-                                 uniformity_test)
+                                 uniformity_test, psi_errors)
 from polyspec.transport import transport_exponent
 
 from conftest import ACCEPT_SEED
@@ -70,19 +66,18 @@ def test_criterion_02_lyapunov_dichotomy():
 
 def test_criterion_03_ids_branch_consistency():
     m = dimer_preset(SQ2, 0.5)
-    pooled = np.sort(pool_spectra(m, 2000, ACCEPT_SEED + 2, range(500)))
-    ids = EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+    ids = empirical_ids(m, 2000, ACCEPT_SEED + 2, range(500))
     rep = find_critical_energies(m)[-1]
     formula = ids_at_critical(rep, m)
     emp = float(ids.evaluate(rep.energy))
     branch_err = abs(emp - formula)
     Es = np.linspace(0.0, 2.6, 200)
     sym_err = float(np.abs(ids.evaluate(Es) + ids.evaluate(-Es) - 1.0).max())
-    ok = pooled.size >= 10 ** 6 and branch_err <= 0.01 and sym_err <= 0.01
+    ok = ids.total_count >= 10 ** 6 and branch_err <= 0.01 and sym_err <= 0.01
     assert _report(3, "IDS branch consistency", ok,
                    f"N(+V): empirical={emp:.4f} formula={formula:.4f} "
                    f"(err {branch_err:.4f}); symmetry err={sym_err:.4f}; "
-                   f"pooled={pooled.size}")
+                   f"pooled={ids.total_count}")
 
 
 def test_criterion_04_strong_clock(dimer06, clock_runs):
@@ -134,18 +129,10 @@ def test_criterion_07_prufer_uniformity(dimer06):
 
 
 def test_criterion_08_psi_convergence(dimer06):
-    model, report, n_Ec = dimer06["model"], dimer06["report"], dimer06["n_Ec"]
-    M = report.diagonalizer
-    Ec = report.energy
     xs = np.linspace(-5.0, 5.0, 51)
-    medians = []
-    for L in (10 ** 3, 10 ** 4, 10 ** 5):
-        v, t = potentials_for_sites_batch(model, L, ACCEPT_SEED + 4, range(20))
-        energies = Ec + np.concatenate([[0.0], xs]) / (n_Ec * L)
-        free = free_phase_batch(v, t, np.tile(energies, (20, 1)))
-        mod = angle_map_m(M, free)
-        psi = (mod[:, 1:] - mod[:, [0]]) / np.pi
-        medians.append(float(np.median(np.abs(psi - xs[None, :]).max(axis=1))))
+    medians = [float(np.median(psi_errors(dimer06["model"], dimer06["report"], L, xs,
+                                          20, ACCEPT_SEED + 4)))
+               for L in (10 ** 3, 10 ** 4, 10 ** 5)]
     ok = medians[0] > medians[1] > medians[2]
     assert _report(8, "Psi_L convergence", ok,
                    f"median sup|Psi-x| = {np.round(medians, 4).tolist()} "

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -10,6 +9,13 @@ def cfg(kind, out, **kw):
     raw = {"out": str(out)}
     raw.update(kw)
     return build_config(kind, raw)
+
+
+def strict_summary(path):
+    """Parse a summary, rejecting the NaN/Infinity tokens JSON does not allow."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_all_kinds_have_defaults():
@@ -33,6 +39,18 @@ def test_validate_bad_model_and_param():
     assert any("unknown parameter" in d for d in validate(c3))
     with pytest.raises(ConfigError):
         build_config("frobnicate", {})
+    with pytest.raises(ConfigError, match="workers"):
+        build_config("lyapunov", {"workers": 4})
+    # every integer size or count must be positive
+    for kind, key, value in [
+            ("les-poisson", "ids_realizations", 0), ("les-poisson", "ids_L", -1),
+            ("les-poisson", "window_atoms", 0), ("sharpness", "control_L", 0),
+            ("sharpness", "control_realizations", 0), ("clock-spacing", "j_max", 0),
+            ("transport", "box_radius", 0), ("transport", "quadrature_points", -5),
+            ("psi-convergence", "x_points", 0), ("clock-spacing", "L_list", [0, 100]),
+            ("psi-convergence", "L_list", []), ("uniformity", "realizations", "many")]:
+        diags = validate(cfg(kind, "x", params={key: value}))
+        assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
 
 
 def test_run_critical_writes_outputs(tmp_path):
@@ -53,18 +71,6 @@ def test_run_invalid_config_raises(tmp_path):
     c = cfg("sharpness", tmp_path, params={"delta": 0.3})
     with pytest.raises(ConfigError):
         run(c)
-
-
-def test_worker_determinism(tmp_path):
-    base = {"params": {"energies": [0.8], "steps": 4000, "realizations": 12}}
-    outs = {}
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}"
-        c = build_config("lyapunov", {**base, "out": str(out), "workers": workers})
-        run(c)
-        outs[workers] = ((out / "lyapunov_lyapunov.csv").read_text(),
-                         (out / "lyapunov_summary.json").read_text())
-    assert outs[1] == outs[4]  # byte-identical CSV and JSON
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -103,6 +109,27 @@ def test_main_exit_codes(tmp_path):
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"kind": "critical", "out": str(tmp_path)}))
     assert main(["validate", "--config", str(ok)]) == 0
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({"kind": "critical", "workers": 4}))
+    assert main(["validate", "--config", str(stale)]) == 1
+
+
+def test_minami_without_hits_writes_null_ratio(tmp_path):
+    code = main(["minami-probe", "--out", str(tmp_path), "--param", "L=100",
+                 "--param", "c2=1e-6", "--param", "realizations=50"])
+    assert code == 0
+    stats = strict_summary(tmp_path / "minami_probe_summary.json")["statistics"]
+    assert stats["p_ge1"] == 0.0
+    assert stats["ratio_p2_over_p1sq"] is None
+
+
+def test_ids_extra_probe_writes_null_formula(tmp_path):
+    code = main(["ids", "--out", str(tmp_path), "--param", "probe_energies=[0.1]",
+                 "--param", "L_ids=100", "--param", "realizations=4"])
+    assert code in (0, 2)
+    probes = strict_summary(tmp_path / "ids_summary.json")["statistics"]["probes"]
+    assert probes[-1]["energy"] == 0.1
+    assert probes[-1]["formula"] is None
 
 
 def test_main_param_override(tmp_path, capsys):

@@ -7,6 +7,7 @@ from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_pr
 from polyspec.transfer import (find_critical_energies, diagonalizer, polymer_matrix,
                                expansion_coeffs, site_matrix)
 from polyspec.eigensolve import build_hamiltonian, dense_oracle
+from polyspec.statistics import psi_errors
 from polyspec.prufer import (angle_map_m, prufer_trace, phase_parts,
                              eigenvalue_count, relative_prufer, phase_shift,
                              oscillatory_sum, free_phase_batch)
@@ -135,17 +136,8 @@ def test_relative_prufer_basics():
 def test_relative_prufer_error_shrinks_with_L():
     m = dimer_preset(0.6, 0.5)
     rep = find_critical_energies(m)[-1]
-    coeffs = expansion_coeffs(m, rep)
-    n_Ec = m.mean(coeffs.d_plus, coeffs.d_minus) / np.pi / m.mean_length
     xs = np.linspace(-4, 4, 9)
-    errs = []
-    for L in (1000, 10000):
-        vals = []
-        for r in range(4):
-            seq = lattice_for_sites(m, L, seed=100, realization_index=r)
-            psi = relative_prufer(seq, rep.diagonalizer, rep.energy, n_Ec, xs)
-            vals.append(np.abs(psi - xs).max())
-        errs.append(np.median(vals))
+    errs = [np.median(psi_errors(m, rep, L, xs, 4, seed=100)) for L in (1000, 10000)]
     assert errs[1] < errs[0]
 
 

@@ -4,8 +4,8 @@ import pytest
 from polyspec.model import PolymerSpec, PolymerModel, dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.eigensolve import Spectrum
-from polyspec.statistics import (EmpiricalIDS, PointProcessSample, empirical_ids,
-                                 ids_at_critical, dos_at_critical, unfold,
+from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
+                                 empirical_ids, ids_at_critical, dos_at_critical, unfold,
                                  les_sample, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
@@ -36,13 +36,13 @@ def test_empirical_ids_monotone_invertible():
 
 
 def test_empirical_ids_deterministic_chain():
-    ids = empirical_ids(constant_model(0.7), L_ids=400, realizations=10, seed=1)
+    ids = empirical_ids(constant_model(0.7), L_ids=400, seed=1, realization_indices=range(10))
     assert abs(ids.evaluate(0.7) - 0.5) < 0.01
 
 
 def test_ids_symmetry_and_branch_small():
     m = dimer_preset(SQ2, 0.5)
-    ids = empirical_ids(m, L_ids=1000, realizations=120, seed=7)
+    ids = empirical_ids(m, L_ids=1000, seed=7, realization_indices=range(120))
     rep = find_critical_energies(m)[-1]
     formula = ids_at_critical(rep, m)
     assert abs(formula - 5.0 / 8.0) < 1e-9
@@ -78,7 +78,7 @@ def test_dos_matches_empirical_derivative():
     m = dimer_preset(0.6, 0.5)
     rep = find_critical_energies(m)[-1]
     n_formula = dos_at_critical(expansion_coeffs(m, rep), m)
-    ids = empirical_ids(m, L_ids=2000, realizations=60, seed=3)
+    ids = empirical_ids(m, L_ids=2000, seed=3, realization_indices=range(60))
     h = 1e-2
     n_emp = (float(ids.evaluate(rep.energy + h)) - float(ids.evaluate(rep.energy - h))) / (2 * h)
     assert abs(n_emp - n_formula) / n_formula < 0.15
@@ -101,14 +101,14 @@ def test_les_sample_empty_below_spectrum():
     s = les_sample(m, -5.0, 2000, dos_value=0.2, window_atoms=5, seed=1)
     assert s.atoms.size == 0
     # unfolded windows clamp at N = 0: only nonnegative atoms can appear
-    ids = empirical_ids(m, L_ids=500, realizations=30, seed=5)
+    ids = empirical_ids(m, L_ids=500, seed=5, realization_indices=range(30))
     s2 = les_sample(m, -5.0, 2000, ids=ids, window_atoms=5, seed=1)
     assert np.all(s2.atoms >= -1e-9)
 
 
 def test_les_ensemble_argument_checks():
     m = dimer_preset(0.6, 0.5)
-    ids = empirical_ids(m, L_ids=500, realizations=30, seed=5)
+    ids = empirical_ids(m, L_ids=500, seed=5, realization_indices=range(30))
     rep = find_critical_energies(m)[-1]
     with pytest.raises(ValueError):
         les_ensemble(m, 0.6, 1000, 2, 1, ids=ids, report=rep)
@@ -120,7 +120,7 @@ def test_les_ensemble_argument_checks():
 
 def test_les_unit_intensity_localized():
     m = dimer_preset(0.6, 0.5)
-    ids = empirical_ids(m, L_ids=1000, realizations=400, seed=42)
+    ids = empirical_ids(m, L_ids=1000, seed=42, realization_indices=range(400))
     samples = les_ensemble(m, 1.2, 1000, 400, 43, window_atoms=8, ids=ids)
     counts = [np.searchsorted(s.atoms, 5.0) - np.searchsorted(s.atoms, -5.0)
               for s in samples]
@@ -211,6 +211,10 @@ def test_clock_spacing_small_scale():
     assert summary["num_gaps"] == sample.rescaled_gaps.size
     assert summary["realization_ids"].size == sample.rescaled_gaps.size
     assert np.all(sample.rescaled_gaps > 0)
+    # coincident eigenvalues give a zero gap, which is a valid spacing
+    assert ClockSpacingSample(rescaled_gaps=[0.0, 1.0]).rescaled_gaps[0] == 0.0
+    with pytest.raises(ValueError):
+        ClockSpacingSample(rescaled_gaps=[-1.0])
 
 
 def test_clock_spacing_warns_on_violation():
@@ -258,7 +262,7 @@ def test_holder_probe_sqrt_cdf_edge():
 
 def test_holder_probe_diagnostic_on_model():
     m = dimer_preset(0.6, 0.5)
-    ids = empirical_ids(m, L_ids=1000, realizations=100, seed=31)
+    ids = empirical_ids(m, L_ids=1000, seed=31, realization_indices=range(100))
     rep = holder_probe(ids, 1.2, [2.0 ** -k for k in range(4, 8)])
     assert np.isfinite(rep.rho1) and np.isfinite(rep.rho2)
 
@@ -276,6 +280,9 @@ def test_minami_probe_basics():
                      E0=1.2, seed=1)
     with pytest.raises(ValueError):
         minami_probe(m, 1000, beta=0.5, gamma=1.5, c2=1.0, realizations=10,
+                     E0=1.2, seed=1)
+    with pytest.raises(ValueError, match="realizations"):
+        minami_probe(m, 1000, beta=0.5, gamma=1.0, c2=1.0, realizations=0,
                      E0=1.2, seed=1)
 
 
