@@ -378,8 +378,9 @@ def _exp_clock_spacing(model, params, seed):
     sizes = [str(int(L)) for L in params["L_list"]]
     variances = [per_size[s]["variance"] for s in sizes]
     largest = per_size[sizes[-1]]
-    passes = {"mean_in_band": lo <= largest["mean"] <= hi,
-              "variance_decreasing": all(a > b for a, b in zip(variances, variances[1:]))}
+    passes = {"mean_in_band": largest["mean"] is not None and lo <= largest["mean"] <= hi,
+              "variance_decreasing": None not in variances
+              and all(a > b for a, b in zip(variances, variances[1:]))}
     stats = {"critical_energy": report.energy, "per_size": per_size}
     return stats, passes, {"spacing": (["L_sites", "realization", "gap"], rows)}
 
@@ -534,14 +535,6 @@ def run(config: ExperimentConfig) -> RunReport:
     stats, passes, tables = _EXPERIMENTS[config.kind](model, config.params, config.seed)
     wall = time.perf_counter() - t0
     chash = _config_hash(config)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    prefix = config.kind.replace("-", "_")
-    for name, (header, rows) in tables.items():
-        path = outdir / f"{prefix}_{name}.csv"
-        _write_csv(path, header, rows, chash)
-        files.append(str(path))
     passed = all(passes.values()) if passes else True
     summary = {
         "config": config.semantic_dict(),
@@ -552,9 +545,19 @@ def run(config: ExperimentConfig) -> RunReport:
         "passes": passes,
         "pass": passed,
     }
+    # serialize first: a summary that is not strict JSON must leave no new CSVs
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    prefix = config.kind.replace("-", "_")
+    for name, (header, rows) in tables.items():
+        path = outdir / f"{prefix}_{name}.csv"
+        _write_csv(path, header, rows, chash)
+        files.append(str(path))
     spath = outdir / f"{prefix}_summary.json"
-    spath.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
-                                default=_json_default) + "\n")
+    spath.write_text(text)
     files.append(str(spath))
     return RunReport(config=asdict(config), config_hash=chash, version=__version__,
                      statistics=stats, passes=passes, passed=passed,

@@ -97,13 +97,14 @@ def gershgorin_interval(H: TridiagonalOperator) -> tuple[float, float]:
 
 
 def _pivmin(v: np.ndarray, tsq: np.ndarray) -> float:
-    scale = float(np.abs(v).max(initial=1.0))
+    scale = max(float(v.max(initial=1.0)), -float(v.min(initial=-1.0)))  # no |v| copy
     if tsq.size:
         scale = max(scale, float(tsq.max()))
     return np.finfo(float).eps * scale
 
 
-def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
+                       shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue counts below each shift for a batch of operators.
 
     Parameters
@@ -114,9 +115,11 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray, shifts: np.ndarray) -> np
 
     Returns
     -------
-    (R, K) integer array: negative-pivot counts of the LDL^T recursion of
-    H - E.  Zero pivots are replaced by a tiny negative value, so an
-    eigenvalue exactly at a shift counts as below it.
+    (counts, last_pivots), both (R, K).  `counts` are the negative-pivot
+    counts of the LDL^T recursion d_n = (v_n - E) - t_n^2 / d_{n-1} of
+    H - E; `last_pivots` are the final pivots d_{L-1}.  Pivots smaller in
+    magnitude than pivmin are replaced by -pivmin, so an eigenvalue exactly
+    at a shift counts as below it and no returned pivot is zero.
     """
     pivmin = _pivmin(v, tsq)
     counts = np.zeros(shifts.shape, dtype=np.int64)
@@ -127,14 +130,14 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray, shifts: np.ndarray) -> np
         d = (v[n][:, None] - shifts) - tsq[n - 1][:, None] / d
         np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
         counts += d < 0
-    return counts
+    return counts, d
 
 
 def sturm_count(H: TridiagonalOperator, E) -> int | np.ndarray:
     """Number of eigenvalues below E (scalar or array of energies)."""
     shifts = np.atleast_1d(np.asarray(E, float))[None, :]
-    counts = sturm_counts_batch(H.diagonal[:, None], (H.offdiagonal ** 2)[:, None], shifts)[0]
-    return int(counts[0]) if np.isscalar(E) or np.ndim(E) == 0 else counts
+    counts, _ = sturm_counts_batch(H.diagonal[:, None], (H.offdiagonal ** 2)[:, None], shifts)
+    return int(counts[0, 0]) if np.isscalar(E) or np.ndim(E) == 0 else counts[0]
 
 
 def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: float,
@@ -149,7 +152,7 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     if not b > a:
         raise ValueError("window must be nonempty")
     R = v.shape[1]
-    ends = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
+    ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
     na, nb = ends[:, 0], ends[:, 1]
     K = int((nb - na).max(initial=0))
     if K == 0:
@@ -160,7 +163,7 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     active = target < nb[:, None]
     for _ in range(max(int(np.ceil(np.log2((b - a) / tol))), 1)):
         mid = 0.5 * (lo + hi)
-        above = sturm_counts_batch(v, tsq, mid) <= target
+        above = sturm_counts_batch(v, tsq, mid)[0] <= target
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     mid = 0.5 * (lo + hi)

@@ -1,11 +1,21 @@
 """Free and modified Prufer phase evolution.
 
 The free phase tracks the polar angle of the solution vector
-(t(n) u(n), u(n-1)) with the branch rule that successive increments lie in
-(-pi/2, 3pi/2).  The modified phase is the continuous image of the free
-phase under the angle map theta -> arg(M e_theta) induced by the
-diagonalizer M; at a critical energy each polymer block advances it by
-exactly eta_pm modulo 2pi.
+(x_n, y_n) = (t(n) u(n), u(n-1)) from theta_0 = 0, with the branch rule that
+successive increments lie in (-pi/2, 3pi/2).  Its cotangent x_n / y_n is the
+LDL^T pivot d_{n-1} of H - E, and
+
+    theta_L(E) = pi * #{n : d_n < 0} + arctan(1 / d_{L-1})
+
+exactly (the oscillation theorem): as y_{n+1} = x_n / t(n), each step takes
+theta from (c pi - pi/2, c pi + pi/2) into (c pi, (c + 1) pi), and d_n < 0
+puts it past c pi + pi/2, adding one to c.  Where d_{L-1} crosses 0 (at an
+eigenvalue) the count gains one as arctan(1/d) drops by pi, so theta_L is
+continuous in E.  `prufer_trace` keeps the arctan2 evolution as reference.
+
+The modified phase is the continuous image of the free phase under the
+angle map theta -> arg(M e_theta) induced by the diagonalizer M; at a
+critical energy each polymer block advances it by exactly eta_pm modulo 2pi.
 """
 from __future__ import annotations
 
@@ -14,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import build_hamiltonian, sturm_count, sturm_counts_batch
 from .model import LatticeSequences, PolymerModel, Configuration
 from .transfer import CriticalEnergyReport, polymer_matrix, expansion_coeffs
 
 __all__ = [
-    "BOUNDARY_OFFSET",
     "PruferTrace",
     "PhaseParts",
     "angle_map_m",
@@ -33,11 +43,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-# Free-phase value at the n-th Dirichlet eigenvalue is (n-1)*pi + pi/2 for the
-# theta_0 = 0 initial condition; calibrated on free chains, frozen, and
-# cross-checked exactly against the dense oracle on random instances.
-BOUNDARY_OFFSET = np.pi / 2.0
 
 
 def angle_map_m(M: np.ndarray, theta):
@@ -117,9 +122,11 @@ def prufer_trace(seq: LatticeSequences, M: np.ndarray, E: float,
                        initial_angle=float(theta0))
 
 
-def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray,
-                     theta0: float = 0.0) -> np.ndarray:
+def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Final lifted free phase for many disorder columns and energies at once.
+
+    One Sturm sweep gives theta_L by the pivot formula of the module
+    docstring; t(0) does not enter.
 
     Parameters
     ----------
@@ -131,23 +138,8 @@ def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray,
     -------
     (R, K) array of theta^0_L continuous lifts.
     """
-    energies = np.asarray(energies, float)
-    R, K = energies.shape
-    x = np.full((R, K), np.cos(theta0))
-    y = np.full((R, K), np.sin(theta0))
-    th = np.full((R, K), float(theta0))
-    half_pi = np.pi / 2
-    for n in range(v.shape[0]):
-        vn = v[n][:, None]
-        tn = t[n][:, None]
-        xn = ((vn - energies) * x - tn * tn * y) / tn
-        yn = x / tn
-        raw = np.arctan2(yn, xn)
-        th += (raw - th + half_pi) % TWO_PI - half_pi
-        r = np.hypot(xn, yn)
-        x = xn / r
-        y = yn / r
-    return th
+    counts, d = sturm_counts_batch(v, t[1:] ** 2, np.asarray(energies, float))
+    return np.pi * counts + np.arctan(1.0 / d)
 
 
 @dataclass(frozen=True)
@@ -163,15 +155,13 @@ def phase_parts(theta: float) -> PhaseParts:
     return PhaseParts(integer_part=m, fractional_part=float(theta - m * np.pi))
 
 
-def eigenvalue_count(seq: LatticeSequences, E, theta0: float = 0.0):
-    """Eigenvalues of the Dirichlet box below E, from the free-phase winding."""
-    v = seq.potentials[:, None]
-    t = seq.hoppings[:, None]
-    E_arr = np.atleast_1d(np.asarray(E, float))
-    th = free_phase_batch(v, t, E_arr[None, :], theta0)[0]
-    counts = np.clip(np.floor((th - BOUNDARY_OFFSET) / np.pi).astype(int) + 1,
-                     0, seq.num_sites)
-    return int(counts[0]) if np.ndim(E) == 0 else counts
+def eigenvalue_count(seq: LatticeSequences, E):
+    """Eigenvalues of the Dirichlet box below E.
+
+    This is the winding floor(theta_L / pi + 1/2), which by the pivot formula
+    for theta_L is the Sturm count.
+    """
+    return sturm_count(build_hamiltonian(seq), E)
 
 
 def relative_prufer_batch(v: np.ndarray, t: np.ndarray, M: np.ndarray, E_c: float,
@@ -228,11 +218,11 @@ def phase_shift(model: PolymerModel, report: CriticalEnergyReport, sign: str,
 
 
 def oscillatory_sum(model: PolymerModel, report: CriticalEnergyReport,
-                    config: Configuration, eps: float, theta0: float,
+                    config: Configuration, eps: float, S0: float,
                     N: int, checkpoints=None):
     """Partial sum of c_{omega_l} e^{2i S^l} over the first N blocks.
 
-    The iterated shift S^{l+1} = S_{eps, omega_l}(S^l) starts at theta0.
+    The iterated shift S^{l+1} = S_{eps, omega_l}(S^l) starts at S^0 = S0.
     With `checkpoints` (sorted block counts <= N) an array of the partial
     sums at those counts is returned instead of the final complex value.
     """
@@ -248,7 +238,7 @@ def oscillatory_sum(model: PolymerModel, report: CriticalEnergyReport,
     signs = config.signs[:N].astype(np.int64)
     marks = list(checkpoints) if checkpoints is not None else None
     out = []
-    S = float(theta0)
+    S = float(S0)
     total = 0.0 + 0.0j
     pi = math.pi
     two_pi = 2.0 * pi

@@ -320,7 +320,8 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
 
     Returns (ClockSpacingSample, summary dict).  Gaps j in [-j_max, j_max)
     are kept per realization, including the straddling one, and pooled;
-    the summary carries the realization index of every pooled gap.
+    the summary carries the realization index of every pooled gap.  `mean`
+    and `frac_in_band` are None without gaps, `variance` with fewer than two.
     """
     if report.irrationality_violations:
         warnings.warn("irrationality condition fails for this report "
@@ -346,9 +347,9 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
     summary = {
         "n_critical": n_Ec,
         "num_gaps": int(gaps.size),
-        "mean": float(gaps.mean()) if gaps.size else float("nan"),
-        "variance": float(gaps.var(ddof=1)) if gaps.size > 1 else float("nan"),
-        "frac_in_band": float(np.mean(np.abs(gaps - 1.0) <= 0.1)) if gaps.size else float("nan"),
+        "mean": float(gaps.mean()) if gaps.size else None,
+        "variance": float(gaps.var(ddof=1)) if gaps.size > 1 else None,
+        "frac_in_band": float(np.mean(np.abs(gaps - 1.0) <= 0.1)) if gaps.size else None,
         "realization_ids": gap_reals,
     }
     return sample, summary
@@ -435,7 +436,7 @@ def minami_probe(model: PolymerModel, L_sites: int, beta: float, gamma: float,
     width = c2 / L_sites ** gamma
     a, b = E0 - width / 2.0, E0 + width / 2.0
     def batch(idx, v, t):
-        ends = sturm_counts_batch(v, t[1:] ** 2, np.tile([[a, b]], (len(idx), 1)))
+        ends, _ = sturm_counts_batch(v, t[1:] ** 2, np.tile([[a, b]], (len(idx), 1)))
         return ends[:, 1] - ends[:, 0]
 
     counts = np.concatenate(_batched(batch, model, ell1, seed, realizations))

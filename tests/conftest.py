@@ -1,6 +1,10 @@
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from polyspec.model import dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs
@@ -8,6 +12,13 @@ from polyspec.statistics import (empirical_ids, dos_at_critical, les_ensemble,
                                  clock_spacing_statistic)
 
 ACCEPT_SEED = 20240801
+
+# Property tests replay the same examples on every run and store none.  The
+# hypothesis plugin still caches the constants it reads from source files,
+# already at collection, so its home directory goes to the system temp dir.
+settings.register_profile("polyspec", derandomize=True, deadline=None, database=None)
+settings.load_profile("polyspec")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "polyspec-hypothesis")
 
 
 @pytest.fixture(scope="session")

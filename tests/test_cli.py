@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polyspec import cli
 from polyspec.cli import build_config, validate, run, main, ConfigError, KINDS
 
 
@@ -121,6 +122,26 @@ def test_minami_without_hits_writes_null_ratio(tmp_path):
     stats = strict_summary(tmp_path / "minami_probe_summary.json")["statistics"]
     assert stats["p_ge1"] == 0.0
     assert stats["ratio_p2_over_p1sq"] is None
+
+
+def test_clock_spacing_without_gaps_writes_null(tmp_path):
+    # a 2-site box has one gap around E_c, so its variance is undefined
+    code = main(["clock-spacing", "--out", str(tmp_path), "--param", "L_list=[2, 4]",
+                 "--param", "realizations=1", "--param", "j_max=1"])
+    assert code == 2
+    summary = strict_summary(tmp_path / "clock_spacing_summary.json")
+    assert summary["statistics"]["per_size"]["2"]["num_gaps"] == 1
+    assert summary["statistics"]["per_size"]["2"]["variance"] is None
+    assert summary["passes"]["variance_decreasing"] is False
+
+
+def test_unserializable_summary_writes_nothing(tmp_path, monkeypatch):
+    def nan_experiment(model, params, seed):
+        return {"x": float("nan")}, {}, {"t": (["a"], [(1,)])}
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "lyapunov", nan_experiment)
+    assert main(["lyapunov", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ids_extra_probe_writes_null_formula(tmp_path):

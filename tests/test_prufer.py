@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
                             lattice_for_sites, lattice_for_blocks,
-                            sample_configuration, build_sequences)
+                            sample_configuration, build_sequences,
+                            potentials_for_sites_batch)
 from polyspec.transfer import (find_critical_energies, diagonalizer, polymer_matrix,
                                expansion_coeffs, site_matrix)
-from polyspec.eigensolve import build_hamiltonian, dense_oracle
+from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
 from polyspec.statistics import psi_errors
 from polyspec.prufer import (angle_map_m, prufer_trace, phase_parts,
                              eigenvalue_count, relative_prufer, phase_shift,
@@ -16,6 +18,27 @@ from polyspec.prufer import (angle_map_m, prufer_trace, phase_parts,
 def free_model():
     spec = PolymerSpec(1, [0.0], [1.0])
     return PolymerModel(plus=spec, minus=spec, p_plus=0.5)
+
+
+@st.composite
+def explicit_models(draw):
+    """Two polymers of lengths 1-4, potentials in [-3, 3], hoppings in [1e-3, 1e2]."""
+    def polymer():
+        n = draw(st.integers(1, 4))
+        v = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        log_t = draw(st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n))
+        return PolymerSpec(n, v, 10.0 ** np.asarray(log_t))
+    return PolymerModel(polymer(), polymer(), draw(st.floats(0.02, 0.98)))
+
+
+@st.composite
+def boxes_and_energies(draw):
+    """A box of at most 60 sites and 6 uniform energies around its spectrum."""
+    seq = lattice_for_sites(draw(explicit_models()), draw(st.integers(1, 60)),
+                            seed=draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = gershgorin_interval(build_hamiltonian(seq))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return seq, rng.uniform(lo - 1.0, hi + 1.0, size=6)
 
 
 def test_angle_map_identity():
@@ -106,16 +129,29 @@ def test_phase_parts():
     assert p.integer_part == 0 and p.fractional_part == 0.0
 
 
-def test_winding_count_matches_oracle():
+def _dimer_winding_examples(test):
+    """The 40 random dimer boxes, with 4 energies each, of the original loop test."""
     rng = np.random.default_rng(3)
     for _ in range(40):
         L = int(rng.integers(2, 61))
         V = float(rng.uniform(0.1, 0.95))
         seq = lattice_for_sites(dimer_preset(V, 0.5), L, seed=int(rng.integers(1 << 30)))
-        H = build_hamiltonian(seq)
-        ref = dense_oracle(H)[0].eigenvalues
-        for E in rng.uniform(-3, 3, size=4):
-            assert eigenvalue_count(seq, float(E)) == int(np.searchsorted(ref, E))
+        test = example(case=(seq, rng.uniform(-3, 3, size=4)))(test)
+    return test
+
+
+@settings(max_examples=80)
+@_dimer_winding_examples
+@given(case=boxes_and_energies())
+def test_winding_count_matches_oracle(case):
+    seq, Es = case
+    Es = np.sort(Es)
+    ref = dense_oracle(build_hamiltonian(seq))[0].eigenvalues
+    theta = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None], Es[None, :])[0]
+    winding = np.floor(theta / np.pi + 0.5).astype(int)
+    assert np.array_equal(winding, np.searchsorted(ref, Es))
+    assert np.array_equal(eigenvalue_count(seq, Es), winding)
+    assert np.all(np.diff(winding) >= 0) and np.all(np.diff(theta) >= 0)
 
 
 def test_relative_prufer_basics():
@@ -223,11 +259,40 @@ def test_oscillatory_sum_growth_exponent():
     assert np.median(slopes) <= 0.6
 
 
-def test_free_phase_batch_matches_trace():
-    m = dimer_preset(0.55, 0.5)
-    seq = lattice_for_sites(m, 200, seed=13)
-    Es = np.array([[-0.4, 0.2, 1.3]])
-    out = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None], Es)
-    for j, E in enumerate(Es[0]):
-        tr = prufer_trace(seq, np.eye(2), float(E))
-        assert abs(out[0, j] - tr.free_angles[-1]) < 1e-9
+@settings(max_examples=60)
+@example(case=(lattice_for_sites(dimer_preset(0.55, 0.5), 200, seed=13),
+               np.array([-0.4, 0.2, 1.3])))
+@given(case=boxes_and_energies())
+def test_free_phase_batch_matches_trace(case):
+    """The pivot phase equals the arctan2 phase to 1e-9 at random energies.
+
+    At the eigenvalues and at E = v(0), where pivots vanish and the pivmin
+    floor acts, theta_L can move by O(1) within rounding of E when the state
+    is localized far from site L.  There both kernels are exact only for some
+    energy within delta = 64 eps ||H||, so, theta_L increasing in E, the pivot
+    phase must lie between the trace phases at E - delta and E + delta.
+    """
+    seq, Es = case
+    H = build_hamiltonian(seq)
+    probes = np.concatenate([dense_oracle(H)[0].eigenvalues[::-(-seq.num_sites // 5)],
+                             seq.potentials[:1]])
+    out = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None],
+                           np.concatenate([Es, probes])[None, :])[0]
+    for E, theta in zip(Es, out):
+        assert abs(theta - prufer_trace(seq, np.eye(2), float(E)).free_angles[-1]) < 1e-9
+    delta = 64 * np.finfo(float).eps * max(np.abs(gershgorin_interval(H)).max(), 1.0)
+    for E, theta in zip(probes, out[Es.size:]):
+        below, above = (prufer_trace(seq, np.eye(2), float(E) + s).free_angles[-1]
+                        for s in (-delta, delta))
+        assert below - 1e-9 <= theta <= above + 1e-9
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_free_phase_batch_columns_match_single(model, L, seed):
+    v, t = potentials_for_sites_batch(model, L, seed, range(3))
+    Es = np.random.default_rng(seed).uniform(v.min() - 2 * t.max(), v.max() + 2 * t.max(),
+                                             size=(3, 4))
+    batch = free_phase_batch(v, t, Es)
+    for r in range(3):
+        assert np.array_equal(batch[r], free_phase_batch(v[:, [r]], t[:, [r]], Es[[r]])[0])
