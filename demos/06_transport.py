@@ -25,7 +25,7 @@ for name, window in (("critical window [-0.6, 0.6]", (-0.6, 0.6)),
     vals = ", ".join(f"{v:.1f}" for v in curve.cesaro_moments)
     print(f"{name}: M_2(T) = [{vals}]  slope {slope:.2f}")
 
-free = transport_exponent(anderson_preset(0.0, 0.5), 2.0, [10.0, 20.0, 40.0],
-                          box_radius=400, realizations=1, seed=0,
-                          quadrature_points=300)
+free, = transport_exponent(anderson_preset(0.0, 0.5), 2.0, [10.0, 20.0, 40.0],
+                           box_radius=400, realizations=1, seed=0,
+                           quadrature_points=300)
 print(f"free chain control: slope {free['slope']:.3f} (ballistic = 2)")

@@ -479,22 +479,20 @@ def _exp_holder(model, params, seed):
 
 
 def _exp_transport(model, params, seed):
-    averaging = params["averaging"]
-    Ts = [float(x) for x in params["T_grid"]]
-    radius, R = int(params["box_radius"]), int(params["realizations"])
-    runs, rows = {}, []
-    for name, mdl, window, grid, rad, reals in (
-            ("critical_window", model, tuple(params["critical_window"]), Ts, radius, R),
-            ("localized_window", model, tuple(params["localized_window"]), Ts, radius, R),
-            ("free_chain", anderson_preset(0.0, 0.5), None,
-             [float(x) for x in params["free_T_grid"]], int(params["free_box_radius"]), 1)):
-        res = runs[name] = transport_exponent(
-            mdl, float(params["q"]), grid, rad, window=window, realizations=reals,
-            seed=seed, averaging=averaging,
-            quadrature_points=int(params["quadrature_points"]))
-        rows.extend((name, r, float(T), float(val)) for r, curve in enumerate(res["curves"])
-                    for T, val in zip(curve.times, curve.values(averaging)))
-    crit, loc, free = runs.values()
+    averaging, q = params["averaging"], float(params["q"])
+    common = {"seed": seed, "averaging": averaging,
+              "quadrature_points": int(params["quadrature_points"])}
+    windows = (tuple(params["critical_window"]), tuple(params["localized_window"]))
+    crit, loc = transport_exponent(
+        model, q, [float(x) for x in params["T_grid"]], int(params["box_radius"]),
+        windows=windows, realizations=int(params["realizations"]), **common)
+    free, = transport_exponent(
+        anderson_preset(0.0, 0.5), q, [float(x) for x in params["free_T_grid"]],
+        int(params["free_box_radius"]), realizations=1, **common)
+    runs = {"critical_window": crit, "localized_window": loc, "free_chain": free}
+    rows = [(name, r, float(T), float(val)) for name, res in runs.items()
+            for r, curve in enumerate(res["curves"])
+            for T, val in zip(curve.times, curve.values(averaging))]
     passes = {
         "critical_slope": crit["slope"] >= params["critical_slope_min"],
         "localized_slope": loc["slope"] <= params["localized_slope_max"],

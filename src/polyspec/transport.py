@@ -2,14 +2,16 @@
 
 Evolution uses the full eigendecomposition of the box Hamiltonian, so
 arbitrarily long times carry no time-stepping error; spectral projections
-restrict the initial state delta_j to an energy window.  Moments are
-M_q(T) time-averages of sum_x |x - center|^q |psi_t(x)|^2 in either the
-Cesaro form (1/T) int_0^T or the Abel form (1/T) int_0^inf e^{-t/T}
-(truncated at 10T).
+restrict the initial state delta_j to an energy window.  The evolved state
+is formed from the modes that carry weight only (the window's modes), in
+real arithmetic, and every window of a realization projects from one
+decomposition of its box.  Moments are M_q(T) time-averages of
+sum_x |x - center|^q |psi_t(x)|^2 in either the Cesaro form
+(1/T) int_0^T or the Abel form (1/T) int_0^inf e^{-t/T} (truncated at 10T).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,28 +71,40 @@ def evolution_setup(H: TridiagonalOperator, initial_site: int | None = None,
     if not 0 <= initial_site < H.num_sites:
         raise ValueError("initial_site outside the box")
     spec, modes = dense_oracle(H, cap=cap)
-    w = spec.eigenvalues
-    weights = modes[initial_site, :].copy()
-    window = None
-    if projection_window is not None:
-        lo, hi = float(projection_window[0]), float(projection_window[1])
-        weights = np.where((w >= lo) & (w <= hi), weights, 0.0)
-        window = (lo, hi)
-    return EvolutionSetup(hamiltonian=H, energies=w, modes=modes,
-                          initial_site=int(initial_site),
-                          projection_window=window, weights=weights)
+    setup = EvolutionSetup(hamiltonian=H, energies=spec.eigenvalues, modes=modes,
+                           initial_site=int(initial_site), projection_window=None,
+                           weights=modes[initial_site, :].copy())
+    return setup if projection_window is None else _project(setup, projection_window)
+
+
+def _project(setup: EvolutionSetup, window) -> EvolutionSetup:
+    """The same decomposition with delta_j projected onto the energy window."""
+    lo, hi = float(window[0]), float(window[1])
+    inside = (setup.energies >= lo) & (setup.energies <= hi)
+    weights = np.where(inside, setup.modes[setup.initial_site, :], 0.0)
+    return replace(setup, projection_window=(lo, hi), weights=weights)
+
+
+def _weighted_modes(setup: EvolutionSetup):
+    """Modes, energies and weights of the modes with nonzero weight: the
+    projection window, less localized modes whose entry at the initial site
+    underflows to 0."""
+    keep = setup.weights != 0
+    return setup.modes[:, keep], setup.energies[keep], setup.weights[keep]
 
 
 def evolve_amplitudes(setup: EvolutionSetup, t: float) -> np.ndarray:
     """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the projected modes."""
-    phase = np.exp(-1j * setup.energies * t) * setup.weights
-    return setup.modes @ phase
+    modes, energies, w = _weighted_modes(setup)
+    return modes @ (np.cos(energies * t) * w) - 1j * (modes @ (np.sin(energies * t) * w))
 
 
 def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
                       check_guard: bool = True) -> np.ndarray:
     """sum_x |x - center|^q |psi_t(x)|^2 on a time grid, batched over times.
 
+    psi_t is formed from the modes with nonzero weight only, as two real
+    products, Re = modes @ (cos(E t) w) and -Im = modes @ (sin(E t) w).
     The guard triggers on the boundary mass in excess of its t = 0 value:
     a sharp spectral projection already carries an O(1/radius) static tail,
     so only transported mass counts as contamination.
@@ -98,16 +112,18 @@ def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
     xs = np.abs(np.arange(setup.num_sites) - setup.initial_site).astype(float)
     wq = xs ** q
     guard = xs > _GUARD_FRACTION * setup.radius
-    psi0 = evolve_amplitudes(setup, 0.0)
-    baseline = float((psi0.real ** 2 + psi0.imag ** 2)[guard].sum())
+    modes, energies, w = _weighted_modes(setup)
+    psi0 = modes @ w
+    baseline = float((psi0 ** 2)[guard].sum())
     threshold = max(_GUARD_MASS, baseline)  # trip when the static tail doubles
     out = np.empty(times.size)
     chunk = max(1, int(2e7 // max(setup.num_sites, 1)))
     for i0 in range(0, times.size, chunk):
         ts = times[i0:i0 + chunk]
-        phases = np.exp(-1j * np.outer(setup.energies, ts)) * setup.weights[:, None]
-        psi = setup.modes @ phases
-        prob = psi.real ** 2 + psi.imag ** 2
+        phase = np.outer(energies, ts)
+        re = modes @ (np.cos(phase) * w[:, None])
+        im = modes @ (np.sin(phase) * w[:, None])
+        prob = re ** 2 + im ** 2
         if check_guard:
             leaked = prob[guard, :].sum(axis=0) - baseline
             if np.any(leaked > threshold):
@@ -175,35 +191,39 @@ def moment_curve(setup: EvolutionSetup, q: float, Ts, averaging: str = "cesaro",
 
 
 def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
-                       window=None, realizations: int = 1, seed: int = 0,
+                       windows=(None,), realizations: int = 1, seed: int = 0,
                        averaging: str = "cesaro",
-                       quadrature_points: int = DEFAULT_QUAD_POINTS) -> dict:
-    """Least-squares slope of log M_q vs log T, averaged over realizations.
+                       quadrature_points: int = DEFAULT_QUAD_POINTS) -> list[dict]:
+    """Least-squares slope of log M_q vs log T, averaged over realizations,
+    for each projection window (None: no projection).
 
     Boxes have 2*box_radius + 1 sites with the initial site at the center.
-    Raises BoundaryContaminationError if any realization's wavefront reaches
-    the guard zone.
+    Each realization's box is diagonalized once, and every window projects
+    from that decomposition.  Returns one result dict per window, in the
+    order of `windows`.  Raises BoundaryContaminationError if any
+    realization's wavefront reaches the guard zone.
     """
     Ts = np.sort(np.asarray(T_grid, float))
     num_sites = 2 * int(box_radius) + 1
-    slopes = []
-    curves = []
+    curves = [[] for _ in windows]
     for r in range(realizations):
         seq = lattice_for_sites(model, num_sites, seed, r)
-        H = build_hamiltonian(seq)
-        setup = evolution_setup(H, projection_window=window, cap=max(num_sites, 6000))
-        curve = moment_curve(setup, q, Ts, averaging, quadrature_points)
-        vals = curve.values(averaging)
-        slopes.append(float(np.polyfit(np.log(Ts), np.log(vals), 1)[0]))
-        curves.append(curve)
-    slopes = np.array(slopes)
-    stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
-    return {
-        "slope": float(slopes.mean()),
-        "stderr": stderr,
-        "per_realization": slopes,
-        "curves": curves,
-        "times": Ts,
-        "averaging": averaging,
-        "window": None if window is None else (float(window[0]), float(window[1])),
-    }
+        full = evolution_setup(build_hamiltonian(seq), cap=max(num_sites, 6000))
+        for window, out in zip(windows, curves):
+            setup = full if window is None else _project(full, window)
+            out.append(moment_curve(setup, q, Ts, averaging, quadrature_points))
+    results = []
+    for window, wcurves in zip(windows, curves):
+        slopes = np.array([np.polyfit(np.log(Ts), np.log(c.values(averaging)), 1)[0]
+                           for c in wcurves])
+        stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
+        results.append({
+            "slope": float(slopes.mean()),
+            "stderr": stderr,
+            "per_realization": slopes,
+            "curves": wcurves,
+            "times": Ts,
+            "averaging": averaging,
+            "window": None if window is None else (float(window[0]), float(window[1])),
+        })
+    return results

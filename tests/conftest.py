@@ -2,11 +2,12 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from polyspec.model import dimer_preset
+from polyspec.model import PolymerModel, PolymerSpec, dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs
 from polyspec.statistics import (empirical_ids, dos_at_critical, les_ensemble,
                                  clock_spacing_statistic)
@@ -19,6 +20,17 @@ ACCEPT_SEED = 20240801
 settings.register_profile("polyspec", derandomize=True, deadline=None, database=None)
 settings.load_profile("polyspec")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "polyspec-hypothesis")
+
+
+@st.composite
+def explicit_models(draw):
+    """Two polymers of lengths 1-4, potentials in [-3, 3], hoppings in [1e-3, 1e2]."""
+    def polymer():
+        n = draw(st.integers(1, 4))
+        v = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        log_t = draw(st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n))
+        return PolymerSpec(n, v, 10.0 ** np.asarray(log_t))
+    return PolymerModel(polymer(), polymer(), draw(st.floats(0.02, 0.98)))
 
 
 @pytest.fixture(scope="session")

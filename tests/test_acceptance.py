@@ -193,19 +193,19 @@ def transport_runs():
     t0 = time.perf_counter()
     m = dimer_preset(0.5, 0.5)
     Ts = [50.0, 80.0, 125.0, 200.0, 300.0, 400.0]
-    crit = transport_exponent(m, 2.0, Ts, box_radius=2000, window=(-0.6, 0.6),
-                              realizations=6, seed=ACCEPT_SEED,
-                              quadrature_points=800)
+    crit, = transport_exponent(m, 2.0, Ts, box_radius=2000, windows=[(-0.6, 0.6)],
+                               realizations=6, seed=ACCEPT_SEED,
+                               quadrature_points=800)
     # 11b reads its slope after the Cesaro transient (see its comment); same
     # box, seed and realizations as 11a, quadrature step 2.0 in time.
     late_Ts = [800.0, 1600.0, 3200.0, 6400.0, 12800.0]
-    loc = transport_exponent(m, 2.0, late_Ts, box_radius=2000,
-                             window=(1.0, 1.6), realizations=6,
-                             seed=ACCEPT_SEED, quadrature_points=6400)
-    free = transport_exponent(anderson_preset(0.0, 0.5), 2.0,
-                              [20.0, 40.0, 60.0, 80.0, 100.0], box_radius=1000,
-                              realizations=1, seed=ACCEPT_SEED,
-                              quadrature_points=500)
+    loc, = transport_exponent(m, 2.0, late_Ts, box_radius=2000,
+                              windows=[(1.0, 1.6)], realizations=6,
+                              seed=ACCEPT_SEED, quadrature_points=6400)
+    free, = transport_exponent(anderson_preset(0.0, 0.5), 2.0,
+                               [20.0, 40.0, 60.0, 80.0, 100.0], box_radius=1000,
+                               realizations=1, seed=ACCEPT_SEED,
+                               quadrature_points=500)
     return {"critical": crit, "localized": loc, "free": free,
             "wall": time.perf_counter() - t0}
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polyspec.model import LatticeSequences, dimer_preset, lattice_for_sites
+from polyspec.model import (LatticeSequences, dimer_preset, lattice_for_sites,
+                            potentials_for_sites_batch)
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
                                  gershgorin_interval, sturm_count,
-                                 eigenvalues_in_window, full_spectrum,
-                                 eigenvector, dense_oracle)
+                                 eigenvalues_in_window, eigenvalues_in_window_batch,
+                                 full_spectrum, eigenvector, dense_oracle)
+
+from conftest import explicit_models
 
 
 def free_chain(L):
@@ -171,3 +175,49 @@ def test_random_hoppings_against_oracle():
         ref = dense_oracle(H)[0].eigenvalues
         assert mine.size == H.num_sites
         assert np.abs(mine - ref).max() < 1e-9
+
+
+@st.composite
+def windowed_models(draw):
+    """A random explicit model, a box size of at most 60 sites, a seed, and a
+    window drawn as two fractions of the padded Gershgorin interval."""
+    model = draw(explicit_models())
+    L = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    u = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    return model, L, seed, u
+
+
+def _window(H, u):
+    lo, hi = gershgorin_interval(H)
+    lo, hi = lo - 1.0, hi + 1.0
+    a, b = lo + u[0] * (hi - lo), lo + u[1] * (hi - lo)
+    assume(b > a)
+    return a, b
+
+
+@settings(max_examples=60)
+@given(case=windowed_models())
+def test_window_eigenvalues_match_oracle(case):
+    model, L, seed, u = case
+    H = build_hamiltonian(lattice_for_sites(model, L, seed))
+    a, b = _window(H, u)
+    ref = dense_oracle(H)[0].eigenvalues
+    # an eigenvalue on a window edge is inside or outside by rounding alone
+    assume(np.abs(ref[:, None] - np.array([a, b])).min() > 1e-9)
+    mine = eigenvalues_in_window(H, (a, b), tol=1e-12).eigenvalues
+    inside = ref[(ref >= a) & (ref < b)]
+    assert mine.size == inside.size
+    assert mine.size == 0 or np.abs(mine - inside).max() < 1e-9
+
+
+@settings(max_examples=40)
+@given(case=windowed_models())
+def test_window_batch_columns_match_single(case):
+    model, L, seed, u = case
+    v, t = potentials_for_sites_batch(model, L, seed, [0, 1, 2])
+    tsq = t[1:] ** 2
+    a, b = _window(build_hamiltonian(lattice_for_sites(model, L, seed, 1)), u)
+    batch = eigenvalues_in_window_batch(v, tsq, a, b)
+    single = eigenvalues_in_window_batch(v[:, [1]], tsq[:, [1]], a, b)[0]
+    assert np.array_equal(batch[1], single)

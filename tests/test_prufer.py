@@ -14,21 +14,12 @@ from polyspec.prufer import (angle_map_m, prufer_trace, phase_parts,
                              eigenvalue_count, relative_prufer, phase_shift,
                              oscillatory_sum, free_phase_batch)
 
+from conftest import explicit_models
+
 
 def free_model():
     spec = PolymerSpec(1, [0.0], [1.0])
     return PolymerModel(plus=spec, minus=spec, p_plus=0.5)
-
-
-@st.composite
-def explicit_models(draw):
-    """Two polymers of lengths 1-4, potentials in [-3, 3], hoppings in [1e-3, 1e2]."""
-    def polymer():
-        n = draw(st.integers(1, 4))
-        v = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-        log_t = draw(st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n))
-        return PolymerSpec(n, v, 10.0 ** np.asarray(log_t))
-    return PolymerModel(polymer(), polymer(), draw(st.floats(0.02, 0.98)))
 
 
 @st.composite

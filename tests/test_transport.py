@@ -3,10 +3,11 @@ import pytest
 from scipy.special import jv
 
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
-from polyspec.eigensolve import build_hamiltonian, gershgorin_interval
+from polyspec import transport
+from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
 from polyspec.transport import (evolution_setup, evolve_amplitudes, moment,
                                 moment_curve, transport_exponent,
-                                BoundaryContaminationError)
+                                BoundaryContaminationError, _moment_integrand)
 
 
 def free_setup(L, window=None):
@@ -127,8 +128,55 @@ def test_boundary_guard_trips():
 
 
 def test_transport_exponent_free():
-    res = transport_exponent(anderson_preset(0.0, 0.5), 2.0,
+    res, = transport_exponent(anderson_preset(0.0, 0.5), 2.0,
                              [20.0, 40.0, 60.0, 80.0, 100.0], box_radius=500,
                              realizations=1, seed=0, quadrature_points=400)
     assert abs(res["slope"] - 2.0) <= 0.1
     assert res["window"] is None
+
+
+def dimer_setup(window=None):
+    seq = lattice_for_sites(dimer_preset(0.5, 0.5), 201, seed=1)
+    return evolution_setup(build_hamiltonian(seq), projection_window=window)
+
+
+@pytest.mark.parametrize("make", [lambda: dimer_setup((-0.6, 0.6)), lambda: dimer_setup(),
+                                  lambda: free_setup(201)],
+                         ids=["dimer-window", "dimer", "free"])
+def test_integrand_matches_complex_all_mode_formula(make):
+    # the reference multiplies every mode, in complex arithmetic
+    setup = make()
+    times = np.linspace(0.0, 30.0, 64)
+    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site).astype(float)
+    psi = setup.modes @ (np.exp(-1j * np.outer(setup.energies, times))
+                         * setup.weights[:, None])
+    ref = xs ** 2 @ (psi.real ** 2 + psi.imag ** 2)
+    m = _moment_integrand(setup, 2.0, times, check_guard=False)
+    # atol: at t = 0 an unprojected delta_j has a moment of pure roundoff (~1e-27)
+    assert np.allclose(m, ref, rtol=1e-12, atol=1e-12 * ref.max())
+    assert np.allclose(evolve_amplitudes(setup, times[-1]), psi[:, -1], rtol=0, atol=1e-12)
+
+
+def test_projected_window_trips_guard():
+    setup = dimer_setup((-0.6, 0.6))
+    with pytest.raises(BoundaryContaminationError, match=r"at t=31\.3725$"):
+        moment(setup, 2.0, 400.0, quadrature_points=256)
+
+
+def test_windows_share_one_diagonalization(monkeypatch):
+    calls = []
+
+    def counting_oracle(H, cap):
+        calls.append(H.num_sites)
+        return dense_oracle(H, cap=cap)
+
+    monkeypatch.setattr(transport, "dense_oracle", counting_oracle)
+    args = (dimer_preset(0.5, 0.5), 2.0, [5.0, 10.0, 20.0], 100)
+    kwargs = {"realizations": 3, "seed": 7, "quadrature_points": 128}
+    windows = [(-0.6, 0.6), (1.0, 1.6)]
+    both = transport_exponent(*args, windows=windows, **kwargs)
+    assert calls == [201] * 3
+    for window, res in zip(windows, both):
+        single, = transport_exponent(*args, windows=[window], **kwargs)
+        assert res["window"] == single["window"] == window
+        assert np.array_equal(res["per_realization"], single["per_realization"])
