@@ -17,7 +17,7 @@ from .model import (PolymerSpec, PolymerModel, Configuration, LatticeSequences,
                     anderson_preset, model_from_dict, model_to_dict, load_model)
 from .eigensolve import (TridiagonalOperator, Spectrum, build_hamiltonian,
                          sturm_count, eigenvalues_in_window, full_spectrum,
-                         eigenvector, dense_oracle)
+                         dense_oracle)
 from .transfer import (site_matrix, polymer_matrix, block_product, rotation,
                        CriticalEnergyReport, ExpansionCoeffs,
                        find_critical_energies, diagonalizer,

@@ -11,10 +11,17 @@ dense decomposition serves as the independent oracle for small instances.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .model import LatticeSequences
 
@@ -26,7 +33,6 @@ __all__ = [
     "sturm_count",
     "eigenvalues_in_window",
     "full_spectrum",
-    "eigenvector",
     "dense_oracle",
 ]
 
@@ -103,13 +109,104 @@ def _pivmin(v: np.ndarray, tsq: np.ndarray) -> float:
     return np.finfo(float).eps * scale
 
 
+_STURM_C = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* v (L, R), tsq (L-1, R), s, counts and d (R, K), all C-contiguous. */
+void sturm_counts(int64_t L, int64_t R, int64_t K, const double *v,
+                  const double *tsq, const double *s, double pivmin,
+                  int64_t *counts, double *d)
+{
+    for (int64_t i = 0; i < R * K; ++i) {
+        double x = v[i / K] - s[i];
+        x = fabs(x) < pivmin ? -pivmin : x;
+        d[i] = x;
+        counts[i] = x < 0;
+    }
+    /* sites outermost: each site's row of v and tsq is read once per sweep */
+    for (int64_t n = 1; n < L; ++n) {
+        const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
+        for (int64_t r = 0; r < R; ++r) {
+            const double vr = vn[r], tr = tn[r], *sr = s + r * K;
+            double *dr = d + r * K;
+            int64_t *cr = counts + r * K;
+            for (int64_t k = 0; k < K; ++k) {
+                double x = (vr - sr[k]) - tr / dr[k];
+                x = fabs(x) < pivmin ? -pivmin : x;
+                dr[k] = x;
+                cr[k] += x < 0;
+            }
+        }
+    }
+}
+"""
+# No -ffast-math and no FMA contraction: every pivot is rounded exactly as
+# the expression reads, so counts and pivots do not depend on the build.
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_CACHE_DIR = Path(__file__).resolve().parent / "_kernel_cache"
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((ln.strip() for ln in f if ln.startswith("flags")), "")
+    except OSError:
+        return ""
+
+
+def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
+    """Path of the compiled Sturm kernel in cache_dir, built on a cache miss.
+
+    The cache key covers the C source, the flags and the host CPU's feature
+    flags (`-march=native`).  The library is written under a temporary name
+    and renamed into place, so a failed or concurrent build leaves no partial
+    file under the final name.
+    """
+    key = hashlib.sha256("\0".join((_STURM_C, *_CFLAGS, _cpu_flags())).encode())
+    lib = cache_dir / f"sturm_{key.hexdigest()[:16]}.so"
+    if lib.is_file():
+        return lib
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=lib.stem + ".", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    cmd = [compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp]
+    try:
+        try:
+            subprocess.run(cmd, input=_STURM_C, capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise RuntimeError(
+                f"building the Sturm kernel failed: `{' '.join(cmd)}`: {detail}\n"
+                "polyspec requires a C compiler: install one as `cc` on the PATH") from exc
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _load_kernel(lib: Path):
+    fn = ctypes.CDLL(str(lib)).sturm_counts
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    fn.argtypes = [ctypes.c_int64] * 3 + [f64, f64, f64, ctypes.c_double, i64, f64]
+    fn.restype = None
+    return fn
+
+
+@functools.cache
+def _kernel():
+    return _load_kernel(_build_kernel(_CACHE_DIR))
+
+
 def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
                        shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue counts below each shift for a batch of operators.
 
     Parameters
     ----------
-    v : (L, R) diagonals, one operator per column.
+    v : (L, R) diagonals, one operator per column, L >= 1.
     tsq : (L-1, R) squared off-diagonal hoppings.
     shifts : (R, K) evaluation energies.
 
@@ -119,17 +216,19 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
     counts of the LDL^T recursion d_n = (v_n - E) - t_n^2 / d_{n-1} of
     H - E; `last_pivots` are the final pivots d_{L-1}.  Pivots smaller in
     magnitude than pivmin are replaced by -pivmin, so an eigenvalue exactly
-    at a shift counts as below it and no returned pivot is zero.
+    at a shift counts as below it and no returned pivot is zero.  The
+    recursion runs as one compiled loop, built on the first call.
     """
-    pivmin = _pivmin(v, tsq)
-    counts = np.zeros(shifts.shape, dtype=np.int64)
-    d = v[0][:, None] - shifts
-    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-    counts += d < 0
-    for n in range(1, v.shape[0]):
-        d = (v[n][:, None] - shifts) - tsq[n - 1][:, None] / d
-        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-        counts += d < 0
+    v = np.ascontiguousarray(v, float)
+    tsq = np.ascontiguousarray(tsq, float)
+    shifts = np.ascontiguousarray(shifts, float)
+    (L, R), (_, K) = v.shape, shifts.shape
+    if L < 1 or tsq.shape != (L - 1, R) or shifts.shape[0] != R:
+        raise ValueError(f"need v (L, R), tsq (L-1, R), shifts (R, K) with L >= 1; "
+                         f"got {v.shape}, {tsq.shape}, {shifts.shape}")
+    counts = np.empty((R, K), dtype=np.int64)
+    d = np.empty((R, K))
+    _kernel()(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     return counts, d
 
 
@@ -188,54 +287,11 @@ def full_spectrum(H: TridiagonalOperator, tol: float = 1e-11) -> Spectrum:
     return Spectrum(eigenvalues=spec.eigenvalues, window=(lo, hi))
 
 
-def eigenvector(H: TridiagonalOperator, E: float, max_iter: int = 8) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue nearest E, by inverse iteration.
-
-    Sign convention: the largest-magnitude entry is positive.  Raises
-    RuntimeError if the residual has not converged after max_iter sweeps.
-    """
-    L = H.num_sites
-    if L == 1:
-        return np.ones(1)
-    scale = max(float(np.abs(H.diagonal).max()), float(H.offdiagonal.max()), 1.0)
-    # small shift keeps H - E nonsingular when E is (numerically) exact
-    shift = E + 1e-12 * scale
-    ab = np.zeros((3, L))
-    ab[0, 1:] = -H.offdiagonal
-    ab[1, :] = H.diagonal - shift
-    ab[2, :-1] = -H.offdiagonal
-    rng = np.random.default_rng(0)
-    psi = rng.standard_normal(L)
-    psi /= np.linalg.norm(psi)
-    tol = 1e-8 * scale
-    for _ in range(max_iter):
-        try:
-            psi = solve_banded((1, 1), ab, psi)
-        except np.linalg.LinAlgError:
-            ab[1, :] += 1e-10 * scale
-            continue
-        psi /= np.linalg.norm(psi)
-        resid = np.linalg.norm(_apply(H, psi) - E * psi)
-        if resid <= tol:
-            if psi[np.argmax(np.abs(psi))] < 0:
-                psi = -psi
-            return psi
-    raise RuntimeError(f"inverse iteration did not converge at E={E}")
-
-
-def _apply(H: TridiagonalOperator, psi: np.ndarray) -> np.ndarray:
-    out = H.diagonal * psi
-    if H.num_sites > 1:
-        out[:-1] -= H.offdiagonal * psi[1:]
-        out[1:] -= H.offdiagonal * psi[:-1]
-    return out
-
-
 def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):
     """Full eigendecomposition via LAPACK, for cross-checking small instances.
 
-    Returns (Spectrum, eigenvector matrix) with orthonormal columns and the
-    same sign convention as `eigenvector`.
+    Returns (Spectrum, eigenvector matrix) with orthonormal columns; in each
+    column the largest-magnitude entry is positive.
     """
     if H.num_sites > cap:
         raise ValueError(f"dense oracle capped at {cap} sites, got {H.num_sites}")

@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 from polyspec.model import (LatticeSequences, dimer_preset, lattice_for_sites,
                             potentials_for_sites_batch)
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
-                                 gershgorin_interval, sturm_count,
+                                 gershgorin_interval, sturm_count, sturm_counts_batch,
                                  eigenvalues_in_window, eigenvalues_in_window_batch,
-                                 full_spectrum, eigenvector, dense_oracle)
+                                 full_spectrum, dense_oracle, _pivmin,
+                                 _build_kernel, _load_kernel)
 
 from conftest import explicit_models
 
@@ -35,7 +36,6 @@ def test_single_site():
     H5 = TridiagonalOperator(diagonal=np.array([5.0]), offdiagonal=np.empty(0),
                              num_sites=1)
     assert np.allclose(full_spectrum(H5).eigenvalues, [5.0])
-    assert np.allclose(eigenvector(H, 3.0), [1.0])
 
 
 def test_free_chain_l3():
@@ -102,26 +102,6 @@ def test_full_spectrum_free_l50():
     assert np.abs(spec.eigenvalues - free_chain_eigenvalues(50)).max() < 1e-11
 
 
-def test_eigenvector_2x2():
-    H = free_chain(2)
-    v = eigenvector(H, -1.0)
-    assert np.allclose(v, [1, 1] / np.sqrt(2), atol=1e-8)
-    v2 = eigenvector(H, 1.0)
-    assert np.allclose(np.abs(v2), [1, 1] / np.sqrt(2), atol=1e-8)
-    assert v2[np.argmax(np.abs(v2))] > 0  # sign convention
-
-
-def test_eigenvector_residual_random():
-    seq = lattice_for_sites(dimer_preset(0.7, 0.5), 60, seed=3)
-    H = build_hamiltonian(seq)
-    spec, _ = dense_oracle(H)
-    E = spec.eigenvalues[17]
-    v = eigenvector(H, E)
-    Hd = H.to_dense()
-    assert np.linalg.norm(Hd @ v - E * v) <= 1e-8 * np.linalg.norm(Hd, 2)
-    assert abs(np.linalg.norm(v) - 1) < 1e-12
-
-
 def test_dense_oracle_properties():
     seq = lattice_for_sites(dimer_preset(0.6, 0.5), 60, seed=9)
     H = build_hamiltonian(seq)
@@ -129,6 +109,7 @@ def test_dense_oracle_properties():
     Hd = H.to_dense()
     assert np.abs(Hd @ Phi - Phi * spec.eigenvalues).max() <= 1e-9
     assert np.abs(Phi.T @ Phi - np.eye(60)).max() <= 1e-10
+    assert np.all(Phi[np.abs(Phi).argmax(axis=0), np.arange(60)] > 0)  # sign convention
     assert abs(spec.eigenvalues.sum() - H.diagonal.sum()) <= 1e-9
     with pytest.raises(ValueError):
         dense_oracle(H, cap=10)
@@ -221,3 +202,85 @@ def test_window_batch_columns_match_single(case):
     batch = eigenvalues_in_window_batch(v, tsq, a, b)
     single = eigenvalues_in_window_batch(v[:, [1]], tsq[:, [1]], a, b)[0]
     assert np.array_equal(batch[1], single)
+
+
+def _sturm_oracle(v, tsq, shifts):
+    """The LDL^T recursion as a numpy loop over sites, one call per site."""
+    pivmin = _pivmin(v, tsq)
+    counts = np.zeros(shifts.shape, dtype=np.int64)
+    d = v[0][:, None] - shifts
+    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+    counts += d < 0
+    for n in range(1, v.shape[0]):
+        d = (v[n][:, None] - shifts) - tsq[n - 1][:, None] / d
+        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+        counts += d < 0
+    return counts, d
+
+
+@st.composite
+def sturm_batches(draw):
+    """R <= 3 boxes of one random explicit model and K <= 5 shifts per box,
+    each at an eigenvalue of its box (dense oracle), at v(0), where the first
+    pivot is clamped to -pivmin, or at a point of the padded Gershgorin
+    interval."""
+    model = draw(explicit_models())
+    L = draw(st.integers(1, 40))
+    R = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    v, t = potentials_for_sites_batch(model, L, seed, range(R))
+    K = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["eig", "v0", "interval"]), min_size=K, max_size=K))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    shifts = np.empty((R, K))
+    for r in range(R):
+        H = TridiagonalOperator(diagonal=v[:, r], offdiagonal=t[1:, r], num_sites=L)
+        ev = dense_oracle(H)[0].eigenvalues
+        lo, hi = gershgorin_interval(H)
+        for k in range(K):
+            shifts[r, k] = {"eig": ev[int(u[k] * (L - 1))], "v0": v[0, r],
+                            "interval": lo - 1.0 + u[k] * (hi - lo + 2.0)}[kinds[k]]
+    return v, t[1:] ** 2, shifts
+
+
+@settings(max_examples=100)
+@given(case=sturm_batches())
+def test_sturm_kernel_matches_numpy_loop(case):
+    v, tsq, shifts = case
+    # a strided v (one operator) and a Fortran-ordered one go through the same path
+    for vv in (v, np.asfortranarray(v), v[:, 0][:, None]):
+        R = vv.shape[1]
+        counts, d = sturm_counts_batch(vv, tsq[:, :R], shifts[:R])
+        ref_counts, ref_d = _sturm_oracle(vv, tsq[:, :R], shifts[:R])
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
+
+
+def test_sturm_batch_rejects_mismatched_shapes():
+    v, tsq = np.zeros((4, 2)), np.ones((3, 2))
+    with pytest.raises(ValueError):
+        sturm_counts_batch(v, tsq[:, :1], np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        sturm_counts_batch(v, tsq, np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        sturm_counts_batch(np.zeros((0, 2)), np.ones((0, 2)), np.zeros((2, 1)))
+
+
+def test_kernel_build_without_compiler_raises(tmp_path):
+    with pytest.raises(RuntimeError, match="requires a C compiler"):
+        _build_kernel(tmp_path, compiler=str(tmp_path / "no-such-cc"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_builds_into_fresh_cache(tmp_path):
+    lib = _build_kernel(tmp_path)
+    assert list(tmp_path.iterdir()) == [lib]
+    assert _build_kernel(tmp_path, compiler=str(tmp_path / "no-such-cc")) == lib  # cache hit
+    H = build_hamiltonian(lattice_for_sites(dimer_preset(0.6, 0.5), 300, seed=2))
+    v, tsq = H.diagonal[:, None], (H.offdiagonal ** 2)[:, None]
+    shifts = np.linspace(-2.5, 2.5, 7)[None, :]
+    counts, d = np.empty((1, 7), dtype=np.int64), np.empty((1, 7))
+    _load_kernel(lib)(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
