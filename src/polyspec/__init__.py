@@ -16,19 +16,17 @@ from .model import (PolymerSpec, PolymerModel, Configuration, LatticeSequences,
                     lattice_for_blocks, lattice_for_sites, dimer_preset,
                     anderson_preset, model_from_dict, model_to_dict, load_model)
 from .eigensolve import (TridiagonalOperator, Spectrum, build_hamiltonian,
-                         sturm_count, eigenvalues_in_window, full_spectrum,
-                         dense_oracle)
+                         sturm_count, eigenvalues_in_window, dense_oracle)
 from .transfer import (site_matrix, polymer_matrix, block_product, rotation,
                        CriticalEnergyReport, ExpansionCoeffs,
                        find_critical_energies, diagonalizer,
                        irrationality_check, expansion_coeffs, lyapunov)
-from .prufer import (PruferTrace, PhaseParts, angle_map_m, prufer_trace,
-                     phase_parts, eigenvalue_count, relative_prufer,
-                     phase_shift, oscillatory_sum)
+from .prufer import (PruferTrace, angle_map_m, prufer_trace, eigenvalue_count,
+                     relative_prufer, phase_shift, oscillatory_sum)
 from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          GapStatistics, CountingStatistics, HolderReport,
                          InsufficientDataError, empirical_ids, ids_at_critical,
-                         dos_at_critical, unfold, les_sample, les_ensemble,
+                         dos_at_critical, les_ensemble,
                          gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test,
                          psi_errors, holder_probe, minami_probe)

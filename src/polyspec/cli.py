@@ -91,7 +91,8 @@ _CONFIG_KEYS = {"kind", "model", "params", *_COMMON_DEFAULTS}
 _KIND_DEFAULTS = {
     "critical": {
         "model": {"preset": "dimer", "V": 0.5, "p": 0.5},
-        "params": {"search": [-3.0, 3.0], "grid": 20001, "tol": 1e-9,
+        # search null: both polymers' padded Gershgorin bound
+        "params": {"search": None, "grid": 20001, "tol": 1e-9,
                    "irr_k_max": 64},
     },
     "lyapunov": {
@@ -212,10 +213,19 @@ def validate(config: ExperimentConfig) -> list[str]:
                 "quadrature_points", "x_points"):
         if key in p and p[key] is not None and not _positive_int(p[key]):
             diags.append(f"params.{key}: must be a positive integer")
+    if p.get("search") is not None and not _interval(p["search"]):
+        diags.append("params.search: must be null or [lo, hi] with lo < hi")
     if "L_list" in p and not (isinstance(p["L_list"], list) and p["L_list"]
                               and all(_positive_int(L) for L in p["L_list"])):
         diags.append("params.L_list: must be a nonempty list of positive integers")
     return diags
+
+
+def _interval(x) -> bool:
+    try:
+        return len(x) == 2 and float(x[0]) < float(x[1])
+    except (TypeError, ValueError):
+        return False
 
 
 def _positive_int(x) -> bool:
@@ -229,15 +239,16 @@ def _positive_int(x) -> bool:
 # experiment implementations: each returns (stats, passes, tables)
 
 def _single_report(model: PolymerModel):
-    """The highest critical energy in the default search interval."""
+    """The highest critical energy in the polymers' Gershgorin bound."""
     reports = find_critical_energies(model)
     if not reports:
-        raise ConfigError("model has no critical energy in the search interval")
+        raise ConfigError("model has no critical energy")
     return max(reports, key=lambda r: r.energy)
 
 
 def _exp_critical(model, params, seed):
-    reports = find_critical_energies(model, search=tuple(params["search"]),
+    search = None if params["search"] is None else tuple(params["search"])
+    reports = find_critical_energies(model, search=search,
                                      grid=int(params["grid"]), tol=params["tol"],
                                      irr_k_max=int(params["irr_k_max"]))
     rows, irr_rows, stats = [], [], []

@@ -8,6 +8,8 @@ Eigenvalue extraction is windowed by design: the statistics experiments need
 only a handful of eigenvalues near a reference energy out of boxes with 1e4+
 sites, so bisection on the Sturm count is the workhorse.  A LAPACK-backed
 dense decomposition serves as the independent oracle for small instances.
+The C source of the Sturm sweep also holds the Lyapunov product loop that
+`transfer` calls, so one build and one cached library serve both.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ __all__ = [
     "gershgorin_interval",
     "sturm_count",
     "eigenvalues_in_window",
-    "full_spectrum",
     "dense_oracle",
 ]
 
@@ -109,7 +110,7 @@ def _pivmin(v: np.ndarray, tsq: np.ndarray) -> float:
     return np.finfo(float).eps * scale
 
 
-_STURM_C = r"""
+_KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
 
@@ -140,9 +141,38 @@ void sturm_counts(int64_t L, int64_t R, int64_t K, const double *v,
         }
     }
 }
+
+/* Advance R running 2x2 products P <- T P by k steps, T = tp where the
+   step's sign is set and tm elsewhere.  signs (R, k), P (R, 2, 2), expo (R),
+   all C-contiguous; tp and tm are row-major 2x2.  The true product is
+   2^expo P: when an entry of P exceeds 2^256, P is scaled by exactly 2^-256,
+   so the only rounding is in the products. */
+void lyapunov_steps(int64_t R, int64_t k, const uint8_t *signs,
+                    const double *tp, const double *tm, double *P, int64_t *expo)
+{
+    for (int64_t r = 0; r < R; ++r) {
+        const uint8_t *sr = signs + r * k;
+        double *pr = P + 4 * r;
+        double a = pr[0], b = pr[1], c = pr[2], d = pr[3];
+        int64_t e = expo[r];
+        for (int64_t j = 0; j < k; ++j) {
+            const double *t = sr[j] ? tp : tm;
+            const double na = t[0] * a + t[1] * c, nb = t[0] * b + t[1] * d;
+            const double nc = t[2] * a + t[3] * c, nd = t[2] * b + t[3] * d;
+            a = na; b = nb; c = nc; d = nd;
+            if (fabs(a) > 0x1p256 || fabs(b) > 0x1p256 || fabs(c) > 0x1p256
+                || fabs(d) > 0x1p256) {
+                a *= 0x1p-256; b *= 0x1p-256; c *= 0x1p-256; d *= 0x1p-256;
+                e += 256;
+            }
+        }
+        pr[0] = a; pr[1] = b; pr[2] = c; pr[3] = d;
+        expo[r] = e;
+    }
+}
 """
-# No -ffast-math and no FMA contraction: every pivot is rounded exactly as
-# the expression reads, so counts and pivots do not depend on the build.
+# No -ffast-math and no FMA contraction: every pivot and product entry is
+# rounded exactly as the expression reads, so no result depends on the build.
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _CACHE_DIR = Path(__file__).resolve().parent / "_kernel_cache"
 
@@ -156,15 +186,16 @@ def _cpu_flags() -> str:
 
 
 def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
-    """Path of the compiled Sturm kernel in cache_dir, built on a cache miss.
+    """Path of the compiled kernels (Sturm sweep and Lyapunov product) in
+    cache_dir, built on a cache miss.
 
     The cache key covers the C source, the flags and the host CPU's feature
     flags (`-march=native`).  The library is written under a temporary name
     and renamed into place, so a failed or concurrent build leaves no partial
     file under the final name.
     """
-    key = hashlib.sha256("\0".join((_STURM_C, *_CFLAGS, _cpu_flags())).encode())
-    lib = cache_dir / f"sturm_{key.hexdigest()[:16]}.so"
+    key = hashlib.sha256("\0".join((_KERNELS_C, *_CFLAGS, _cpu_flags())).encode())
+    lib = cache_dir / f"kernels_{key.hexdigest()[:16]}.so"
     if lib.is_file():
         return lib
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -173,11 +204,11 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
     cmd = [compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp]
     try:
         try:
-            subprocess.run(cmd, input=_STURM_C, capture_output=True, text=True, check=True)
+            subprocess.run(cmd, input=_KERNELS_C, capture_output=True, text=True, check=True)
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
             raise RuntimeError(
-                f"building the Sturm kernel failed: `{' '.join(cmd)}`: {detail}\n"
+                f"building the compiled kernels failed: `{' '.join(cmd)}`: {detail}\n"
                 "polyspec requires a C compiler: install one as `cc` on the PATH") from exc
         os.replace(tmp, lib)
     finally:
@@ -186,13 +217,17 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
     return lib
 
 
-def _load_kernel(lib: Path):
-    fn = ctypes.CDLL(str(lib)).sturm_counts
+def _load_kernel(lib: Path) -> ctypes.CDLL:
+    """The library with typed `sturm_counts` and `lyapunov_steps` entry points."""
+    dll = ctypes.CDLL(str(lib))
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int64] * 3 + [f64, f64, f64, ctypes.c_double, i64, f64]
-    fn.restype = None
-    return fn
+    u8 = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    dll.sturm_counts.argtypes = [ctypes.c_int64] * 3 + [f64, f64, f64, ctypes.c_double,
+                                                        i64, f64]
+    dll.lyapunov_steps.argtypes = [ctypes.c_int64] * 2 + [u8, f64, f64, f64, i64]
+    dll.sturm_counts.restype = dll.lyapunov_steps.restype = None
+    return dll
 
 
 @functools.cache
@@ -228,7 +263,7 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
                          f"got {v.shape}, {tsq.shape}, {shifts.shape}")
     counts = np.empty((R, K), dtype=np.int64)
     d = np.empty((R, K))
-    _kernel()(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    _kernel().sturm_counts(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     return counts, d
 
 
@@ -275,16 +310,6 @@ def eigenvalues_in_window(H: TridiagonalOperator, window, tol: float = 1e-11) ->
     evs = eigenvalues_in_window_batch(H.diagonal[:, None], (H.offdiagonal ** 2)[:, None],
                                       a, b, tol)[0]
     return Spectrum(eigenvalues=evs, window=(a, b))
-
-
-def full_spectrum(H: TridiagonalOperator, tol: float = 1e-11) -> Spectrum:
-    """All eigenvalues, windowed by the Gershgorin enclosure."""
-    lo, hi = gershgorin_interval(H)
-    pad = max(tol, 1e-9 * max(abs(lo), abs(hi), 1.0))
-    spec = eigenvalues_in_window(H, (lo - pad, hi + pad), tol)
-    if len(spec) != H.num_sites:
-        raise RuntimeError("full spectrum extraction lost eigenvalues")  # defensive
-    return Spectrum(eigenvalues=spec.eigenvalues, window=(lo, hi))
 
 
 def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):

@@ -30,11 +30,9 @@ from .transfer import CriticalEnergyReport, polymer_matrix, expansion_coeffs
 
 __all__ = [
     "PruferTrace",
-    "PhaseParts",
     "angle_map_m",
     "prufer_trace",
     "free_phase_batch",
-    "phase_parts",
     "eigenvalue_count",
     "relative_prufer",
     "relative_prufer_batch",
@@ -140,19 +138,6 @@ def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.n
     """
     counts, d = sturm_counts_batch(v, t[1:] ** 2, np.asarray(energies, float))
     return np.pi * counts + np.arctan(1.0 / d)
-
-
-@dataclass(frozen=True)
-class PhaseParts:
-    """Euclidean decomposition theta = integer_part * pi + fractional_part."""
-
-    integer_part: int
-    fractional_part: float
-
-
-def phase_parts(theta: float) -> PhaseParts:
-    m = int(np.floor(theta / np.pi))
-    return PhaseParts(integer_part=m, fractional_part=float(theta - m * np.pi))
 
 
 def eigenvalue_count(seq: LatticeSequences, E):

@@ -18,7 +18,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from .model import PolymerModel, lattice_for_sites, potentials_for_sites_batch
-from .eigensolve import Spectrum, eigenvalues_in_window_batch, sturm_counts_batch
+from .eigensolve import eigenvalues_in_window_batch, sturm_counts_batch
 from .transfer import CriticalEnergyReport, ExpansionCoeffs, expansion_coeffs
 from .prufer import free_phase_batch, angle_map_m, relative_prufer_batch
 
@@ -34,8 +34,6 @@ __all__ = [
     "empirical_ids",
     "ids_at_critical",
     "dos_at_critical",
-    "unfold",
-    "les_sample",
     "les_ensemble",
     "gap_statistics",
     "counting_statistics",
@@ -149,7 +147,7 @@ class ClockSpacingSample:
 
 
 def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realizations: int,
-             offset: int = 0, size: int = _BATCH) -> list:
+             size: int = _BATCH) -> list:
     """[fn(indices, v, t)] over consecutive fixed-size realization batches.
 
     Each batch's disorder (v, t) exists only as fn's arguments, so one batch
@@ -157,17 +155,9 @@ def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realizations: int
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    stop = offset + realizations
     return [fn(idx, *potentials_for_sites_batch(model, L_sites, seed, idx))
-            for idx in (range(s, min(s + size, stop)) for s in range(offset, stop, size))]
-
-
-def unfold(spectrum: Spectrum, ids: EmpiricalIDS, E0: float,
-           L_sites: int) -> PointProcessSample:
-    """Map eigenvalues through the IDS: atoms = L (N(E_j) - N(E_0))."""
-    atoms = L_sites * (ids.evaluate(spectrum.eigenvalues) - ids.evaluate(E0))
-    return PointProcessSample(atoms=np.sort(atoms), center_energy=float(E0),
-                              box_sites=int(L_sites), kind="unfolded")
+            for idx in (range(s, min(s + size, realizations))
+                        for s in range(0, realizations, size))]
 
 
 def _critical_density(model: PolymerModel, report: CriticalEnergyReport) -> float:
@@ -177,8 +167,7 @@ def _critical_density(model: PolymerModel, report: CriticalEnergyReport) -> floa
 def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int,
                  seed: int, window_atoms: int = 20, ids: EmpiricalIDS | None = None,
                  report: CriticalEnergyReport | None = None,
-                 dos_value: float | None = None,
-                 realization_offset: int = 0) -> list[PointProcessSample]:
+                 dos_value: float | None = None) -> list[PointProcessSample]:
     """Local eigenvalue samples for many realizations at once.
 
     Exactly one of `ids` (unfolded rescaling), `report` (exact critical
@@ -203,9 +192,9 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
     if not b > a:
         raise ValueError("empty energy window (window_atoms too small for the IDS resolution)")
     parts = _batched(lambda idx, v, t: eigenvalues_in_window_batch(v, t[1:] ** 2, a, b),
-                     model, L_sites, seed, realizations, realization_offset)
+                     model, L_sites, seed, realizations)
     samples = []
-    for r, e in enumerate([e for part in parts for e in part], realization_offset):
+    for r, e in enumerate(e for part in parts for e in part):
         if ids is not None:
             atoms = L_sites * (ids.evaluate(e) - N0)
             kind = "unfolded"
@@ -217,18 +206,6 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
                                           box_sites=int(L_sites), kind=kind,
                                           realization_index=int(r)))
     return samples
-
-
-def les_sample(model: PolymerModel, E0: float, L_sites: int,
-               ids: EmpiricalIDS | None = None,
-               report: CriticalEnergyReport | None = None,
-               dos_value: float | None = None,
-               window_atoms: int = 20, seed: int = 0,
-               realization_index: int = 0) -> PointProcessSample:
-    """One realization's rescaled local eigenvalue process near E0."""
-    return les_ensemble(model, E0, L_sites, 1, seed, window_atoms, ids=ids,
-                        report=report, dos_value=dos_value,
-                        realization_offset=realization_index)[0]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigensolve import _kernel
 from .model import PolymerModel, PolymerSpec, Configuration, substream
 
 __all__ = [
@@ -279,11 +280,14 @@ def _golden_min(f, a: float, b: float, width: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_critical_energies(model: PolymerModel, search=(-3.0, 3.0),
+def find_critical_energies(model: PolymerModel, search=None,
                            grid: int = 20001, tol: float = 1e-9,
                            irr_k_max: int = 64) -> list[CriticalEnergyReport]:
     """Scan for critical energies on `search` and certify each candidate.
 
+    The default search is both polymers' Gershgorin bound
+    [min v - 2 max t, max v + 2 max t], which holds the spectrum of every
+    configuration and so every critical energy, padded by 5% of its width.
     Local minima of the commutator Frobenius norm on the grid are refined
     by golden-section; a refined energy is kept only if the commutator norm
     is <= tol there and both polymer matrices are elliptic or +-identity.
@@ -291,6 +295,11 @@ def find_critical_energies(model: PolymerModel, search=(-3.0, 3.0),
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if search is None:
+        v = np.concatenate([model.plus.potentials, model.minus.potentials])
+        t = max(model.plus.hoppings.max(), model.minus.hoppings.max())
+        lo, hi = float(v.min() - 2 * t), float(v.max() + 2 * t)
+        search = (lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
     lo, hi = float(search[0]), float(search[1])
     Es = np.linspace(lo, hi, grid)
     h = (hi - lo) / (grid - 1)
@@ -348,67 +357,66 @@ def _validate_branch(model: PolymerModel, reports) -> None:
                           f"d-={coeffs.d_minus:.3g})")
 
 
-def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Reduce (R, n, 2, 2) stacks to (R, 2, 2) products, rescaling per round.
+# signs drawn per kernel call; Generator.random gives the same stream for
+# any chunk size, so this bounds memory without moving a result
+_SIGN_CHUNK = 1 << 16
 
-    Accumulates the per-realization log scales into `logs` in place.
+
+def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
+                        realization_indices, seed: int):
+    """(half_at, log-norms at half_at, log-norms at steps) of each realization's
+    product of `steps` polymer matrices, the signs drawn from its substream.
+
+    half_at is the first multiple of 1024 at or above steps // 2, or steps // 2
+    itself when that multiple would reach steps.  The products run in the
+    compiled kernel, which keeps each as 2^e P with exact power-of-two rescaling.
     """
-    while mats.shape[1] > 1:
-        m = mats.shape[1]
-        even = (m // 2) * 2
-        nxt = np.matmul(mats[:, 1:even:2], mats[:, 0:even:2])
-        if m % 2:
-            nxt = np.concatenate([nxt, mats[:, -1:]], axis=1)
-        scale = np.abs(nxt).max(axis=(2, 3), keepdims=True)
-        logs += np.log(scale[:, :, 0, 0]).sum(axis=1)
-        mats = nxt / scale
-    return mats[:, 0]
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    half_at = -(-(steps // 2) // 1024) * 1024
+    if half_at >= steps:
+        half_at = steps // 2
+    Tp = polymer_matrix(model.plus, E)
+    Tm = polymer_matrix(model.minus, E)
+    rngs = [substream(seed, r) for r in realization_indices]
+    R = len(rngs)
+    prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
+    expo = np.zeros(R, dtype=np.int64)
+    steps_kernel = _kernel().lyapunov_steps
+    log_norms = []
+    done = 0
+    for stop in (half_at, steps):
+        while done < stop:
+            k = min(_SIGN_CHUNK, stop - done)
+            signs = np.empty((R, k), dtype=bool)
+            for r, rng in enumerate(rngs):
+                signs[r] = rng.random(k) < model.p_plus
+            steps_kernel(R, k, signs, Tp, Tm, prod, expo)
+            done += k
+        log_norms.append(expo * np.log(2.0)
+                         + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2))))
+    return half_at, log_norms[0], log_norms[1]
 
 
 def _lyapunov_gammas(model: PolymerModel, E: float, steps: int,
                      realization_indices, seed: int) -> np.ndarray:
     """Per-realization Lyapunov estimates (per site) over the given substreams."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    Tp = polymer_matrix(model.plus, E)
-    Tm = polymer_matrix(model.minus, E)
-    idx = list(realization_indices)
-    R = len(idx)
-    rngs = [substream(seed, r) for r in idx]
-    prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
-    logs = np.zeros(R)
-    half_at = None
-    logs_half = np.zeros(R)
-    chunk = 1024
-    done = 0
-    while done < steps:
-        k = min(chunk, steps - done)
-        signs = np.empty((R, k), dtype=bool)
-        for r in range(R):
-            signs[r] = rngs[r].random(k) < model.p_plus
-        mats = np.where(signs[:, :, None, None], Tp, Tm)
-        chunk_prod = _tree_product(mats, logs)
-        prod = np.matmul(chunk_prod, prod)
-        scale = np.abs(prod).max(axis=(1, 2), keepdims=True)
-        logs += np.log(scale[:, 0, 0])
-        prod = prod / scale
-        done += k
-        if half_at is None and done >= steps // 2:
-            half_at = done
-            logs_half = logs + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2)))
-    total = logs + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2)))
-    span = (steps - half_at) * model.mean_length
-    return (total - logs_half) / span
+    half_at, half, total = _lyapunov_log_norms(model, E, steps, realization_indices, seed)
+    return (total - half) / ((steps - half_at) * model.mean_length)
 
 
 def lyapunov(model: PolymerModel, E: float, steps: int, realizations: int,
              seed: int) -> tuple[float, float]:
     """Lyapunov exponent estimate (per site) with its standard error.
 
-    Accumulates renormalized block products per realization and takes the
-    log-norm increment over the second half of the trajectory, which cancels
-    the bounded conjugation offset at critical energies; the per-realization
-    estimates are averaged and stderr is their spread over sqrt(R).
+    Each realization multiplies `steps` polymer matrices, signs drawn from its
+    own substream, in one compiled loop that keeps the running product as
+    2^e P and rescales it by exact powers of two.  The estimate is the
+    log-norm increment from half_at to steps per site, where half_at is the
+    first multiple of 1024 at or above steps // 2 (steps // 2 itself for
+    steps <= 1024); dropping the first half cancels the bounded conjugation
+    offset at critical energies.  The per-realization estimates are averaged
+    and stderr is their spread over sqrt(R).
     """
     if realizations < 2:
         raise ValueError("realizations must be >= 2 for a standard error")

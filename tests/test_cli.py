@@ -1,9 +1,16 @@
 import json
+import math
 
 import pytest
 
 from polyspec import cli
 from polyspec.cli import build_config, validate, run, main, ConfigError, KINDS
+from polyspec.model import model_from_dict
+
+# 4 x the V = 0.875 dimer: E_c = +-3.5, outside the old fixed search (-3, 3)
+RESCALED_DIMER = {"plus": {"potentials": [3.5, 3.5], "hoppings": [4.0, 4.0]},
+                  "minus": {"potentials": [-3.5, -3.5], "hoppings": [4.0, 4.0]},
+                  "p_plus": 0.5}
 
 
 def cfg(kind, out, **kw):
@@ -52,6 +59,10 @@ def test_validate_bad_model_and_param():
             ("psi-convergence", "L_list", []), ("uniformity", "realizations", "many")]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
+    for search in ([1.0, -1.0], [0.0], "wide"):
+        diags = validate(cfg("critical", "x", params={"search": search}))
+        assert any(d.startswith("params.search:") for d in diags), (search, diags)
+    assert validate(cfg("critical", "x", params={"search": [-12.0, 12.0]})) == []
 
 
 def test_run_critical_writes_outputs(tmp_path):
@@ -164,3 +175,23 @@ def test_main_param_override(tmp_path, capsys):
     assert summary["config"]["params"]["steps"] == 1500
     assert summary["config"]["seed"] == 3
     assert "0.9" in summary["statistics"]
+
+
+def test_lyapunov_short_run_is_finite(tmp_path, capsys):
+    # with steps <= 1024 the second half starts at steps // 2, not at steps
+    code = main(["lyapunov", "--out", str(tmp_path), "--param", "steps=1000",
+                 "--param", "realizations=4"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    stats = strict_summary(tmp_path / "lyapunov_summary.json")["statistics"]
+    assert set(stats) == {"0.5", "0.8"}
+    assert all(math.isfinite(s["gamma"]) and math.isfinite(s["stderr"])
+               for s in stats.values())
+
+
+def test_critical_search_covers_rescaled_dimer(tmp_path):
+    report = cli._single_report(model_from_dict(RESCALED_DIMER))
+    assert report.energy == pytest.approx(3.5, abs=1e-8)
+    run_report = run(cfg("critical", tmp_path, model=RESCALED_DIMER))
+    energies = [r["energy"] for r in run_report.statistics["reports"]]
+    assert energies == pytest.approx([-3.5, 3.5], abs=1e-8)

@@ -7,7 +7,7 @@ from polyspec.model import (LatticeSequences, dimer_preset, lattice_for_sites,
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
                                  gershgorin_interval, sturm_count, sturm_counts_batch,
                                  eigenvalues_in_window, eigenvalues_in_window_batch,
-                                 full_spectrum, dense_oracle, _pivmin,
+                                 dense_oracle, _pivmin,
                                  _build_kernel, _load_kernel)
 
 from conftest import explicit_models
@@ -23,6 +23,14 @@ def free_chain_eigenvalues(L):
     return -2.0 * np.cos(np.arange(1, L + 1) * np.pi / (L + 1))
 
 
+def all_eigenvalues(H, tol=1e-11):
+    """The whole spectrum, as the window over the padded Gershgorin enclosure."""
+    lo, hi = gershgorin_interval(H)
+    spec = eigenvalues_in_window(H, (lo - 1e-6, hi + 1e-6), tol)
+    assert len(spec) == H.num_sites
+    return spec.eigenvalues
+
+
 def test_build_hamiltonian_dense():
     seq = LatticeSequences(potentials=np.zeros(2), hoppings=np.ones(2), num_sites=2)
     H = build_hamiltonian(seq)
@@ -32,16 +40,15 @@ def test_build_hamiltonian_dense():
 def test_single_site():
     H = TridiagonalOperator(diagonal=np.array([3.0]), offdiagonal=np.empty(0),
                             num_sites=1)
-    assert np.allclose(full_spectrum(H).eigenvalues, [3.0])
+    assert np.allclose(all_eigenvalues(H), [3.0])
     H5 = TridiagonalOperator(diagonal=np.array([5.0]), offdiagonal=np.empty(0),
                              num_sites=1)
-    assert np.allclose(full_spectrum(H5).eigenvalues, [5.0])
+    assert np.allclose(all_eigenvalues(H5), [5.0])
 
 
 def test_free_chain_l3():
-    spec = full_spectrum(free_chain(3), tol=1e-12)
-    assert np.allclose(np.sort(spec.eigenvalues), [-np.sqrt(2), 0.0, np.sqrt(2)],
-                       atol=1e-11)
+    assert np.allclose(all_eigenvalues(free_chain(3), tol=1e-12),
+                       [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-11)
 
 
 def test_positive_hopping_required():
@@ -98,8 +105,8 @@ def test_window_vs_oracle_dimer_l40():
 
 
 def test_full_spectrum_free_l50():
-    spec = full_spectrum(free_chain(50), tol=1e-12)
-    assert np.abs(spec.eigenvalues - free_chain_eigenvalues(50)).max() < 1e-11
+    evs = all_eigenvalues(free_chain(50), tol=1e-12)
+    assert np.abs(evs - free_chain_eigenvalues(50)).max() < 1e-11
 
 
 def test_dense_oracle_properties():
@@ -280,7 +287,13 @@ def test_kernel_builds_into_fresh_cache(tmp_path):
     v, tsq = H.diagonal[:, None], (H.offdiagonal ** 2)[:, None]
     shifts = np.linspace(-2.5, 2.5, 7)[None, :]
     counts, d = np.empty((1, 7), dtype=np.int64), np.empty((1, 7))
-    _load_kernel(lib)(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    kernels = _load_kernel(lib)
+    kernels.sturm_counts(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
+    # the same library holds the Lyapunov product: three steps T-, T+, T+
+    tp, tm = np.array([[2.0, -1.0], [1.0, 0.5]]), np.array([[0.5, -1.0], [1.5, 0.25]])
+    prod, expo = np.eye(2)[None].copy(), np.zeros(1, dtype=np.int64)
+    kernels.lyapunov_steps(1, 3, np.array([[False, True, True]]), tp, tm, prod, expo)
+    assert np.array_equal(prod[0], tp @ tp @ tm) and expo[0] == 0

@@ -10,9 +10,9 @@ from polyspec.transfer import (find_critical_energies, diagonalizer, polymer_mat
                                expansion_coeffs, site_matrix)
 from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
 from polyspec.statistics import psi_errors
-from polyspec.prufer import (angle_map_m, prufer_trace, phase_parts,
-                             eigenvalue_count, relative_prufer, phase_shift,
-                             oscillatory_sum, free_phase_batch)
+from polyspec.prufer import (angle_map_m, prufer_trace, eigenvalue_count,
+                             relative_prufer, phase_shift, oscillatory_sum,
+                             free_phase_batch)
 
 from conftest import explicit_models
 
@@ -109,15 +109,6 @@ def test_block_increment_is_eta_mod_2pi():
         eta = rep.eta_plus if cfg.signs[n] else rep.eta_minus
         delta = (inc - eta) % (2 * np.pi)
         assert min(delta, 2 * np.pi - delta) < 1e-9
-
-
-def test_phase_parts():
-    p = phase_parts(3.5 * np.pi)
-    assert p.integer_part == 3 and abs(p.fractional_part - 0.5 * np.pi) < 1e-12
-    p = phase_parts(-0.25 * np.pi)
-    assert p.integer_part == -1 and abs(p.fractional_part - 0.75 * np.pi) < 1e-12
-    p = phase_parts(0.0)
-    assert p.integer_part == 0 and p.fractional_part == 0.0
 
 
 def _dimer_winding_examples(test):

@@ -3,10 +3,9 @@ import pytest
 
 from polyspec.model import PolymerSpec, PolymerModel, dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
-from polyspec.eigensolve import Spectrum
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
-                                 empirical_ids, ids_at_critical, dos_at_critical, unfold,
-                                 les_sample, les_ensemble, gap_statistics,
+                                 empirical_ids, ids_at_critical, dos_at_critical,
+                                 les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
                                  InsufficientDataError)
@@ -84,25 +83,14 @@ def test_dos_matches_empirical_derivative():
     assert abs(n_emp - n_formula) / n_formula < 0.15
 
 
-def test_unfold_affine():
-    ids = affine_ids()
-    spec = Spectrum(eigenvalues=np.array([0.3, 0.5, 0.9]))
-    s = unfold(spec, ids, E0=0.5, L_sites=100)
-    assert np.allclose(s.atoms, [100 * (0.3 - 0.5), 0.0, 100 * (0.9 - 0.5)], atol=1e-2)
-    exact = 100 * (ids.evaluate(spec.eigenvalues) - ids.evaluate(0.5))
-    assert np.allclose(s.atoms, exact, atol=1e-12)
-    assert np.all(np.diff(s.atoms) >= 0)
-    assert s.kind == "unfolded"
-
-
 def test_les_sample_empty_below_spectrum():
     m = dimer_preset(0.6, 0.5)
     # fixed energy window far below inf(spectrum): no eigenvalues at all
-    s = les_sample(m, -5.0, 2000, dos_value=0.2, window_atoms=5, seed=1)
+    s, = les_ensemble(m, -5.0, 2000, 1, 1, window_atoms=5, dos_value=0.2)
     assert s.atoms.size == 0
     # unfolded windows clamp at N = 0: only nonnegative atoms can appear
     ids = empirical_ids(m, L_ids=500, seed=5, realization_indices=range(30))
-    s2 = les_sample(m, -5.0, 2000, ids=ids, window_atoms=5, seed=1)
+    s2, = les_ensemble(m, -5.0, 2000, 1, 1, window_atoms=5, ids=ids)
     assert np.all(s2.atoms >= -1e-9)
 
 

@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polyspec import transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
                             sample_configuration)
 from polyspec.transfer import (site_matrix, polymer_matrix, polymer_matrix_grid,
                                block_product, find_critical_energies, diagonalizer,
                                irrationality_check, expansion_coeffs, lyapunov,
-                               rotation)
+                               rotation, _lyapunov_log_norms)
+
+from conftest import explicit_models
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -232,3 +238,44 @@ def test_lyapunov_free_chain_and_dichotomy():
     assert g8 > 5 * se8 and g8 > 0
     with pytest.raises(ValueError):
         lyapunov(m, 0.5, steps=1, realizations=4, seed=1)
+
+
+# explicit_models draws hoppings down to 1e-3, whose polymer matrices are
+# strongly hyperbolic: such products pass 2^256 within a few blocks, so the
+# kernel's rescaling branch runs
+@settings(max_examples=60)
+@given(model=explicit_models(), E=st.floats(-4.0, 4.0), steps=st.integers(2, 2000),
+       R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 700))
+@example(model=PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
+                            PolymerSpec(1, [2.0], [0.05]), 0.4),
+         E=0.3, steps=1500, R=2, seed=7, chunk=300)
+def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed, chunk):
+    # signs drawn in chunks of `chunk` steps must equal one draw of all steps,
+    # which is what sample_configuration makes
+    with mock.patch.object(transfer, "_SIGN_CHUNK", chunk):
+        half_at, half, total = _lyapunov_log_norms(model, E, steps, range(R), seed)
+    assert 1 <= half_at < steps
+    for r in range(R):
+        cfg = sample_configuration(model, steps, seed, r)
+        for stop, got in ((half_at, half[r]), (steps, total[r])):
+            P, log_scale = block_product(model, cfg, E, 0, stop)
+            want = log_scale + np.log(np.linalg.norm(P, 2))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_lyapunov_rescaling_runs_on_hyperbolic_products():
+    model = PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
+                         PolymerSpec(1, [2.0], [0.05]), 0.4)
+    _, half, total = _lyapunov_log_norms(model, 0.3, 1500, range(2), 7)
+    assert np.all(half > 4 * 256 * np.log(2.0))   # rescaled at least four times
+    assert np.all(total > half)
+
+
+# the first multiple of 1024 at or above steps // 2, unless that reaches steps
+@pytest.mark.parametrize("steps, expected", [(2, 1), (3, 1), (1000, 500), (1024, 512),
+                                             (1025, 1024), (2048, 1024), (5000, 3072)])
+def test_lyapunov_half_point(steps, expected):
+    half_at, half, total = _lyapunov_log_norms(dimer_preset(0.5, 0.5), 0.8, steps,
+                                               range(2), 1)
+    assert half_at == expected
+    assert np.all(np.isfinite(half)) and np.all(np.isfinite(total))
