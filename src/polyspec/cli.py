@@ -30,7 +30,8 @@ from .statistics import (empirical_ids, ids_at_critical, dos_at_critical,
                          holder_probe, minami_probe)
 from .transport import transport_exponent
 
-__all__ = ["ExperimentConfig", "RunReport", "validate", "run", "main", "KINDS"]
+__all__ = ["ExperimentConfig", "RunReport", "validate", "experiment", "run", "main",
+           "KINDS"]
 
 
 class ConfigError(ValueError):
@@ -206,6 +207,15 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("params.beta: beta must lie in (0, 1)")
         if not (0.0 < p.get("gamma", 1.0) <= 1.0):
             diags.append("params.gamma: gamma must lie in (0, 1]")
+        if not _positive(p.get("c2", 1.0)):
+            diags.append("params.c2: c2 must be positive")
+    if config.kind == "transport":
+        if not _positive(p.get("q", 2.0)):
+            diags.append("params.q: q must be positive")
+        for key in ("T_grid", "free_T_grid"):
+            if key in p and not _time_grid(p[key]):
+                diags.append(f"params.{key}: must hold at least two distinct times, "
+                             "all positive")
     # every integer size or count must be positive
     for key in ("realizations", "L", "L_ids", "steps", "grid", "irr_k_max", "ids_L",
                 "ids_realizations", "control_L", "control_realizations", "window_atoms",
@@ -226,6 +236,18 @@ def _interval(x) -> bool:
         return len(x) == 2 and float(x[0]) < float(x[1])
     except (TypeError, ValueError):
         return False
+
+
+def _positive(x) -> bool:
+    try:
+        return float(x) > 0.0
+    except (TypeError, ValueError):
+        return False
+
+
+def _time_grid(x) -> bool:
+    return (isinstance(x, list) and all(_positive(T) for T in x)
+            and len({float(T) for T in x}) >= 2)
 
 
 def _positive_int(x) -> bool:
@@ -534,14 +556,19 @@ _EXPERIMENTS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunReport:
-    """Execute one configured experiment and write its CSV/JSON outputs."""
+def experiment(config: ExperimentConfig):
+    """Validate one configured experiment and run it: (stats, passes, tables)."""
     diags = validate(config)
     if diags:
         raise ConfigError("; ".join(diags))
     model = model_from_dict(config.model)
+    return _EXPERIMENTS[config.kind](model, config.params, config.seed)
+
+
+def run(config: ExperimentConfig) -> RunReport:
+    """Execute one configured experiment and write its CSV/JSON outputs."""
     t0 = time.perf_counter()
-    stats, passes, tables = _EXPERIMENTS[config.kind](model, config.params, config.seed)
+    stats, passes, tables = experiment(config)
     wall = time.perf_counter() - t0
     chash = _config_hash(config)
     passed = all(passes.values()) if passes else True

@@ -76,11 +76,10 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Nondecreasing eigenvalues, optionally restricted to a window; ones closer
-    than the bisection tol come out equal, listed once per multiplicity."""
+    """Nondecreasing eigenvalues; ones closer than the bisection tol come out
+    equal, listed once per multiplicity."""
 
     eigenvalues: np.ndarray
-    window: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, float)))
@@ -309,7 +308,7 @@ def eigenvalues_in_window(H: TridiagonalOperator, window, tol: float = 1e-11) ->
     a, b = float(window[0]), float(window[1])
     evs = eigenvalues_in_window_batch(H.diagonal[:, None], (H.offdiagonal ** 2)[:, None],
                                       a, b, tol)[0]
-    return Spectrum(eigenvalues=evs, window=(a, b))
+    return Spectrum(eigenvalues=evs)
 
 
 def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):

@@ -74,7 +74,6 @@ class PruferTrace:
     modified_angles: np.ndarray
     log_amplitudes: np.ndarray
     energy: float
-    initial_angle: float
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -116,8 +115,7 @@ def prufer_trace(seq: LatticeSequences, M: np.ndarray, E: float,
         free[n + 1] = th
         logamp[n + 1] = la + log_r(x, y)
     return PruferTrace(free_angles=free, modified_angles=angle_map_m(M, free),
-                       log_amplitudes=logamp, energy=float(E),
-                       initial_angle=float(theta0))
+                       log_amplitudes=logamp, energy=float(E))
 
 
 def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.ndarray:

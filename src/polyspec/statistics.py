@@ -63,14 +63,15 @@ class EmpiricalIDS:
     """
 
     pooled: np.ndarray
-    total_count: int
 
     def __post_init__(self):
         pooled = np.asarray(self.pooled, float)
         pooled.flags.writeable = False
         object.__setattr__(self, "pooled", pooled)
-        if pooled.size != self.total_count:
-            raise ValueError("total_count must match pooled size")
+
+    @property
+    def total_count(self) -> int:
+        return self.pooled.size
 
     @property
     def _quantiles(self) -> np.ndarray:
@@ -102,7 +103,7 @@ def empirical_ids(model: PolymerModel, L_ids: int, seed: int,
                   realization_indices) -> EmpiricalIDS:
     """Pool the full spectra of iid boxes of L_ids sites, one per index."""
     pooled = np.sort(pool_spectra(model, L_ids, seed, realization_indices))
-    return EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+    return EmpiricalIDS(pooled=pooled)
 
 
 def ids_at_critical(report: CriticalEnergyReport, model: PolymerModel) -> float:
@@ -174,7 +175,8 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
     rescaling n(E_c) L (E - E_c)), or `dos_value` (the same rescaling with a
     precomputed density) must be given.  Only the energy window mapping to
     atoms within +-window_atoms is extracted, via windowed Sturm bisection,
-    never the full spectrum.
+    never the full spectrum.  An unfolding window that leaves the pooled
+    IDS's plotting positions raises ValueError.
     """
     given = sum(x is not None for x in (ids, report, dos_value))
     if given != 1:
@@ -183,8 +185,11 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
         raise ValueError("window_atoms must be >= 1")
     if ids is not None:
         N0 = float(ids.evaluate(E0))
-        a = float(ids.invert(N0 - window_atoms / L_sites))
-        b = float(ids.invert(N0 + window_atoms / L_sites))
+        du, n = window_atoms / L_sites, ids.total_count
+        if N0 - du < 1 / (n + 1) or N0 + du > n / (n + 1):
+            raise ValueError(f"unfolding window at E0={E0} leaves the pooled IDS: N(E0) "
+                             f"+- window_atoms/L must lie in [1/(n+1), n/(n+1)], n={n}")
+        a, b = float(ids.invert(N0 - du)), float(ids.invert(N0 + du))
     else:
         n_Ec = _critical_density(model, report) if report is not None else float(dos_value)
         half = window_atoms / (n_Ec * L_sites)
@@ -217,7 +222,6 @@ class GapStatistics:
     ks_vs_exp1: float
     ks_vs_degenerate1: float
     frac_near_one: float
-    band: float
 
 
 def gap_statistics(samples, band: float = 0.1) -> GapStatistics:
@@ -237,7 +241,7 @@ def gap_statistics(samples, band: float = 0.1) -> GapStatistics:
     ks_deg = max(frac_below, 1.0 - frac_le)
     frac = float(np.mean(np.abs(gaps - 1.0) <= band))
     return GapStatistics(gaps=gaps, mean=float(gaps.mean()), ks_vs_exp1=ks_exp,
-                         ks_vs_degenerate1=ks_deg, frac_near_one=frac, band=band)
+                         ks_vs_degenerate1=ks_deg, frac_near_one=frac)
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,6 @@ class CountingStatistics:
 
     intervals: list
     counts: np.ndarray             # (samples, intervals)
-    chi2_stats: np.ndarray
     chi2_pvalues: np.ndarray
     count_covariance: np.ndarray   # (intervals, intervals), off-diagonals ~ 0 for Poisson
 
@@ -266,7 +269,7 @@ def counting_statistics(samples, intervals) -> CountingStatistics:
     for j, (a, b) in enumerate(intervals):
         for i, s in enumerate(samples):
             counts[i, j] = np.searchsorted(s.atoms, b) - np.searchsorted(s.atoms, a)
-    stats, pvals = [], []
+    pvals = []
     n = len(samples)
     for j, (a, b) in enumerate(intervals):
         lam = b - a
@@ -282,11 +285,10 @@ def counting_statistics(samples, intervals) -> CountingStatistics:
             expected, observed = expected[:-1], observed[:-1]
         stat = float(((observed - expected) ** 2 / expected).sum())
         dof = max(expected.size - 1, 1)
-        stats.append(stat)
         pvals.append(float(chi2_dist.sf(stat, dof)))
     cov = np.cov(counts.T) if len(intervals) > 1 else np.atleast_2d(np.var(counts[:, 0]))
     return CountingStatistics(intervals=intervals, counts=counts,
-                              chi2_stats=np.array(stats), chi2_pvalues=np.array(pvals),
+                              chi2_pvalues=np.array(pvals),
                               count_covariance=np.atleast_2d(cov))
 
 
@@ -304,7 +306,6 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
         warnings.warn("irrationality condition fails for this report "
                       f"(first violation k={report.irrationality_violations[0][0]}); "
                       "clock statistics may not converge")
-    n_Ec = _critical_density(model, report)
     Ec = report.energy
     samples = les_ensemble(model, Ec, L_sites, realizations, seed,
                            window_atoms=j_max + 4, report=report)
@@ -322,7 +323,6 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
     gap_reals = np.concatenate(gap_reals) if gap_reals else np.empty(0, np.int64)
     sample = ClockSpacingSample(rescaled_gaps=gaps)
     summary = {
-        "n_critical": n_Ec,
         "num_gaps": int(gaps.size),
         "mean": float(gaps.mean()) if gaps.size else None,
         "variance": float(gaps.var(ddof=1)) if gaps.size > 1 else None,

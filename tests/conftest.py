@@ -1,5 +1,4 @@
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +8,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from polyspec.model import PolymerModel, PolymerSpec, dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs
-from polyspec.statistics import (empirical_ids, dos_at_critical, les_ensemble,
-                                 clock_spacing_statistic)
+from polyspec.statistics import dos_at_critical
 
 ACCEPT_SEED = 20240801
 
@@ -40,30 +38,3 @@ def dimer06():
     coeffs = expansion_coeffs(model, report)
     n_Ec = dos_at_critical(coeffs, model)
     return {"model": model, "report": report, "coeffs": coeffs, "n_Ec": n_Ec}
-
-
-@pytest.fixture(scope="session")
-def ids06(dimer06):
-    """Pooled IDS for the V=0.6 dimer, box-size matched to the LES ensembles."""
-    return empirical_ids(dimer06["model"], 4000, ACCEPT_SEED,
-                         range(10 ** 6, 10 ** 6 + 1200))
-
-
-@pytest.fixture(scope="session")
-def poisson_samples(dimer06, ids06):
-    """Unfolded LES ensemble at the noncritical energy E0 = 1.2."""
-    return les_ensemble(dimer06["model"], 1.2, 4000, 1000, ACCEPT_SEED,
-                        window_atoms=12, ids=ids06)
-
-
-@pytest.fixture(scope="session")
-def clock_runs(dimer06):
-    """Strong-clock spacing statistics at three box sizes, with wall time."""
-    t0 = time.perf_counter()
-    out = {}
-    for L in (5000, 10000, 20000):
-        sample, summary = clock_spacing_statistic(
-            dimer06["model"], dimer06["report"], L, realizations=200,
-            j_max=20, seed=ACCEPT_SEED)
-        out[L] = {"sample": sample, "summary": summary}
-    return {"runs": out, "wall": time.perf_counter() - t0}

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+Criteria 4-9 run the `polyspec` kinds through `cli.experiment` on the configs below.
 Criterion 11b (localized-window transport) reads its Cesaro slope on a later
 averaging-time grid than 11a: a Cesaro mean of a bounded moment approaches its
 limit only like 1/T, and the localization length grows toward E_c, so the
@@ -12,19 +13,38 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from polyspec.cli import build_config, experiment
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec.eigensolve import (build_hamiltonian, gershgorin_interval,
                                  eigenvalues_in_window, dense_oracle)
 from polyspec.transfer import find_critical_energies, lyapunov
 from polyspec.prufer import eigenvalue_count, phase_shift
 from polyspec.statistics import (empirical_ids, ids_at_critical, gap_statistics,
-                                 counting_statistics, les_ensemble,
-                                 uniformity_test, psi_errors)
+                                 les_ensemble)
 from polyspec.transport import transport_exponent
 
 from conftest import ACCEPT_SEED
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def _config(kind, seed, **params):
+    # every size and threshold is explicit: the kinds' defaults cannot move a gate
+    return build_config(kind, {"model": {"preset": "dimer", "V": 0.6, "p": 0.5},
+                               "seed": seed, "params": params})
+
+
+LES_POISSON = _config("les-poisson", ACCEPT_SEED, E0=1.2, L=4000, realizations=1000,
+                      window_atoms=12, ids_L=4000, ids_realizations=1200,
+                      ks_threshold=0.05, count_intervals=[[-0.5, 0.5], [1.5, 2.5]],
+                      chi2_pvalue_min=0.01, covariance_tolerance=0.05)
+CLOCK_SPACING = _config("clock-spacing", ACCEPT_SEED, L_list=[5000, 10000, 20000],
+                        realizations=200, j_max=20, mean_band=[0.95, 1.05])
+UNIFORMITY = _config("uniformity", ACCEPT_SEED + 3, L=10000, realizations=2000,
+                     ks_threshold=0.05)
+PSI_CONVERGENCE = _config("psi-convergence", ACCEPT_SEED + 4,
+                          L_list=[1000, 10000, 100000], realizations=20,
+                          x_range=[-5.0, 5.0], x_points=51)
 
 
 def _report(num, name, ok, detail):
@@ -80,66 +100,74 @@ def test_criterion_03_ids_branch_consistency():
                    f"pooled={ids.total_count}")
 
 
-def test_criterion_04_strong_clock(dimer06, clock_runs):
-    runs = clock_runs["runs"]
-    wall = clock_runs["wall"]
-    means = {L: runs[L]["summary"]["mean"] for L in (5000, 10000, 20000)}
-    variances = [runs[L]["summary"]["variance"] for L in (5000, 10000, 20000)]
-    n_Ec = dimer06["n_Ec"]
-    ok = 0.95 <= means[20000] <= 1.05
-    ok &= variances[0] > variances[1] > variances[2]
-    ok &= wall < 300.0
+def test_acceptance_configs_match_kind_defaults():
+    for config in (LES_POISSON, CLOCK_SPACING, UNIFORMITY, PSI_CONVERGENCE):
+        default = build_config(config.kind, {})
+        assert (config.model, config.params) == (default.model, default.params)
+
+
+@pytest.fixture(scope="module")
+def les_poisson_run():
+    """The les-poisson kind: unfolded LES ensemble at E0 = 1.2."""
+    return experiment(LES_POISSON)
+
+
+@pytest.fixture(scope="module")
+def clock_spacing_run():
+    """The clock-spacing kind at three box sizes, with its wall time."""
+    t0 = time.perf_counter()
+    return (*experiment(CLOCK_SPACING), time.perf_counter() - t0)
+
+
+def test_criterion_04_strong_clock(dimer06, clock_spacing_run):
+    stats, passes, _, wall = clock_spacing_run
+    per_size = stats["per_size"]
+    variances = [per_size[L]["variance"] for L in ("5000", "10000", "20000")]
+    ok = all(passes.values()) and wall < 300.0
     assert _report(4, "strong clock", ok,
-                   f"n(Ec)={n_Ec:.5f}; mean gap(L=2e4)={means[20000]:.4f}; "
+                   f"n(Ec)={dimer06['n_Ec']:.5f}; "
+                   f"mean gap(L=2e4)={per_size['20000']['mean']:.4f}; "
                    f"variances={np.round(variances, 5).tolist()}; wall={wall:.0f}s")
 
 
-def test_criterion_05_poisson_statistics(poisson_samples):
-    gs = gap_statistics(poisson_samples)
-    cs = counting_statistics(poisson_samples, [(-0.5, 0.5), (1.5, 2.5)])
-    cov = float(cs.count_covariance[0, 1])
-    ok = gs.gaps.size >= 5000
-    ok &= gs.ks_vs_exp1 < 0.05
-    ok &= bool(np.all(cs.chi2_pvalues > 0.01))
-    ok &= abs(cov) <= 0.05
+def test_criterion_05_poisson_statistics(les_poisson_run):
+    stats, passes, _ = les_poisson_run
+    ok = all(passes.values()) and stats["num_gaps"] >= 5000
     assert _report(5, "Poisson at noncritical energy", ok,
-                   f"gaps={gs.gaps.size}, KS={gs.ks_vs_exp1:.4f}, "
-                   f"chi2 p={np.round(cs.chi2_pvalues, 3).tolist()}, cov={cov:.4f}")
+                   f"gaps={stats['num_gaps']}, KS={stats['ks_vs_exp1']:.4f}, "
+                   f"chi2 p={np.round(stats['chi2_pvalues'], 3).tolist()}, "
+                   f"cov={stats['count_covariance']:.4f}")
 
 
-def test_criterion_06_dichotomy_ordering(poisson_samples, clock_runs):
-    poisson = gap_statistics(poisson_samples)
+def test_criterion_06_dichotomy_ordering(les_poisson_run, clock_spacing_run):
+    poisson, (clock, _, tables, _) = les_poisson_run[0], clock_spacing_run
     # clock-side gap statistics from the pooled rescaled spacings at L = 2e4
-    gaps = clock_runs["runs"][20000]["sample"].rescaled_gaps
+    gaps = np.array([g for L, r, g in tables["spacing"][1] if L == 20000])
     ks_clock = float(kstest(gaps, "expon").statistic)
-    frac_clock = float(np.mean(np.abs(gaps - 1.0) <= 0.1))
-    ok = poisson.ks_vs_exp1 * 3.0 <= ks_clock
-    ok &= frac_clock >= 3.0 * poisson.frac_near_one
+    frac_clock = clock["per_size"]["20000"]["frac_in_band"]
+    ok = poisson["ks_vs_exp1"] * 3.0 <= ks_clock
+    ok &= frac_clock >= 3.0 * poisson["frac_near_one"]
     assert _report(6, "dichotomy ordering", ok,
-                   f"KS(E0=1.2)={poisson.ks_vs_exp1:.4f} vs KS(Ec)={ks_clock:.4f}; "
-                   f"frac(Ec)={frac_clock:.3f} vs frac(1.2)={poisson.frac_near_one:.3f}")
+                   f"KS(E0=1.2)={poisson['ks_vs_exp1']:.4f} vs KS(Ec)={ks_clock:.4f}; "
+                   f"frac(Ec)={frac_clock:.3f} vs frac(1.2)={poisson['frac_near_one']:.3f}")
 
 
-def test_criterion_07_prufer_uniformity(dimer06):
-    out = uniformity_test(dimer06["model"], dimer06["report"], 10 ** 4, 2000,
-                          seed=ACCEPT_SEED + 3)
-    ok = out["ks_statistic"] < 0.05
-    assert _report(7, "Prufer uniformity", ok,
-                   f"KS={out['ks_statistic']:.4f} over 2000 realizations")
+def test_criterion_07_prufer_uniformity():
+    stats, passes, _ = experiment(UNIFORMITY)
+    assert _report(7, "Prufer uniformity", all(passes.values()),
+                   f"KS={stats['ks_statistic']:.4f} over "
+                   f"{stats['num_realizations']} realizations")
 
 
-def test_criterion_08_psi_convergence(dimer06):
-    xs = np.linspace(-5.0, 5.0, 51)
-    medians = [float(np.median(psi_errors(dimer06["model"], dimer06["report"], L, xs,
-                                          20, ACCEPT_SEED + 4)))
-               for L in (10 ** 3, 10 ** 4, 10 ** 5)]
-    ok = medians[0] > medians[1] > medians[2]
-    assert _report(8, "Psi_L convergence", ok,
+def test_criterion_08_psi_convergence():
+    stats, passes, _ = experiment(PSI_CONVERGENCE)
+    medians = list(stats["medians"].values())
+    assert _report(8, "Psi_L convergence", all(passes.values()),
                    f"median sup|Psi-x| = {np.round(medians, 4).tolist()} "
                    f"for L in (1e3, 1e4, 1e5)")
 
 
-def test_criterion_09_sharpness(dimer06, ids06, poisson_samples):
+def test_criterion_09_sharpness(dimer06, les_poisson_run):
     model, report, n_Ec = dimer06["model"], dimer06["report"], dimer06["n_Ec"]
     L = 20000
     E0_L = report.energy + L ** (-0.6)
@@ -149,7 +177,7 @@ def test_criterion_09_sharpness(dimer06, ids06, poisson_samples):
     control_samples = les_ensemble(model, 1.2, 4000, 500, ACCEPT_SEED + 6,
                                    window_atoms=10, dos_value=n_Ec)
     control = gap_statistics(control_samples)
-    control_ks = gap_statistics(poisson_samples).ks_vs_exp1
+    control_ks = les_poisson_run[0]["ks_vs_exp1"]
     ok = 0.9 <= sharp.mean <= 1.1
     ok &= not (0.9 <= control.mean <= 1.1)
     ok &= control.frac_near_one < 0.5 * sharp.frac_near_one

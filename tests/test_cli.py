@@ -49,14 +49,19 @@ def test_validate_bad_model_and_param():
         build_config("frobnicate", {})
     with pytest.raises(ConfigError, match="workers"):
         build_config("lyapunov", {"workers": 4})
-    # every integer size or count must be positive
+    # every integer size or count must be positive, and configs that used to
+    # run to silent nonsense (reversed interval, one-point fit, NaN) are rejected
     for kind, key, value in [
             ("les-poisson", "ids_realizations", 0), ("les-poisson", "ids_L", -1),
             ("les-poisson", "window_atoms", 0), ("sharpness", "control_L", 0),
             ("sharpness", "control_realizations", 0), ("clock-spacing", "j_max", 0),
             ("transport", "box_radius", 0), ("transport", "quadrature_points", -5),
             ("psi-convergence", "x_points", 0), ("clock-spacing", "L_list", [0, 100]),
-            ("psi-convergence", "L_list", []), ("uniformity", "realizations", "many")]:
+            ("psi-convergence", "L_list", []), ("uniformity", "realizations", "many"),
+            ("minami-probe", "c2", 0.0), ("minami-probe", "c2", -1.0),
+            ("transport", "T_grid", [5.0]), ("transport", "T_grid", [5.0, 5.0]),
+            ("transport", "T_grid", [-5.0, 5.0]), ("transport", "free_T_grid", [20.0]),
+            ("transport", "q", 0.0), ("transport", "q", -1.0)]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
     for search in ([1.0, -1.0], [0.0], "wide"):
@@ -152,6 +157,16 @@ def test_unserializable_summary_writes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._EXPERIMENTS, "lyapunov", nan_experiment)
     assert main(["lyapunov", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_les_poisson_window_outside_ids_fails(tmp_path, capsys):
+    # at E0 = 10 the unfolding window lies above the whole pooled IDS
+    code = main(["les-poisson", "--out", str(tmp_path), "--param", "E0=10",
+                 "--param", "L=200", "--param", "ids_L=200",
+                 "--param", "ids_realizations=20", "--param", "realizations=500"])
+    assert code == 1
+    assert "E0=10" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

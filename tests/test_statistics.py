@@ -16,7 +16,7 @@ SQ2 = 1.0 / np.sqrt(2.0)
 def affine_ids(n=100001):
     # pooled eigenvalues uniform on [0, 1]: N(E) = E
     pooled = np.linspace(0.0, 1.0, n)
-    return EmpiricalIDS(pooled=pooled, total_count=n)
+    return EmpiricalIDS(pooled=pooled)
 
 
 def constant_model(c):
@@ -88,10 +88,10 @@ def test_les_sample_empty_below_spectrum():
     # fixed energy window far below inf(spectrum): no eigenvalues at all
     s, = les_ensemble(m, -5.0, 2000, 1, 1, window_atoms=5, dos_value=0.2)
     assert s.atoms.size == 0
-    # unfolded windows clamp at N = 0: only nonnegative atoms can appear
+    # an unfolding window that leaves the pooled IDS raises instead of clamping
     ids = empirical_ids(m, L_ids=500, seed=5, realization_indices=range(30))
-    s2, = les_ensemble(m, -5.0, 2000, 1, 1, window_atoms=5, ids=ids)
-    assert np.all(s2.atoms >= -1e-9)
+    with pytest.raises(ValueError, match="E0=-5.0"):
+        les_ensemble(m, -5.0, 2000, 1, 1, window_atoms=5, ids=ids)
 
 
 def test_les_ensemble_argument_checks():
@@ -241,7 +241,7 @@ def test_holder_probe_sqrt_cdf_edge():
     # increments scale like h^{1/2}, inverse increments like k^2
     u = np.linspace(0, 1, 200001)
     pooled = u ** 2
-    ids = EmpiricalIDS(pooled=pooled, total_count=pooled.size)
+    ids = EmpiricalIDS(pooled=pooled)
     rep = holder_probe(ids, 0.0, [2.0 ** -k for k in range(4, 10)])
     assert abs(rep.rho1 - 0.5) < 0.05
     assert abs(rep.rho2 - 2.0) < 0.1
