@@ -25,8 +25,8 @@ from .prufer import (PruferTrace, angle_map_m, prufer_trace, eigenvalue_count,
                      relative_prufer, phase_shift, oscillatory_sum)
 from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          GapStatistics, CountingStatistics, HolderReport,
-                         InsufficientDataError, empirical_ids, ids_at_critical,
-                         dos_at_critical, les_ensemble,
+                         InsufficientDataError, empirical_ids, windowed_ids,
+                         ids_at_critical, dos_at_critical, les_ensemble,
                          gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test,
                          psi_errors, holder_probe, minami_probe)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .model import PolymerModel, model_from_dict, anderson_preset
 from .transfer import find_critical_energies, expansion_coeffs, lyapunov
-from .statistics import (empirical_ids, ids_at_critical, dos_at_critical,
+from .statistics import (empirical_ids, windowed_ids, ids_at_critical, dos_at_critical,
                          les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
                          holder_probe, minami_probe)
@@ -200,12 +201,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         if key not in known:
             diags.append(f"params.{key}: unknown parameter for kind {config.kind!r}")
     p = config.params
-    if config.kind == "sharpness" and not p.get("delta", 1.0) > 0.5:
+    if config.kind == "sharpness" and not _float(p.get("delta", 1.0)) > 0.5:
         diags.append("params.delta: delta must exceed 1/2")
     if config.kind == "minami-probe":
-        if not (0.0 < p.get("beta", 0.5) < 1.0):
+        if not (0.0 < _float(p.get("beta", 0.5)) < 1.0):
             diags.append("params.beta: beta must lie in (0, 1)")
-        if not (0.0 < p.get("gamma", 1.0) <= 1.0):
+        if not (0.0 < _float(p.get("gamma", 1.0)) <= 1.0):
             diags.append("params.gamma: gamma must lie in (0, 1]")
         if not _positive(p.get("c2", 1.0)):
             diags.append("params.c2: c2 must be positive")
@@ -238,11 +239,16 @@ def _interval(x) -> bool:
         return False
 
 
-def _positive(x) -> bool:
+def _float(x) -> float:
+    """x as a float; NaN, which fails every range check, if it is no number."""
     try:
-        return float(x) > 0.0
+        return float(x)
     except (TypeError, ValueError):
-        return False
+        return math.nan
+
+
+def _positive(x) -> bool:
+    return _float(x) > 0.0
 
 
 def _time_grid(x) -> bool:
@@ -339,11 +345,16 @@ def _exp_ids(model, params, seed):
     return stats, passes, tables
 
 
-def _build_ids(model, params, seed):
+def _ids_indices(params):
     # the IDS pool draws from a shifted substream block so it stays
     # independent of the LES realizations
-    return empirical_ids(model, int(params["ids_L"]), seed,
-                         range(10 ** 6, 10 ** 6 + int(params["ids_realizations"])))
+    return range(10 ** 6, 10 ** 6 + int(params["ids_realizations"]))
+
+
+def _build_ids(model, params, seed, E0, half_width):
+    """The pooled IDS that unfolding at E0 reads, within +-half_width of N(E0)."""
+    return windowed_ids(model, int(params["ids_L"]), seed, _ids_indices(params),
+                        E0, half_width)
 
 
 def _gap_rows(samples, *prefix):
@@ -362,10 +373,10 @@ def _les_outputs(samples):
 
 
 def _exp_les_poisson(model, params, seed):
-    ids = _build_ids(model, params, seed)
-    samples = les_ensemble(model, float(params["E0"]), int(params["L"]),
-                           int(params["realizations"]), seed,
-                           window_atoms=int(params["window_atoms"]), ids=ids)
+    E0, L, window_atoms = float(params["E0"]), int(params["L"]), int(params["window_atoms"])
+    ids = _build_ids(model, params, seed, E0, window_atoms / L)
+    samples = les_ensemble(model, E0, L, int(params["realizations"]), seed,
+                           window_atoms=window_atoms, ids=ids)
     gs, stats, tables = _les_outputs(samples)
     cs = counting_statistics(samples, params["count_intervals"])
     cov_off = float(cs.count_covariance[0, 1]) if len(cs.intervals) > 1 else 0.0
@@ -464,11 +475,12 @@ def _exp_sharpness(model, params, seed):
 
     # Poisson control at a fixed noncritical energy, unfolded for the KS test
     # and rescaled with the critical DOS as the clock test would be
-    control = (model, float(params["control_E0"]), int(params["control_L"]),
-               int(params["control_realizations"]), seed)
+    control_E0, control_L = float(params["control_E0"]), int(params["control_L"])
+    control = (model, control_E0, control_L, int(params["control_realizations"]), seed)
     control_atoms = int(params["control_window_atoms"])
+    control_ids = _build_ids(model, params, seed, control_E0, control_atoms / control_L)
     control_unfolded = gap_statistics(les_ensemble(
-        *control, window_atoms=control_atoms, ids=_build_ids(model, params, seed)))
+        *control, window_atoms=control_atoms, ids=control_ids))
     control_resc_samples = les_ensemble(*control, window_atoms=control_atoms,
                                         dos_value=n_Ec)
     control_resc = gap_statistics(control_resc_samples)
@@ -502,8 +514,8 @@ def _exp_minami(model, params, seed):
 
 
 def _exp_holder(model, params, seed):
-    rep = holder_probe(_build_ids(model, params, seed), float(params["E0"]),
-                       params["scales"])
+    ids = empirical_ids(model, int(params["ids_L"]), seed, _ids_indices(params))
+    rep = holder_probe(ids, float(params["E0"]), params["scales"])
     stats = {"rho1": rep.rho1, "rho2": rep.rho2, "product": rep.product,
              "satisfies_condition": rep.satisfies_condition}
     rows = [(float(h), float(a), float(b))

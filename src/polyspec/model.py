@@ -95,6 +95,14 @@ class PolymerModel:
     def equal_lengths(self) -> bool:
         return self.plus.length == self.minus.length
 
+    @property
+    def gershgorin_bound(self) -> tuple[float, float]:
+        """[min v - 2 max t, max v + 2 max t] over both polymers, which holds
+        the spectrum of every box."""
+        v = np.concatenate([self.plus.potentials, self.minus.potentials])
+        t = max(self.plus.hoppings.max(), self.minus.hoppings.max())
+        return float(v.min() - 2 * t), float(v.max() + 2 * t)
+
 
 @dataclass(frozen=True)
 class Configuration:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import kstest
+from scipy.special import chdtrc, expm1
 
 from .model import PolymerModel, lattice_for_sites, potentials_for_sites_batch
 from .eigensolve import eigenvalues_in_window_batch, sturm_counts_batch
@@ -32,6 +31,7 @@ __all__ = [
     "HolderReport",
     "pool_spectra",
     "empirical_ids",
+    "windowed_ids",
     "ids_at_critical",
     "dos_at_critical",
     "les_ensemble",
@@ -47,6 +47,12 @@ __all__ = [
 # fixed realization batch sizes; the Sturm pivot floor is taken per batch
 _BATCH = 256
 _PSI_BATCH = 16
+# windowed IDS: bisection tol of the stored eigenvalues (they stay within
+# 1e-12 of LAPACK's), ranks stored beyond the unfolding window on each side,
+# and trial energies per bracket and Sturm sweep
+_IDS_TOL = 1e-13
+_RANK_PAD = 2
+_BRACKET_POINTS = 7
 
 
 class InsufficientDataError(ValueError):
@@ -57,32 +63,50 @@ class InsufficientDataError(ValueError):
 class EmpiricalIDS:
     """Integrated density of states from pooled order statistics.
 
-    evaluate() interpolates linearly between the pooled eigenvalues at
-    plotting positions i/(n+1), so it is strictly increasing on the pooled
-    support and exactly invertible there; outside it clamps to 0 and 1.
+    `pooled` holds the sorted eigenvalues of global ranks below + 1, ...,
+    below + pooled.size out of total_count = n pooled ones; the full pool is
+    below = 0 and total_count = pooled.size (the default).  evaluate()
+    interpolates linearly between them at the global plotting positions
+    i/(n+1), so it is strictly increasing on the stored range and exactly
+    invertible there.  Beyond an end of the whole pool evaluate() clamps to
+    0 or 1 and invert() to the extreme eigenvalue; beyond an end of a window
+    that is not an end of the pool, both raise ValueError.
     """
 
     pooled: np.ndarray
+    below: int = 0
+    total_count: int | None = None
 
     def __post_init__(self):
         pooled = np.asarray(self.pooled, float)
         pooled.flags.writeable = False
         object.__setattr__(self, "pooled", pooled)
-
-    @property
-    def total_count(self) -> int:
-        return self.pooled.size
+        if self.total_count is None:
+            object.__setattr__(self, "total_count", self.below + pooled.size)
+        if pooled.size == 0 or self.below < 0 or self.below + pooled.size > self.total_count:
+            raise ValueError("need 0 <= below and below + pooled.size <= total_count "
+                             "with pooled nonempty")
 
     @property
     def _quantiles(self) -> np.ndarray:
-        n = self.total_count
-        return np.arange(1, n + 1) / (n + 1.0)
+        return np.arange(self.below + 1, self.below + self.pooled.size + 1) / (
+            self.total_count + 1.0)
+
+    def _inside(self, x, xp, what: str) -> None:
+        x = np.asarray(x)
+        if ((self.below > 0 and np.any(x < xp[0]))
+                or (self.below + xp.size < self.total_count and np.any(x > xp[-1]))):
+            raise ValueError(f"{what} outside the stored IDS window "
+                             f"[{xp[0]!r}, {xp[-1]!r}]")
 
     def evaluate(self, E):
+        self._inside(E, self.pooled, "energy")
         return np.interp(E, self.pooled, self._quantiles, left=0.0, right=1.0)
 
     def invert(self, u):
-        return np.interp(u, self._quantiles, self.pooled)
+        q = self._quantiles
+        self._inside(u, q, "IDS level")
+        return np.interp(u, q, self.pooled)
 
 
 def pool_spectra(model: PolymerModel, L_ids: int, seed: int,
@@ -104,6 +128,70 @@ def empirical_ids(model: PolymerModel, L_ids: int, seed: int,
     """Pool the full spectra of iid boxes of L_ids sites, one per index."""
     pooled = np.sort(pool_spectra(model, L_ids, seed, realization_indices))
     return EmpiricalIDS(pooled=pooled)
+
+
+def _unfolding_window_error(E0, n: int) -> ValueError:
+    return ValueError(f"unfolding window at E0={E0} leaves the pooled IDS: N(E0) "
+                      f"+- window_atoms/L must lie in [1/(n+1), n/(n+1)], n={n}")
+
+
+def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices,
+                 E0: float, half_width: float) -> EmpiricalIDS:
+    """The IDS of empirical_ids on the same boxes, stored only where
+    evaluate/invert are read within +-half_width of N(E0).
+
+    Summed Sturm counts just below and above E0 place N(E0) between the
+    plotting positions of the eigenvalues near E0; n = L_ids R.  Summed counts
+    at _BRACKET_POINTS trial energies per bracket and sweep then bracket the
+    ranks n(N(E0) +- half_width), padded by _RANK_PAD ranks so that every
+    interpolation neighbour is stored.  Bisection extracts the eigenvalues
+    between the brackets, and the count below the lower one is their global
+    rank offset.  A window outside [1/(n+1), n/(n+1)] for every N(E0) the
+    counts allow raises les_ensemble's ValueError, naming E0; les_ensemble
+    decides the rest exactly.
+    """
+    idx = list(realization_indices)
+    boxes = [(v, t[1:] ** 2) for v, t in (
+        potentials_for_sites_batch(model, L_ids, seed, idx[s:s + _BATCH])
+        for s in range(0, len(idx), _BATCH))]
+    n = L_ids * len(idx)
+
+    def count(energies) -> np.ndarray:
+        """Summed counts below each energy, over all boxes in one sweep."""
+        shifts = np.asarray(energies, float)[None, :]
+        return sum(sturm_counts_batch(v, tsq, np.repeat(shifts, v.shape[1], 0))[0]
+                   .sum(axis=0) for v, tsq in boxes)
+
+    bottom, top = model.gershgorin_bound
+    pad, near = 0.05 * (top - bottom), 1e-9 * (top - bottom)
+    i_lo, i_hi = (int(c) for c in count([E0 - near, E0 + near]))
+    k = (n + 1) * half_width  # (n+1) N(E0) lies in [i_lo, i_hi + 1]
+    if i_hi < k or i_lo + k > n:
+        raise _unfolding_window_error(E0, n)
+    lo_rank = max(math.floor(i_lo - k) - _RANK_PAD, 0)
+    hi_rank = min(math.ceil(i_hi + 1 + k) + _RANK_PAD, n)
+    # [x0, count(x0), x1, count(x1)] around lo_rank and hi_rank; a bracket
+    # is done once its outer count is within `slack` ranks of its target
+    lower, upper = [bottom - pad, 0, E0 - near, i_lo], [E0 + near, i_hi, top + pad, n]
+    slack = max(_RANK_PAD, (hi_rank - lo_rank) // 64)
+    while todo := [(br, target) for br, target, off in
+                   ((lower, lo_rank, lo_rank - lower[1]), (upper, hi_rank, upper[3] - hi_rank))
+                   if off > slack and br[2] - br[0] > _IDS_TOL]:
+        trial = [np.linspace(br[0], br[2], _BRACKET_POINTS + 2)[1:-1] for br, _ in todo]
+        counts = count(np.concatenate(trial)).reshape(len(todo), _BRACKET_POINTS)
+        for (br, target), xs, cs in zip(todo, trial, counts):
+            # counts rise with energy: keep the tightest energies on each side
+            j = np.searchsorted(cs, target, side="right")
+            if j > 0:
+                br[:2] = xs[j - 1], int(cs[j - 1])
+            j = np.searchsorted(cs, target, side="left")
+            if j < _BRACKET_POINTS:
+                br[2:] = xs[j], int(cs[j])
+    a, below, b = float(lower[0]), int(lower[1]), float(upper[2])
+    pooled = np.sort(np.concatenate([
+        e for v, tsq in boxes
+        for e in eigenvalues_in_window_batch(v, tsq, a, b, tol=_IDS_TOL)]))
+    return EmpiricalIDS(pooled=pooled, below=below, total_count=n)
 
 
 def ids_at_critical(report: CriticalEnergyReport, model: PolymerModel) -> float:
@@ -187,8 +275,7 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
         N0 = float(ids.evaluate(E0))
         du, n = window_atoms / L_sites, ids.total_count
         if N0 - du < 1 / (n + 1) or N0 + du > n / (n + 1):
-            raise ValueError(f"unfolding window at E0={E0} leaves the pooled IDS: N(E0) "
-                             f"+- window_atoms/L must lie in [1/(n+1), n/(n+1)], n={n}")
+            raise _unfolding_window_error(E0, n)
         a, b = float(ids.invert(N0 - du)), float(ids.invert(N0 + du))
     else:
         n_Ec = _critical_density(model, report) if report is not None else float(dos_value)
@@ -213,6 +300,14 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
     return samples
 
 
+def _ks_distance(x, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance sup |F_n - F| of x to cdf."""
+    F = cdf(np.sort(x))
+    n = F.size
+    return float(max((np.arange(1.0, n + 1) / n - F).max(),
+                     (F - np.arange(0.0, n) / n).max()))
+
+
 @dataclass(frozen=True)
 class GapStatistics:
     """Nearest-neighbor gap summary pooled across samples."""
@@ -235,7 +330,7 @@ def gap_statistics(samples, band: float = 0.1) -> GapStatistics:
     gaps = np.concatenate(gaps) if gaps else np.empty(0)
     if gaps.size < 100:
         raise InsufficientDataError(f"need >= 100 pooled gaps, got {gaps.size}")
-    ks_exp = float(kstest(gaps, "expon").statistic)
+    ks_exp = _ks_distance(gaps, lambda x: -expm1(-x))
     frac_below = float(np.mean(gaps < 1.0))
     frac_le = float(np.mean(gaps <= 1.0))
     ks_deg = max(frac_below, 1.0 - frac_le)
@@ -285,7 +380,7 @@ def counting_statistics(samples, intervals) -> CountingStatistics:
             expected, observed = expected[:-1], observed[:-1]
         stat = float(((observed - expected) ** 2 / expected).sum())
         dof = max(expected.size - 1, 1)
-        pvals.append(float(chi2_dist.sf(stat, dof)))
+        pvals.append(float(chdtrc(dof, stat)))
     cov = np.cov(counts.T) if len(intervals) > 1 else np.atleast_2d(np.var(counts[:, 0]))
     return CountingStatistics(intervals=intervals, counts=counts,
                               chi2_pvalues=np.array(pvals),
@@ -340,7 +435,7 @@ def uniformity_test(model: PolymerModel, report: CriticalEnergyReport,
         return angle_map_m(report.diagonalizer, free) % np.pi
 
     phis = np.concatenate(_batched(batch, model, L_sites, seed, realizations))
-    ks = float(kstest(phis / np.pi, "uniform").statistic)
+    ks = _ks_distance(phis / np.pi, lambda x: np.clip(x, 0.0, 1.0))
     return {"ks_statistic": ks, "phis": phis, "num_realizations": realizations}
 
 

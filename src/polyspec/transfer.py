@@ -296,9 +296,7 @@ def find_critical_energies(model: PolymerModel, search=None,
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if search is None:
-        v = np.concatenate([model.plus.potentials, model.minus.potentials])
-        t = max(model.plus.hoppings.max(), model.minus.hoppings.max())
-        lo, hi = float(v.min() - 2 * t), float(v.max() + 2 * t)
+        lo, hi = model.gershgorin_bound
         search = (lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
     lo, hi = float(search[0]), float(search[1])
     Es = np.linspace(lo, hi, grid)

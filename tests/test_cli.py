@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +62,9 @@ def test_validate_bad_model_and_param():
             ("minami-probe", "c2", 0.0), ("minami-probe", "c2", -1.0),
             ("transport", "T_grid", [5.0]), ("transport", "T_grid", [5.0, 5.0]),
             ("transport", "T_grid", [-5.0, 5.0]), ("transport", "free_T_grid", [20.0]),
-            ("transport", "q", 0.0), ("transport", "q", -1.0)]:
+            ("transport", "q", 0.0), ("transport", "q", -1.0),
+            ("minami-probe", "beta", "x"), ("minami-probe", "gamma", [1.0]),
+            ("sharpness", "delta", "big")]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
     for search in ([1.0, -1.0], [0.0], "wide"):
@@ -168,6 +171,31 @@ def test_les_poisson_window_outside_ids_fails(tmp_path, capsys):
     assert code == 1
     assert "E0=10" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
+    # les-poisson and sharpness pool only their unfolding window, by Sturm
+    # counts and bisection; ids and holder-probe still pool full spectra
+    from polyspec import statistics
+    calls = {"pool_spectra": 0, "eigvalsh_tridiagonal": 0}
+
+    def counted(name):
+        original = getattr(statistics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(statistics, name, counted(name))
+    golden = json.loads((Path(__file__).parent / "golden_kinds.json").read_text())
+    for kind, full_pool in (("les-poisson", False), ("sharpness", False),
+                            ("ids", True), ("holder-probe", True)):
+        calls.update(dict.fromkeys(calls, 0))
+        run(cfg(kind, tmp_path, params=golden[kind]["params"], seed=5))
+        assert (calls["pool_spectra"] > 0) == full_pool, (kind, calls)
+        assert (calls["eigvalsh_tridiagonal"] > 0) == full_pool, (kind, calls)
 
 
 def test_ids_extra_probe_writes_null_formula(tmp_path):

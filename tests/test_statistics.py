@@ -1,14 +1,22 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import chdtrc, expm1
+from scipy.stats import chi2, kstest
 
 from polyspec.model import PolymerSpec, PolymerModel, dimer_preset
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
-                                 empirical_ids, ids_at_critical, dos_at_critical,
-                                 les_ensemble, gap_statistics,
+                                 empirical_ids, windowed_ids, ids_at_critical,
+                                 dos_at_critical, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
-                                 InsufficientDataError)
+                                 InsufficientDataError, _ks_distance)
+
+from conftest import explicit_models
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -37,6 +45,71 @@ def test_empirical_ids_monotone_invertible():
 def test_empirical_ids_deterministic_chain():
     ids = empirical_ids(constant_model(0.7), L_ids=400, seed=1, realization_indices=range(10))
     assert abs(ids.evaluate(0.7) - 0.5) < 0.01
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L=st.integers(4, 40), R=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32 - 1), x=st.floats(-0.1, 1.1),
+       h=st.floats(1e-4, 0.1))
+def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
+    full = empirical_ids(model, L, seed, range(R))
+    n = full.total_count
+    E0 = float(full.pooled[0] + x * (full.pooled[-1] - full.pooled[0]))
+    N0 = float(full.evaluate(E0))
+    try:
+        win = windowed_ids(model, L, seed, range(R), E0, h)
+    except ValueError as e:
+        # raised only for a window outside [1/(n+1), n/(n+1)]
+        assert f"E0={E0}" in str(e)
+        assert not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1)
+        return
+    assert win.total_count == n
+    # eigenvalues agree to 1e-12 on the scale of H (hoppings reach 1e2 here)
+    tol = 1e-12 * max(1.0, np.abs(full.pooled).max())
+    # the offset is the full pool's rank of the first stored eigenvalue
+    stored = full.pooled[win.below:win.below + win.pooled.size]
+    assert np.abs(win.pooled - stored).max() <= tol
+    if not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1):
+        return  # les_ensemble raises on this window
+    us = np.linspace(N0 - h, N0 + h, 17)
+    assert np.abs(win.invert(us) - full.invert(us)).max() <= tol
+    # evaluate midway between stored neighbours, where it moves by at most
+    # tol times its slope 1/((n+1) gap)
+    lo, hi = np.searchsorted(win.pooled, win.invert([N0 - h, N0 + h]))
+    p = win.pooled[max(lo - 1, 0):hi + 1]
+    gaps = np.diff(p)
+    Es, gaps = (0.5 * (p[1:] + p[:-1]))[gaps > 1e-9], gaps[gaps > 1e-9]
+    assert np.all(np.abs(win.evaluate(Es) - full.evaluate(Es))
+                  <= 1e-12 + 2 * tol / ((n + 1) * gaps))
+    # beyond a window end that is not an end of the pool, both raise
+    q = (win.below + np.array([1, win.pooled.size])) / (n + 1.0)
+    for inside_pool, E, u in ((win.below > 0, win.pooled[0] - 1e-9, q[0] - 1e-9),
+                              (win.below + win.pooled.size < n, win.pooled[-1] + 1e-9,
+                               q[1] + 1e-9)):
+        if inside_pool:
+            with pytest.raises(ValueError, match="outside the stored IDS window"):
+                win.evaluate(E)
+            with pytest.raises(ValueError, match="outside the stored IDS window"):
+                win.invert(u)
+
+
+@settings(max_examples=60)
+@given(x=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=300),
+       s=st.floats(0.0, 200.0), dof=st.integers(1, 40))
+def test_ks_and_chi2_match_scipy_stats(x, s, dof):
+    x = np.array(x)
+    assert _ks_distance(x, lambda y: -expm1(-y)) == kstest(x, "expon").statistic
+    u = x / 20.0
+    assert (_ks_distance(u, lambda y: np.clip(y, 0.0, 1.0))
+            == kstest(u, "uniform").statistic)
+    assert chdtrc(dof, s) == chi2.sf(s, dof)
+
+
+def test_library_import_leaves_out_scipy_stats():
+    code = "import sys, polyspec.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ids_symmetry_and_branch_small():

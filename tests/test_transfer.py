@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyspec import transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
@@ -279,3 +279,58 @@ def test_lyapunov_half_point(steps, expected):
                                                range(2), 1)
     assert half_at == expected
     assert np.all(np.isfinite(half)) and np.all(np.isfinite(total))
+
+
+@st.composite
+def critical_models(draw):
+    """(model, v): a dimer polymer (v, v) with equal hoppings, whose matrix is
+    -1 at E = v, and a random other polymer of 1-4 sites that is elliptic
+    there, so that E = v is a critical energy."""
+    v, log_t = draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0))
+    n = draw(st.integers(1, 4))
+    sites = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+                          min_size=n, max_size=n))
+    # a polymer of dimer sites commutes with the dimer at every energy
+    assume(any(abs(s[0] - v) + abs(s[1] - log_t) > 1e-3 for s in sites))
+    dimer = PolymerSpec(2, [v, v], 10.0 ** np.array([log_t, log_t]))
+    other = PolymerSpec(n, [s[0] for s in sites], 10.0 ** np.array([s[1] for s in sites]))
+    assume(abs(np.trace(polymer_matrix(other, v))) < 1.99)
+    p = draw(st.floats(0.02, 0.98))
+    model = PolymerModel(dimer, other, p) if draw(st.booleans()) else PolymerModel(other, dimer, p)
+    return model, v
+
+
+@settings(max_examples=40)
+@given(case=critical_models())
+def test_critical_reports_certify(case):
+    model, v = case
+    reports = find_critical_energies(model)  # tol 1e-9
+    assert any(abs(r.energy - v) < 1e-8 for r in reports)
+    for rep in reports:
+        Tp, Tm = polymer_matrix(model.plus, rep.energy), polymer_matrix(model.minus, rep.energy)
+        assert rep.commutator_norm <= 1e-9
+        assert np.linalg.norm(Tp @ Tm - Tm @ Tp) <= 1e-9
+        M = rep.diagonalizer
+        assert np.linalg.det(M) > 0
+        assert rep.residual <= 1e-8
+        for T, kind, eta in ((Tp, rep.kind_plus, rep.eta_plus),
+                             (Tm, rep.kind_minus, rep.eta_minus)):
+            if kind == "elliptic":
+                assert abs(np.trace(T)) < 2.0
+            else:
+                sign = {"plus_identity": 1.0, "minus_identity": -1.0}[kind]
+                assert np.abs(T - sign * np.eye(2)).max() <= 1e-6
+            assert np.linalg.norm(M @ T @ np.linalg.inv(M) - rotation(eta)) <= 1e-8
+
+
+@settings(max_examples=25)
+@given(case=critical_models(), c=st.floats(0.1, 10.0))
+def test_critical_energies_scale_with_H(case, c):
+    # c H conjugates every site matrix at c E by diag(sqrt c, 1/sqrt c)
+    model, _ = case
+    scaled = PolymerModel(*(PolymerSpec(s.length, c * s.potentials, c * s.hoppings)
+                            for s in (model.plus, model.minus)), model.p_plus)
+    energies = np.array([r.energy for r in find_critical_energies(model)])
+    scaled_energies = np.array([r.energy for r in find_critical_energies(scaled)])
+    assert scaled_energies.shape == energies.shape
+    assert np.abs(scaled_energies - c * energies).max() <= 1e-8 * max(1.0, c)
