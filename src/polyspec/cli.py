@@ -318,7 +318,7 @@ def _exp_ids(model, params, seed):
                         range(int(params["realizations"])))
     pooled = ids.pooled
     grid = np.linspace(pooled[0], pooled[-1], 513)
-    curve_rows = [(float(E), float(ids.evaluate(E))) for E in grid]
+    curve_rows = [(float(E), float(N)) for E, N in zip(grid, ids.evaluate(grid))]
     sym_grid = np.linspace(0.0, float(np.abs(pooled).max()), 129)
     sym_err = float(np.abs(ids.evaluate(sym_grid) + ids.evaluate(-sym_grid) - 1.0).max())
     reports = find_critical_energies(model)

@@ -63,6 +63,9 @@ class PolymerSpec:
             raise ValueError("polymer length must be >= 1")
         if self.potentials.shape != (self.length,) or self.hoppings.shape != (self.length,):
             raise ValueError("potentials and hoppings must both have `length` entries")
+        for name in ("potentials", "hoppings"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"polymer {name} must be finite (no NaN or Infinity)")
         if not np.all(self.hoppings > 0):
             raise ValueError("all hoppings must be strictly positive")
 

@@ -8,12 +8,17 @@ per-realization substreams.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack
 from scipy.special import chdtrc, expm1
 
 from .model import PolymerModel, lattice_for_sites, potentials_for_sites_batch
@@ -87,7 +92,7 @@ class EmpiricalIDS:
             raise ValueError("need 0 <= below and below + pooled.size <= total_count "
                              "with pooled nonempty")
 
-    @property
+    @functools.cached_property
     def _quantiles(self) -> np.ndarray:
         return np.arange(self.below + 1, self.below + self.pooled.size + 1) / (
             self.total_count + 1.0)
@@ -109,17 +114,60 @@ class EmpiricalIDS:
         return np.interp(u, q, self.pooled)
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK dsterf(n, d, e, info), the routine behind scipy's "sterf"
+    driver, from the library scipy links; a ctypes call releases the GIL.
+
+    On return d holds the eigenvalues in ascending order and e is overwritten.
+    """
+    capsule = cython_lapack.__pyx_capi__["dsterf"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    return ctypes.CFUNCTYPE(None, int_p, f64, f64, int_p)(pointer(capsule, name(capsule)))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity set, so `taskset` limits it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def pool_spectra(model: PolymerModel, L_ids: int, seed: int,
                  realization_indices) -> np.ndarray:
-    """Concatenated full spectra of iid boxes, one per realization index."""
-    pool = []
-    for r in realization_indices:
-        seq = lattice_for_sites(model, L_ids, seed, r)
-        if L_ids == 1:
-            pool.append(seq.potentials.copy())
-        else:
-            pool.append(eigvalsh_tridiagonal(seq.potentials, -seq.hoppings[1:],
-                                             lapack_driver="sterf"))
+    """Concatenated full spectra of iid boxes, one per realization index.
+
+    Each box's spectrum is LAPACK dsterf's.  The calling thread draws the
+    boxes in index order, staying at most one box ahead of the dsterf calls,
+    which run on one worker thread per usable CPU.  Worker threads run only
+    the nested `spectrum`, so no other function of the package runs off the
+    calling thread, and the pool is the same for any number of workers.
+    """
+    dsterf = _dsterf()
+
+    def spectrum(seq) -> np.ndarray:
+        d, e = seq.potentials.copy(), -seq.hoppings[1:]
+        info = ctypes.c_int(0)
+        dsterf(ctypes.byref(ctypes.c_int(d.size)), d, e, ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(f"dsterf failed (info={info.value})")
+        return d
+
+    workers = _cpus()
+    pool, pending = [], deque()
+    with ThreadPoolExecutor(workers) as executor:
+        for r in realization_indices:
+            seq = lattice_for_sites(model, L_ids, seed, r)
+            pending.append(executor.submit(spectrum, seq))
+            if len(pending) > workers:
+                pool.append(pending.popleft().result())
+        pool.extend(f.result() for f in pending)
     return np.concatenate(pool)
 
 

@@ -292,6 +292,8 @@ def find_critical_energies(model: PolymerModel, search=None,
     by golden-section; a refined energy is kept only if the commutator norm
     is <= tol there and both polymer matrices are elliptic or +-identity.
     An empty list is a valid result (e.g. the single-site Bernoulli model).
+    Polymers whose commutator norm is <= tol at every grid energy commute
+    at every energy, and raise ValueError.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -302,6 +304,10 @@ def find_critical_energies(model: PolymerModel, search=None,
     Es = np.linspace(lo, hi, grid)
     h = (hi - lo) / (grid - 1)
     norms = _commutator_norms(model, Es)
+    if np.all(norms <= tol):
+        raise ValueError(f"the polymers commute at every energy: the commutator norm is "
+                         f"<= tol={tol} at all {grid} grid energies in [{lo}, {hi}], so "
+                         "critical energies are not isolated")
     interior = (norms[1:-1] <= norms[:-2]) & (norms[1:-1] <= norms[2:])
     candidates = np.nonzero(interior)[0] + 1
     # refine only minima shaped like a zero at grid resolution: the norm

@@ -73,6 +73,25 @@ def test_validate_bad_model_and_param():
     assert validate(cfg("critical", "x", params={"search": [-12.0, 12.0]})) == []
 
 
+@pytest.mark.parametrize("entry", ["potentials", "hoppings", "p_plus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_nonfinite_model_entry(tmp_path, capsys, entry, value):
+    # Python's json reads NaN and +-Infinity; validate names the model entry
+    # before any kind runs on it
+    model = json.loads(json.dumps(RESCALED_DIMER))
+    if entry == "p_plus":
+        model["p_plus"] = value
+    else:
+        model["minus"][entry][1] = value
+    for kind in ("ids", "minami-probe", "lyapunov"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, "model": model, "out": str(tmp_path)}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "model: " in capsys.readouterr().out
+        assert main([kind, "--config", str(path)]) == 1
+        assert "config error: model: " in capsys.readouterr().err
+
+
 def test_run_critical_writes_outputs(tmp_path):
     c = cfg("critical", tmp_path, params={"grid": 4001})
     report = run(c)
@@ -177,25 +196,26 @@ def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
     # les-poisson and sharpness pool only their unfolding window, by Sturm
     # counts and bisection; ids and holder-probe still pool full spectra
     from polyspec import statistics
-    calls = {"pool_spectra": 0, "eigvalsh_tridiagonal": 0}
+    calls = {"pool_spectra": 0, "dsterf": 0}
 
-    def counted(name):
-        original = getattr(statistics, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(statistics, name, counted(name))
+    monkeypatch.setattr(statistics, "pool_spectra",
+                        counted("pool_spectra", statistics.pool_spectra))
+    # the LAPACK entry point, called on the pool's worker threads
+    dsterf = counted("dsterf", statistics._dsterf())
+    monkeypatch.setattr(statistics, "_dsterf", lambda: dsterf)
     golden = json.loads((Path(__file__).parent / "golden_kinds.json").read_text())
     for kind, full_pool in (("les-poisson", False), ("sharpness", False),
                             ("ids", True), ("holder-probe", True)):
         calls.update(dict.fromkeys(calls, 0))
         run(cfg(kind, tmp_path, params=golden[kind]["params"], seed=5))
         assert (calls["pool_spectra"] > 0) == full_pool, (kind, calls)
-        assert (calls["eigvalsh_tridiagonal"] > 0) == full_pool, (kind, calls)
+        assert (calls["dsterf"] > 0) == full_pool, (kind, calls)
 
 
 def test_ids_extra_probe_writes_null_formula(tmp_path):

@@ -1,16 +1,21 @@
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import chdtrc, expm1
 from scipy.stats import chi2, kstest
 
-from polyspec.model import PolymerSpec, PolymerModel, dimer_preset
+from polyspec import statistics
+from polyspec.cli import main
+from polyspec.model import PolymerSpec, PolymerModel, dimer_preset, lattice_for_sites
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
-                                 empirical_ids, windowed_ids, ids_at_critical,
+                                 empirical_ids, windowed_ids, pool_spectra, ids_at_critical,
                                  dos_at_critical, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
@@ -40,6 +45,58 @@ def test_empirical_ids_monotone_invertible():
     assert ids.evaluate(-5.0) == 0.0 and ids.evaluate(5.0) == 1.0
     interior = np.linspace(0.05, 0.95, 50)
     assert np.abs(ids.invert(ids.evaluate(interior)) - interior).max() < 1e-9
+
+
+def serial_sterf_pool(model, L_ids, seed, indices):
+    """The pool as one loop of scipy's sterf driver, box after box."""
+    return np.concatenate([
+        eigvalsh_tridiagonal(seq.potentials, -seq.hoppings[1:], lapack_driver="sterf")
+        for seq in (lattice_for_sites(model, L_ids, seed, r) for r in indices)])
+
+
+UNEQUAL = PolymerModel(PolymerSpec(1, [0.4], [1.0]),
+                       PolymerSpec(3, [-0.2, 0.9, 0.1], [0.5, 2.0, 1.0]), 0.3)
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L_ids=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       indices=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=7),
+       cpus=st.sampled_from([1, 2, 3, 16]))
+@example(model=UNEQUAL, L_ids=1, seed=3, indices=[4], cpus=2)
+@example(model=UNEQUAL, L_ids=2, seed=3, indices=[9, 2, 7], cpus=16)
+@example(model=UNEQUAL, L_ids=50, seed=8, indices=[10 ** 6 + 5, 3, 3, 40], cpus=1)
+def test_pool_spectra_equals_serial_sterf(model, L_ids, seed, indices, cpus):
+    # bit for bit, for one worker and for more workers than boxes
+    want = serial_sterf_pool(model, L_ids, seed, indices)
+    with mock.patch.object(statistics, "_cpus", return_value=cpus):
+        got = pool_spectra(model, L_ids, seed, indices)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pool_spectra_draws_boxes_on_calling_thread(tmp_path, monkeypatch):
+    # worker threads run only LAPACK; every package function stays on the
+    # calling thread, and no thread outlives the pool
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return lattice_for_sites(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, "lattice_for_sites", recorded)
+    before = threading.active_count()
+    code = main(["ids", "--out", str(tmp_path), "--seed", "5",
+                 "--param", "L_ids=200", "--param", "realizations=9"])
+    assert code in (0, 2)
+    assert threading.active_count() == before
+    assert len(threads) == 9 and set(threads) == {threading.get_ident()}
+
+
+def test_pool_spectra_raises_on_lapack_failure(monkeypatch):
+    def failing(n, d, e, info):
+        info._obj.value = 3
+    monkeypatch.setattr(statistics, "_dsterf", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        pool_spectra(UNEQUAL, 20, 1, range(4))
 
 
 def test_empirical_ids_deterministic_chain():
@@ -110,6 +167,14 @@ def test_library_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_library_import_starts_no_thread():
+    # the IDS pool's executor lives only inside pool_spectra
+    code = "import threading, polyspec.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_ids_symmetry_and_branch_small():

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -143,6 +144,18 @@ def test_find_critical_kinds_and_etas():
 def test_anderson_has_no_critical_energies():
     for V in (0.4, 0.7, 1.0):
         assert find_critical_energies(anderson_preset(V, 0.5)) == []
+
+
+def test_commuting_polymers_raise():
+    # the free chain cut into blocks of one and two sites: T- = T+^2, so the
+    # polymers commute at every energy and no energy is critical
+    model = PolymerModel(PolymerSpec(1, [0.0], [1.0]),
+                         PolymerSpec(2, [0.0, 0.0], [1.0, 1.0]), 0.5)
+    t0 = time.perf_counter()
+    for grid in (2001, 20001):
+        with pytest.raises(ValueError, match="commute at every energy"):
+            find_critical_energies(model, grid=grid)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_diagonalizer_identity_cases():
