@@ -8,7 +8,7 @@ import numpy as np
 
 from polyspec import (dimer_preset, lattice_for_sites, build_hamiltonian,
                       dense_oracle, find_critical_energies, prufer_trace,
-                      eigenvalue_count, relative_prufer, expansion_coeffs,
+                      sturm_count, relative_prufer, expansion_coeffs,
                       dos_at_critical, uniformity_test)
 
 model = dimer_preset(0.6, 0.5)
@@ -19,7 +19,7 @@ seq = lattice_for_sites(model, 48, seed=3)
 ref = dense_oracle(build_hamiltonian(seq))[0].eigenvalues
 print("E      winding count   oracle count")
 for E in (-1.5, -0.3, 0.61, 1.4):
-    print(f"{E:+.2f}       {eigenvalue_count(seq, E):3d}            "
+    print(f"{E:+.2f}       {sturm_count(build_hamiltonian(seq), E):3d}            "
           f"{int(np.searchsorted(ref, E)):3d}")
 
 # per-block phase increments at the critical energy

@@ -21,8 +21,8 @@ from .transfer import (site_matrix, polymer_matrix, block_product, rotation,
                        CriticalEnergyReport, ExpansionCoeffs,
                        find_critical_energies, diagonalizer,
                        irrationality_check, expansion_coeffs, lyapunov)
-from .prufer import (PruferTrace, angle_map_m, prufer_trace, eigenvalue_count,
-                     relative_prufer, phase_shift, oscillatory_sum)
+from .prufer import (PruferTrace, angle_map_m, prufer_trace, relative_prufer,
+                     phase_shift)
 from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          GapStatistics, CountingStatistics, HolderReport,
                          InsufficientDataError, empirical_ids, windowed_ids,

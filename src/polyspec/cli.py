@@ -217,6 +217,20 @@ def validate(config: ExperimentConfig) -> list[str]:
             if key in p and not _time_grid(p[key]):
                 diags.append(f"params.{key}: must hold at least two distinct times, "
                              "all positive")
+        quad = p.get("quadrature_points")
+        if _positive_int(quad) and int(quad) < 2:
+            diags.append("params.quadrature_points: must be at least 2")
+        elif _positive_int(quad) and p.get("averaging") != "abel":
+            # Cesàro values share the grid of quadrature_points times on
+            # [0, max T]; a T below its second point would average nothing
+            for key in ("T_grid", "free_T_grid"):
+                if _time_grid(p.get(key)):
+                    Ts = [float(T) for T in p[key]]
+                    if min(Ts) < max(Ts) / (int(quad) - 1):
+                        diags.append(
+                            f"params.{key}: every time must be at least max T / "
+                            f"(quadrature_points - 1) = {max(Ts) / (int(quad) - 1)!r}, "
+                            "so that [0, T] holds two quadrature points")
     # every integer size or count must be positive
     for key in ("realizations", "L", "L_ids", "steps", "grid", "irr_k_max", "ids_L",
                 "ids_realizations", "control_L", "control_realizations", "window_atoms",

@@ -6,9 +6,12 @@ symmetric tridiagonal with diagonal v and off-diagonal entries -t(n).
 
 Eigenvalue extraction is windowed by design: the statistics experiments need
 only a handful of eigenvalues near a reference energy out of boxes with 1e4+
-sites, so bisection on the Sturm count is the workhorse.  A LAPACK-backed
-dense decomposition serves as the independent oracle for small instances.
-The C source of the Sturm sweep also holds the Lyapunov product loop that
+sites, so bisection on the Sturm count is the workhorse.  It bisects only
+the (operator, eigenvalue index) pairs inside the window, and splits the
+operators over the CPUs of the process's affinity set (`_in_row_ranges`);
+the eigenvalues do not depend on the split.  A LAPACK-backed dense
+decomposition serves as the independent oracle for small instances.  The C
+source of the Sturm sweep also holds the Lyapunov product loop that
 `transfer` calls, so one build and one cached library serve both.
 """
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,28 +113,78 @@ def _pivmin(v: np.ndarray, tsq: np.ndarray) -> float:
     return np.finfo(float).eps * scale
 
 
+# below this much work (site updates per bisection sweep, or matrix products)
+# a call runs serially: starting a thread and interleaving the threads'
+# numpy steps cost more than a second CPU saves
+_SPLIT_FLOOR = 200_000
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity set, so `taskset` limits it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_row_ranges(run, weights, work_per_weight: float) -> None:
+    """Call run(r0, r1) on contiguous row ranges that together cover every
+    row of positive weight, one range of near-equal total weight per CPU.
+
+    The calling thread runs the first range and a per-call executor the
+    others, so no thread outlives the call.  With one CPU, or when the
+    total weight times work_per_weight is below _SPLIT_FLOOR, this is the
+    single range of all rows.  `run` must touch only its own rows and call
+    nothing of the package but the compiled kernels, so that every package
+    function stays on the calling thread.
+    """
+    cum = np.concatenate([[0], np.cumsum(weights)])  # weight of the rows before each
+    parts = _cpus() if cum[-1] * work_per_weight >= _SPLIT_FLOOR else 1
+    # range j ends at the first row boundary with j/parts of the total weight before it
+    bounds = np.unique(np.r_[0, np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts),
+                             cum.size - 1]).tolist()
+    ranges = [(r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:]) if cum[r1] > cum[r0]]
+    if len(ranges) <= 1:
+        for rows in ranges:
+            run(*rows)
+        return
+    with ThreadPoolExecutor(len(ranges) - 1) as executor:
+        futures = [executor.submit(run, *rows) for rows in ranges[1:]]
+        run(*ranges[0])
+        for f in futures:
+            f.result()
+
+
 _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
 
-/* v (L, R), tsq (L-1, R), s, counts and d (R, K), all C-contiguous. */
-void sturm_counts(int64_t L, int64_t R, int64_t K, const double *v,
-                  const double *tsq, const double *s, double pivmin,
-                  int64_t *counts, double *d)
+/* v (L, R) and tsq (L-1, R) hold one operator per column; realization r
+   owns the flat columns off[r] .. off[r+1] - 1 of s, counts and d.  One call
+   sweeps realizations r0 .. r1 - 1 and touches only their columns, so calls
+   on disjoint realization ranges may run at once. */
+void sturm_counts(int64_t L, int64_t R, int64_t r0, int64_t r1,
+                  const int64_t *restrict off, const double *restrict v,
+                  const double *restrict tsq, const double *restrict s, double pivmin,
+                  int64_t *restrict counts, double *restrict d)
 {
-    for (int64_t i = 0; i < R * K; ++i) {
-        double x = v[i / K] - s[i];
-        x = fabs(x) < pivmin ? -pivmin : x;
-        d[i] = x;
-        counts[i] = x < 0;
+    for (int64_t r = r0; r < r1; ++r) {
+        const int64_t i1 = off[r + 1];
+        for (int64_t i = off[r]; i < i1; ++i) {
+            double x = v[r] - s[i];
+            x = fabs(x) < pivmin ? -pivmin : x;
+            d[i] = x;
+            counts[i] = x < 0;
+        }
     }
     /* sites outermost: each site's row of v and tsq is read once per sweep */
     for (int64_t n = 1; n < L; ++n) {
         const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
-        for (int64_t r = 0; r < R; ++r) {
-            const double vr = vn[r], tr = tn[r], *sr = s + r * K;
-            double *dr = d + r * K;
-            int64_t *cr = counts + r * K;
+        for (int64_t r = r0; r < r1; ++r) {
+            const double vr = vn[r], tr = tn[r], *sr = s + off[r];
+            double *dr = d + off[r];
+            int64_t *cr = counts + off[r];
+            const int64_t K = off[r + 1] - off[r];
             for (int64_t k = 0; k < K; ++k) {
                 double x = (vr - sr[k]) - tr / dr[k];
                 x = fabs(x) < pivmin ? -pivmin : x;
@@ -222,7 +276,7 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
-    dll.sturm_counts.argtypes = [ctypes.c_int64] * 3 + [f64, f64, f64, ctypes.c_double,
+    dll.sturm_counts.argtypes = [ctypes.c_int64] * 4 + [i64, f64, f64, f64, ctypes.c_double,
                                                         i64, f64]
     dll.lyapunov_steps.argtypes = [ctypes.c_int64] * 2 + [u8, f64, f64, f64, i64]
     dll.sturm_counts.restype = dll.lyapunov_steps.restype = None
@@ -262,7 +316,8 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
                          f"got {v.shape}, {tsq.shape}, {shifts.shape}")
     counts = np.empty((R, K), dtype=np.int64)
     d = np.empty((R, K))
-    _kernel().sturm_counts(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    _kernel().sturm_counts(L, R, 0, R, np.arange(R + 1, dtype=np.int64) * K, v, tsq,
+                           shifts, _pivmin(v, tsq), counts, d)
     return counts, d
 
 
@@ -277,30 +332,45 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
                                 tol: float = 1e-11) -> list[np.ndarray]:
     """All eigenvalues in [a, b) for a batch of same-size operators.
 
-    Bisection runs in lockstep over all operators and all target indices;
-    each eigenvalue is bracketed to width <= tol.
+    Sturm counts at a and b give each operator's eigenvalue indices in the
+    window; only those (operator, index) pairs are bisected, each to a
+    bracket of width <= tol, with every pair halving its bracket once per
+    sweep.  The operators are split into contiguous ranges of near-equal
+    pair count that run on one thread each (see _in_row_ranges); every pair
+    bisects on its own bracket, so the result is the same for any split.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not b > a:
         raise ValueError("window must be nonempty")
-    R = v.shape[1]
+    v = np.ascontiguousarray(v, float)
+    tsq = np.ascontiguousarray(tsq, float)
+    L, R = v.shape
     ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
     na, nb = ends[:, 0], ends[:, 1]
-    K = int((nb - na).max(initial=0))
-    if K == 0:
-        return [np.empty(0) for _ in range(R)]
-    lo = np.full((R, K), a)
-    hi = np.full((R, K), b)
-    target = na[:, None] + np.arange(K)[None, :]  # 0-based eigenvalue index
-    active = target < nb[:, None]
-    for _ in range(max(int(np.ceil(np.log2((b - a) / tol))), 1)):
-        mid = 0.5 * (lo + hi)
-        above = sturm_counts_batch(v, tsq, mid)[0] <= target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    mid = 0.5 * (lo + hi)
-    return [np.sort(mid[r][active[r]]) for r in range(R)]
+    # operator r owns the packed columns off[r] .. off[r+1] - 1, one per
+    # 0-based eigenvalue index in the window
+    off = np.concatenate([[0], np.cumsum(nb - na)])
+    C = int(off[-1])
+    target = np.arange(C) + np.repeat(na - off[:-1], nb - na)
+    lo, hi, mid, d = np.full(C, a), np.full(C, b), np.empty(C), np.empty(C)
+    counts = np.empty(C, dtype=np.int64)
+    sweeps = max(int(np.ceil(np.log2((b - a) / tol))), 1)
+    sweep, pivmin = _kernel().sturm_counts, _pivmin(v, tsq)
+
+    def bisect(r0: int, r1: int) -> None:
+        cols = slice(off[r0], off[r1])
+        lo_r, hi_r, mid_r = lo[cols], hi[cols], mid[cols]
+        counts_r, target_r = counts[cols], target[cols]
+        for _ in range(sweeps):
+            np.multiply(0.5, lo_r + hi_r, out=mid_r)
+            sweep(L, R, r0, r1, off, v, tsq, mid, pivmin, counts, d)
+            above = counts_r <= target_r
+            np.copyto(lo_r, mid_r, where=above)
+            np.copyto(hi_r, mid_r, where=~above)
+
+    _in_row_ranges(bisect, nb - na, L)
+    return [np.sort(x) for x in np.split(0.5 * (lo + hi), off[1:-1])]
 
 
 def eigenvalues_in_window(H: TridiagonalOperator, window, tol: float = 1e-11) -> Spectrum:

@@ -19,25 +19,22 @@ critical energy each polymer block advances it by exactly eta_pm modulo 2pi.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import build_hamiltonian, sturm_count, sturm_counts_batch
-from .model import LatticeSequences, PolymerModel, Configuration
-from .transfer import CriticalEnergyReport, polymer_matrix, expansion_coeffs
+from .eigensolve import sturm_counts_batch
+from .model import LatticeSequences, PolymerModel
+from .transfer import CriticalEnergyReport, polymer_matrix
 
 __all__ = [
     "PruferTrace",
     "angle_map_m",
     "prufer_trace",
     "free_phase_batch",
-    "eigenvalue_count",
     "relative_prufer",
     "relative_prufer_batch",
     "phase_shift",
-    "oscillatory_sum",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -138,15 +135,6 @@ def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.n
     return np.pi * counts + np.arctan(1.0 / d)
 
 
-def eigenvalue_count(seq: LatticeSequences, E):
-    """Eigenvalues of the Dirichlet box below E.
-
-    This is the winding floor(theta_L / pi + 1/2), which by the pivot formula
-    for theta_L is the Sturm count.
-    """
-    return sturm_count(build_hamiltonian(seq), E)
-
-
 def relative_prufer_batch(v: np.ndarray, t: np.ndarray, M: np.ndarray, E_c: float,
                           n_Ec: float, xs) -> np.ndarray:
     """Relative Prufer angle Psi_L(x) = (theta_L(E_c + x/(n L)) - theta_L(E_c)) / pi.
@@ -198,44 +186,3 @@ def phase_shift(model: PolymerModel, report: CriticalEnergyReport, sign: str,
     if S.ndim == 0:
         return float(S), float(rho)
     return S, rho
-
-
-def oscillatory_sum(model: PolymerModel, report: CriticalEnergyReport,
-                    config: Configuration, eps: float, S0: float,
-                    N: int, checkpoints=None):
-    """Partial sum of c_{omega_l} e^{2i S^l} over the first N blocks.
-
-    The iterated shift S^{l+1} = S_{eps, omega_l}(S^l) starts at S^0 = S0.
-    With `checkpoints` (sorted block counts <= N) an array of the partial
-    sums at those counts is returned instead of the final complex value.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > config.num_blocks:
-        raise ValueError("configuration has fewer blocks than N")
-    coeffs = expansion_coeffs(model, report)
-    cs = (coeffs.c_minus, coeffs.c_plus)
-    etas = (report.eta_minus, report.eta_plus)
-    Bs = tuple(_conjugated_polymer(model, report, s, eps).ravel().tolist()
-               for s in ("minus", "plus"))
-    signs = config.signs[:N].astype(np.int64)
-    marks = list(checkpoints) if checkpoints is not None else None
-    out = []
-    S = float(S0)
-    total = 0.0 + 0.0j
-    pi = math.pi
-    two_pi = 2.0 * pi
-    for ell in range(N):
-        s = int(signs[ell])
-        total += cs[s] * complex(math.cos(2 * S), math.sin(2 * S))
-        b00, b01, b10, b11 = Bs[s]
-        cS, sS = math.cos(S), math.sin(S)
-        raw = math.atan2(b10 * cS + b11 * sS, b00 * cS + b01 * sS)
-        target = S + etas[s]
-        S = target + (raw - target + pi) % two_pi - pi
-        if marks and ell + 1 == marks[0]:
-            out.append(total)
-            marks.pop(0)
-    if checkpoints is not None:
-        return np.array(out)
-    return total

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from scipy.linalg import cython_lapack
 from scipy.special import chdtrc, expm1
 
 from .model import PolymerModel, lattice_for_sites, potentials_for_sites_batch
-from .eigensolve import eigenvalues_in_window_batch, sturm_counts_batch
+from .eigensolve import _cpus, eigenvalues_in_window_batch, sturm_counts_batch
 from .transfer import CriticalEnergyReport, ExpansionCoeffs, expansion_coeffs
 from .prufer import free_phase_batch, angle_map_m, relative_prufer_batch
 
@@ -129,14 +128,6 @@ def _dsterf():
     int_p = ctypes.POINTER(ctypes.c_int)
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     return ctypes.CFUNCTYPE(None, int_p, f64, f64, int_p)(pointer(capsule, name(capsule)))
-
-
-def _cpus() -> int:
-    """CPUs this process may run on (its affinity set, so `taskset` limits it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def pool_spectra(model: PolymerModel, L_ids: int, seed: int,

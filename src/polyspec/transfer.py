@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import _kernel
+from .eigensolve import _in_row_ranges, _kernel
 from .model import PolymerModel, PolymerSpec, Configuration, substream
 
 __all__ = [
@@ -374,6 +374,9 @@ def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
     half_at is the first multiple of 1024 at or above steps // 2, or steps // 2
     itself when that multiple would reach steps.  The products run in the
     compiled kernel, which keeps each as 2^e P with exact power-of-two rescaling.
+    The realizations are split into ranges, one per CPU (`_in_row_ranges`);
+    each range's thread draws its realizations' signs and advances their
+    products, so the result does not depend on the split.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -386,19 +389,25 @@ def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
     R = len(rngs)
     prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
     expo = np.zeros(R, dtype=np.int64)
+    half_prod, half_expo = np.empty_like(prod), np.empty_like(expo)
     steps_kernel = _kernel().lyapunov_steps
-    log_norms = []
-    done = 0
-    for stop in (half_at, steps):
-        while done < stop:
-            k = min(_SIGN_CHUNK, stop - done)
-            signs = np.empty((R, k), dtype=bool)
-            for r, rng in enumerate(rngs):
-                signs[r] = rng.random(k) < model.p_plus
-            steps_kernel(R, k, signs, Tp, Tm, prod, expo)
-            done += k
-        log_norms.append(expo * np.log(2.0)
-                         + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2))))
+
+    def advance(r0: int, r1: int) -> None:
+        done = 0
+        for stop in (half_at, steps):
+            while done < stop:
+                k = min(_SIGN_CHUNK, stop - done)
+                signs = np.empty((r1 - r0, k), dtype=bool)
+                for r in range(r0, r1):
+                    signs[r - r0] = rngs[r].random(k) < model.p_plus
+                steps_kernel(r1 - r0, k, signs, Tp, Tm, prod[r0:r1], expo[r0:r1])
+                done += k
+            if stop == half_at:
+                half_prod[r0:r1], half_expo[r0:r1] = prod[r0:r1], expo[r0:r1]
+
+    _in_row_ranges(advance, np.full(R, steps), 1)
+    log_norms = [e * np.log(2.0) + np.log(np.linalg.norm(P, ord=2, axis=(1, 2)))
+                 for P, e in ((half_prod, half_expo), (prod, expo))]
     return half_at, log_norms[0], log_norms[1]
 
 
@@ -415,12 +424,13 @@ def lyapunov(model: PolymerModel, E: float, steps: int, realizations: int,
 
     Each realization multiplies `steps` polymer matrices, signs drawn from its
     own substream, in one compiled loop that keeps the running product as
-    2^e P and rescales it by exact powers of two.  The estimate is the
-    log-norm increment from half_at to steps per site, where half_at is the
-    first multiple of 1024 at or above steps // 2 (steps // 2 itself for
-    steps <= 1024); dropping the first half cancels the bounded conjugation
-    offset at critical energies.  The per-realization estimates are averaged
-    and stderr is their spread over sqrt(R).
+    2^e P and rescales it by exact powers of two; the realizations run on
+    every CPU of the affinity set, with the same result for any CPU count.
+    The estimate is the log-norm increment from half_at to steps per site,
+    where half_at is the first multiple of 1024 at or above steps // 2
+    (steps // 2 itself for steps <= 1024); dropping the first half cancels
+    the bounded conjugation offset at critical energies.  The per-realization
+    estimates are averaged and stderr is their spread over sqrt(R).
     """
     if realizations < 2:
         raise ValueError("realizations must be >= 2 for a standard error")

@@ -15,10 +15,10 @@ from scipy.stats import kstest
 
 from polyspec.cli import build_config, experiment
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
-from polyspec.eigensolve import (build_hamiltonian, gershgorin_interval,
+from polyspec.eigensolve import (build_hamiltonian, gershgorin_interval, sturm_count,
                                  eigenvalues_in_window, dense_oracle)
 from polyspec.transfer import find_critical_energies, lyapunov
-from polyspec.prufer import eigenvalue_count, phase_shift
+from polyspec.prufer import phase_shift
 from polyspec.statistics import (empirical_ids, ids_at_critical, gap_statistics,
                                  les_ensemble)
 from polyspec.transport import transport_exponent
@@ -207,7 +207,7 @@ def test_criterion_10_oracle_equivalence():
             continue
         max_err = max(max_err, float(np.abs(mine - ref).max()))
         for E in rng.uniform(lo, hi, size=2):
-            if eigenvalue_count(seq, float(E)) != int(np.searchsorted(ref, E)):
+            if sturm_count(H, float(E)) != int(np.searchsorted(ref, E)):
                 count_mismatches += 1
     wall = time.perf_counter() - t0
     ok = max_err < 1e-9 and count_mismatches == 0 and wall < 30.0

@@ -73,6 +73,30 @@ def test_validate_bad_model_and_param():
     assert validate(cfg("critical", "x", params={"search": [-12.0, 12.0]})) == []
 
 
+def test_validate_rejects_transport_quadrature_that_misses_a_time(tmp_path, capsys):
+    # one quadrature point gives a Cesàro value of 0, whose log is -inf, and a
+    # time below max T / (quadrature_points - 1) sees a single grid point
+    for params, key in [({"quadrature_points": 1}, "quadrature_points"),
+                        ({"quadrature_points": 5, "T_grid": [50.0, 400.0],
+                          "free_T_grid": [25.0, 100.0]}, "T_grid"),
+                        ({"quadrature_points": 5, "T_grid": [100.0, 400.0],
+                          "free_T_grid": [20.0, 100.0]}, "free_T_grid")]:
+        diags = validate(cfg("transport", "x", params=params))
+        assert [d for d in diags if d.startswith("params.")] == [
+            next(d for d in diags if d.startswith(f"params.{key}:"))], (params, diags)
+        path = tmp_path / "transport.json"
+        path.write_text(json.dumps({"kind": "transport", "params": params,
+                                    "out": str(tmp_path)}))
+        assert main(["transport", "--config", str(path)]) == 1
+        assert f"params.{key}:" in capsys.readouterr().err
+    # the smallest time exactly at the second grid point is allowed
+    assert validate(cfg("transport", "x", params={"quadrature_points": 5,
+                                                  "T_grid": [100.0, 400.0],
+                                                  "free_T_grid": [25.0, 100.0]})) == []
+    assert validate(cfg("transport", "x", params={"quadrature_points": 2,
+                                                  "averaging": "abel"})) == []
+
+
 @pytest.mark.parametrize("entry", ["potentials", "hoppings", "p_plus"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_validate_rejects_nonfinite_model_entry(tmp_path, capsys, entry, value):

@@ -1,9 +1,16 @@
+import inspect
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polyspec.model import (LatticeSequences, dimer_preset, lattice_for_sites,
-                            potentials_for_sites_batch)
+from polyspec import eigensolve
+
+from polyspec.model import (LatticeSequences, PolymerModel, PolymerSpec, dimer_preset,
+                            lattice_for_sites, potentials_for_sites_batch)
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
                                  gershgorin_interval, sturm_count, sturm_counts_batch,
                                  eigenvalues_in_window, eigenvalues_in_window_batch,
@@ -211,6 +218,99 @@ def test_window_batch_columns_match_single(case):
     assert np.array_equal(batch[1], single)
 
 
+def _rectangle_bisection(v, tsq, a, b, tol=1e-11):
+    """Windowed bisection as one serial lockstep over an (R, K) rectangle of
+    targets, K the largest window count, padding columns included."""
+    R = v.shape[1]
+    ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
+    na, nb = ends[:, 0], ends[:, 1]
+    K = int((nb - na).max(initial=0))
+    lo, hi = np.full((R, K), a), np.full((R, K), b)
+    target = na[:, None] + np.arange(K)[None, :]
+    for _ in range(max(int(np.ceil(np.log2((b - a) / tol))), 1)):
+        mid = 0.5 * (lo + hi)
+        above = sturm_counts_batch(v, tsq, mid)[0] <= target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    mid = 0.5 * (lo + hi)
+    return [np.sort(mid[r][target[r] < nb[r]]) for r in range(R)]
+
+
+@settings(max_examples=60)
+@given(case=windowed_models(), R=st.integers(1, 7), cpus=st.sampled_from([1, 2, 3, 5]))
+@example(case=(dimer_preset(0.6, 0.5), 1, 4, [0.2, 0.7]), R=4, cpus=5)
+@example(case=(dimer_preset(0.6, 0.5), 40, 9, [0.5, 0.52]), R=2, cpus=5)
+@example(case=(PolymerModel(PolymerSpec(1, [0.4], [1.0]),
+                            PolymerSpec(3, [-0.2, 0.9, 0.1], [0.5, 2.0, 1.0]), 0.3),
+               60, 2, [0.48, 0.5]), R=7, cpus=3)
+def test_window_batch_split_equals_serial_rectangle(case, R, cpus):
+    # bit for bit, for any number of row ranges: R below the worker count,
+    # one-site boxes, and windows empty for some or all realizations
+    model, L, seed, u = case
+    v, t = potentials_for_sites_batch(model, L, seed, range(R))
+    tsq = t[1:] ** 2
+    a, b = _window(build_hamiltonian(lattice_for_sites(model, L, seed)), u)
+    want = _rectangle_bisection(v, tsq, a, b)
+    with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
+            mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0):
+        got = eigenvalues_in_window_batch(v, tsq, a, b)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _record_kernel_threads(monkeypatch) -> list:
+    """Thread idents of every Sturm kernel call made from here on."""
+    kernel, idents = eigensolve._kernel(), []
+
+    class Recording:
+        lyapunov_steps = kernel.lyapunov_steps
+
+        def sturm_counts(self, *args):
+            idents.append(threading.get_ident())
+            return kernel.sturm_counts(*args)
+
+    monkeypatch.setattr(eigensolve, "_kernel", lambda: Recording())
+    return idents
+
+
+def test_window_split_keeps_package_functions_on_calling_thread(monkeypatch):
+    # worker threads run only the kernel and numpy; every function of the
+    # package runs on the calling thread, and no thread outlives the call
+    calls = []
+    for name, fn in list(vars(eigensolve).items()):
+        if inspect.isfunction(fn) and fn.__module__ == eigensolve.__name__:
+            def recorded(*args, _fn=fn, **kwargs):
+                calls.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(eigensolve, name, recorded)
+    kernel_threads = _record_kernel_threads(monkeypatch)
+    v, t = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 2000, 5, range(64))
+    want = _rectangle_bisection(v, t[1:] ** 2, 1.15, 1.25)
+    monkeypatch.setattr(eigensolve, "_cpus", lambda: 3)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        evs = eigensolve.eigenvalues_in_window_batch(v, t[1:] ** 2, 1.15, 1.25)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert [e.tobytes() for e in evs] == [w.tobytes() for w in want]
+    assert 2000 * sum(e.size for e in evs) >= eigensolve._SPLIT_FLOOR
+    assert calls and set(calls) == {threading.get_ident()}
+    assert len(set(kernel_threads)) == 3  # the calling thread and two workers
+
+
+def test_window_below_floor_starts_no_thread(monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a call below the floor started a thread")
+
+    monkeypatch.setattr(eigensolve, "ThreadPoolExecutor", no_executor)
+    monkeypatch.setattr(eigensolve, "_cpus", lambda: 4)
+    kernel_threads = _record_kernel_threads(monkeypatch)
+    v, t = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 200, 5, range(16))
+    evs = eigenvalues_in_window_batch(v, t[1:] ** 2, 1.15, 1.25)
+    assert 0 < 200 * sum(e.size for e in evs) < eigensolve._SPLIT_FLOOR
+    assert set(kernel_threads) == {threading.get_ident()}
+
+
 def _sturm_oracle(v, tsq, shifts):
     """The LDL^T recursion as a numpy loop over sites, one call per site."""
     pivmin = _pivmin(v, tsq)
@@ -288,7 +388,8 @@ def test_kernel_builds_into_fresh_cache(tmp_path):
     shifts = np.linspace(-2.5, 2.5, 7)[None, :]
     counts, d = np.empty((1, 7), dtype=np.int64), np.empty((1, 7))
     kernels = _load_kernel(lib)
-    kernels.sturm_counts(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    kernels.sturm_counts(300, 1, 0, 1, np.array([0, 7]), v, tsq, shifts, _pivmin(v, tsq),
+                         counts, d)
     ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))

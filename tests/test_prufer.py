@@ -6,12 +6,12 @@ from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_pr
                             lattice_for_sites, lattice_for_blocks,
                             sample_configuration, build_sequences,
                             potentials_for_sites_batch)
-from polyspec.transfer import (find_critical_energies, diagonalizer, polymer_matrix,
+from polyspec.transfer import (find_critical_energies, diagonalizer,
                                expansion_coeffs, site_matrix)
-from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
+from polyspec.eigensolve import (build_hamiltonian, dense_oracle, gershgorin_interval,
+                                 sturm_count)
 from polyspec.statistics import psi_errors
-from polyspec.prufer import (angle_map_m, prufer_trace, eigenvalue_count,
-                             relative_prufer, phase_shift, oscillatory_sum,
+from polyspec.prufer import (angle_map_m, prufer_trace, relative_prufer, phase_shift,
                              free_phase_batch)
 
 from conftest import explicit_models
@@ -132,7 +132,7 @@ def test_winding_count_matches_oracle(case):
     theta = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None], Es[None, :])[0]
     winding = np.floor(theta / np.pi + 0.5).astype(int)
     assert np.array_equal(winding, np.searchsorted(ref, Es))
-    assert np.array_equal(eigenvalue_count(seq, Es), winding)
+    assert np.array_equal(sturm_count(build_hamiltonian(seq), Es), winding)
     assert np.all(np.diff(winding) >= 0) and np.all(np.diff(theta) >= 0)
 
 
@@ -195,50 +195,6 @@ def test_phase_shift_amplitude_second_order_in_mean():
     _, rho = phase_shift(m, rep, "minus", 0.01, thetas)
     assert np.abs(rho - 1.0).max() < 0.02
     assert abs(np.log(rho).mean()) < 1e-4
-
-
-def test_oscillatory_sum_single_term():
-    m = dimer_preset(0.6, 0.5)
-    rep = find_critical_energies(m)[-1]
-    coeffs = expansion_coeffs(m, rep)
-    cfg = sample_configuration(m, 10, seed=6)
-    theta0 = 0.35
-    val = oscillatory_sum(m, rep, cfg, 0.001, theta0, 1)
-    c = coeffs.c_plus if cfg.signs[0] else coeffs.c_minus
-    assert abs(val - c * np.exp(2j * theta0)) < 1e-12
-    with pytest.raises(ValueError):
-        oscillatory_sum(m, rep, cfg, 0.001, theta0, 0)
-    with pytest.raises(ValueError):
-        oscillatory_sum(m, rep, cfg, 0.001, theta0, 11)
-
-
-def test_oscillatory_sum_zero_coefficient_model():
-    # single-site free polymers: M is orthogonal, so c = 0 and the sum vanishes
-    fm = free_model()
-    T = polymer_matrix(fm.plus, 0.0)       # rotation by pi/2
-    M, ep, em = diagonalizer(T, T)
-    from polyspec.transfer import CriticalEnergyReport
-    rep = CriticalEnergyReport(energy=0.0, kind_plus="elliptic", kind_minus="elliptic",
-                               eta_plus=ep, eta_minus=em, diagonalizer=M,
-                               commutator_norm=0.0, residual=0.0,
-                               irrationality_violations=[])
-    cfg = sample_configuration(fm, 50, seed=1)
-    val = oscillatory_sum(fm, rep, cfg, 0.0, 0.3, 50)
-    assert abs(val) < 1e-8
-
-
-def test_oscillatory_sum_growth_exponent():
-    m = dimer_preset(0.6, 0.5)
-    rep = find_critical_energies(m)[-1]
-    Ns = [1000, 10000, 100000]
-    eps = 0.5 / np.sqrt(Ns[-1])
-    slopes = []
-    for r in range(50):
-        cfg = sample_configuration(m, Ns[-1], seed=31, realization_index=r)
-        sums = oscillatory_sum(m, rep, cfg, eps, 0.1, Ns[-1], checkpoints=Ns)
-        mags = np.abs(sums)
-        slopes.append(np.polyfit(np.log(Ns), np.log(mags), 1)[0])
-    assert np.median(slopes) <= 0.6
 
 
 @settings(max_examples=60)

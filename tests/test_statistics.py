@@ -170,7 +170,8 @@ def test_library_import_leaves_out_scipy_stats():
 
 
 def test_library_import_starts_no_thread():
-    # the IDS pool's executor lives only inside pool_spectra
+    # every executor (the IDS pool, window bisection, the Lyapunov product)
+    # is made per call and shut down before the call returns
     code = "import threading, polyspec.cli; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)

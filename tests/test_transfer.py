@@ -1,3 +1,5 @@
+import inspect
+import threading
 import time
 from unittest import mock
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polyspec import transfer
+from polyspec import eigensolve, transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
                             sample_configuration)
 from polyspec.transfer import (site_matrix, polymer_matrix, polymer_matrix_grid,
@@ -274,6 +276,50 @@ def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed, chunk)
             P, log_scale = block_product(model, cfg, E, 0, stop)
             want = log_scale + np.log(np.linalg.norm(P, 2))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), E=st.floats(-4.0, 4.0), steps=st.integers(2, 3000),
+       R=st.integers(2, 7), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 700),
+       cpus=st.sampled_from([2, 3, 5]))
+@example(model=dimer_preset(0.5, 0.5), E=0.5, steps=2, R=2, seed=1, chunk=1, cpus=5)
+def test_lyapunov_split_equals_serial(model, E, steps, R, seed, chunk, cpus):
+    # bit for bit against one serial range, for more workers than realizations
+    # too, with sign chunks that straddle half_at
+    def run(c):
+        with mock.patch.object(eigensolve, "_cpus", return_value=c), \
+                mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0), \
+                mock.patch.object(transfer, "_SIGN_CHUNK", chunk):
+            return lyapunov(model, E, steps, R, seed)
+    assert np.array(run(cpus)).tobytes() == np.array(run(1)).tobytes()
+
+
+def test_lyapunov_split_keeps_package_functions_on_calling_thread(monkeypatch):
+    # worker threads draw signs and run the kernel; substreams are made and
+    # every package function runs on the calling thread
+    calls = []
+    for mod in (transfer, eigensolve):
+        for name, fn in list(vars(mod).items()):
+            if inspect.isfunction(fn) and fn.__module__.startswith("polyspec"):
+                def recorded(*args, _fn=fn, **kwargs):
+                    calls.append(threading.get_ident())
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, recorded)
+    kernel, kernel_threads = eigensolve._kernel(), []
+
+    class Recording:
+        def lyapunov_steps(self, *args):
+            kernel_threads.append(threading.get_ident())
+            return kernel.lyapunov_steps(*args)
+
+    monkeypatch.setattr(transfer, "_kernel", lambda: Recording())
+    monkeypatch.setattr(eigensolve, "_cpus", lambda: 2)
+    before = threading.active_count()
+    g, se = transfer.lyapunov(dimer_preset(0.5, 0.5), 0.8, 100000, 16, 3)
+    assert threading.active_count() == before
+    assert 100000 * 16 >= eigensolve._SPLIT_FLOOR and g > 0
+    assert calls and set(calls) == {threading.get_ident()}
+    assert len(set(kernel_threads)) == 2  # the calling thread and one worker
 
 
 def test_lyapunov_rescaling_runs_on_hyperbolic_products():
