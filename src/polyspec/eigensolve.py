@@ -11,8 +11,10 @@ the (operator, eigenvalue index) pairs inside the window, and splits the
 operators over the CPUs of the process's affinity set (`_in_row_ranges`);
 the eigenvalues do not depend on the split.  A LAPACK-backed dense
 decomposition serves as the independent oracle for small instances.  The C
-source of the Sturm sweep also holds the Lyapunov product loop that
-`transfer` calls, so one build and one cached library serve both.
+source of the Sturm sweep also holds the package's other compiled loops: the
+Philox4x64-10 disorder stream and box layout that `model` calls, and the
+Lyapunov product that `transfer` calls, so one build and one cached library
+serve them all.
 """
 from __future__ import annotations
 
@@ -158,6 +160,7 @@ def _in_row_ranges(run, weights, work_per_weight: float) -> None:
 _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* v (L, R) and tsq (L-1, R) hold one operator per column; realization r
    owns the flat columns off[r] .. off[r+1] - 1 of s, counts and d.  One call
@@ -195,32 +198,191 @@ void sturm_counts(int64_t L, int64_t R, int64_t r0, int64_t r1,
     }
 }
 
-/* Advance R running 2x2 products P <- T P by k steps, T = tp where the
-   step's sign is set and tm elsewhere.  signs (R, k), P (R, 2, 2), expo (R),
-   all C-contiguous; tp and tm are row-major 2x2.  The true product is
-   2^expo P: when an entry of P exceeds 2^256, P is scaled by exactly 2^-256,
-   so the only rounding is in the products. */
-void lyapunov_steps(int64_t R, int64_t k, const uint8_t *signs,
-                    const double *tp, const double *tm, double *P, int64_t *expo)
+/* Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: x gets
+   the block with counter (c, 0, 0, 0) under key k. */
+static void philox_block(uint64_t c, const uint64_t *k, uint64_t *x)
+{
+    uint64_t c0 = c, c1 = 0, c2 = 0, c3 = 0, k0 = k[0], k1 = k[1];
+    for (int i = 0; i < 10; ++i) {
+        const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93u * c0;
+        const __uint128_t p1 = (__uint128_t)0xCA5A826395121157u * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c1 = (uint64_t)p1;
+        c3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    x[0] = c0; x[1] = c1; x[2] = c2; x[3] = c3;
+}
+
+static uint32_t hashmix(uint32_t x, uint32_t *h)
+{
+    x ^= *h;
+    *h *= 0x931e8875u;
+    x *= *h;
+    return x ^ (x >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t m = 0xca01f9ddu * x - 0x4973f715u * y;
+    return m ^ (m >> 16);
+}
+
+/* keys (R, 2): the Philox key of numpy's SeedSequence(entropy=seed,
+   spawn_key=(idx[r],)).generate_state(2, np.uint64).  The entropy words are
+   the seed's two 32-bit halves padded to the pool size 4, then the spawn
+   index's one word, or two from 2^32 on. */
+void stream_keys(int64_t R, uint64_t seed, const uint64_t *idx, uint64_t *keys)
 {
     for (int64_t r = 0; r < R; ++r) {
-        const uint8_t *sr = signs + r * k;
-        double *pr = P + 4 * r;
-        double a = pr[0], b = pr[1], c = pr[2], d = pr[3];
-        int64_t e = expo[r];
-        for (int64_t j = 0; j < k; ++j) {
-            const double *t = sr[j] ? tp : tm;
-            const double na = t[0] * a + t[1] * c, nb = t[0] * b + t[1] * d;
-            const double nc = t[2] * a + t[3] * c, nd = t[2] * b + t[3] * d;
-            a = na; b = nb; c = nc; d = nd;
-            if (fabs(a) > 0x1p256 || fabs(b) > 0x1p256 || fabs(c) > 0x1p256
-                || fabs(d) > 0x1p256) {
-                a *= 0x1p-256; b *= 0x1p-256; c *= 0x1p-256; d *= 0x1p-256;
-                e += 256;
+        const uint32_t words[6] = {(uint32_t)seed, (uint32_t)(seed >> 32), 0, 0,
+                                   (uint32_t)idx[r], (uint32_t)(idx[r] >> 32)};
+        const int n = idx[r] >> 32 ? 6 : 5;
+        uint32_t pool[4], h = 0x43b0d7e5u, g = 0x8b51f9ddu, out[4];
+        for (int i = 0; i < 4; ++i)
+            pool[i] = hashmix(words[i], &h);
+        for (int i = 0; i < 4; ++i)
+            for (int m = 0; m < 4; ++m)
+                if (m != i)
+                    pool[m] = mix(pool[m], hashmix(pool[i], &h));
+        for (int i = 4; i < n; ++i)
+            for (int m = 0; m < 4; ++m)
+                pool[m] = mix(pool[m], hashmix(words[i], &h));
+        for (int i = 0; i < 4; ++i) {
+            uint32_t x = pool[i] ^ g;
+            g *= 0x58f38dedu;
+            x *= g;
+            out[i] = x ^ (x >> 16);
+        }
+        keys[2 * r] = out[0] | (uint64_t)out[1] << 32;
+        keys[2 * r + 1] = out[2] | (uint64_t)out[3] << 32;
+    }
+}
+
+/* GROUP streams, or GROUP products, advance in lockstep, so that their
+   independent Philox rounds and matrix products overlap in the CPU */
+enum { GROUP = 8, CHUNK = 256 };
+
+/* below (R, n): whether draws j0 .. j0 + n - 1 of each stream (keys (R, 2))
+   are below p, as numpy's Generator(Philox(key=k)).random(j0 + n)[j0:] < p:
+   draw j is lane j % 4 of the block with counter j / 4 + 1, and its uniform
+   is (x >> 11) 2^-53. */
+void stream_below(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t n, double p,
+                  uint8_t *below)
+{
+    for (int64_t r0 = 0; r0 < R; r0 += GROUP) {
+        /* a short last group repeats its last stream and stores only its own */
+        const int64_t m = R - r0 < GROUP ? R - r0 : GROUP;
+        uint64_t key[GROUP][2];
+        for (int g = 0; g < GROUP; ++g) {
+            const int64_t r = g < m ? r0 + g : R - 1;
+            key[g][0] = keys[2 * r];
+            key[g][1] = keys[2 * r + 1];
+        }
+        for (uint64_t c = j0 / 4; 4 * c < j0 + n; ++c) {
+            const uint64_t lo = 4 * c < j0 ? j0 : 4 * c;
+            const uint64_t hi = 4 * c + 4 < j0 + n ? 4 * c + 4 : j0 + n;
+            uint64_t x[GROUP][4];
+            for (int g = 0; g < GROUP; ++g)
+                philox_block(c + 1, key[g], x[g]);
+            for (int64_t g = 0; g < m; ++g) {
+                uint8_t *out = below + (r0 + g) * n + (lo - j0);
+                if (hi - lo == 4)  /* a whole block: a fixed trip count */
+                    for (int q = 0; q < 4; ++q)
+                        out[q] = (double)(x[g][q] >> 11) * 0x1p-53 < p;
+                else
+                    for (uint64_t j = lo; j < hi; ++j)
+                        out[j - lo] = (double)(x[g][j % 4] >> 11) * 0x1p-53 < p;
             }
         }
-        pr[0] = a; pr[1] = b; pr[2] = c; pr[3] = d;
-        expo[r] = e;
+    }
+}
+
+/* R boxes of L sites, one per stream: v (L, R) and tsq (L-1, R) get the
+   potentials and squared hoppings of sites 0 .. L-1 and 1 .. L-1.  Each box
+   lays polymer blocks from site 0, block b the plus polymer where draw b of
+   its stream is below p; the last block is cut at site L-1.  pv and ptsq
+   hold the plus polymer's lp sites, then the minus polymer's lm.  Returns -1
+   if the scratch cannot be allocated, else 0. */
+int fill_boxes(int64_t L, int64_t R, const uint64_t *keys, double p, int64_t lp,
+               int64_t lm, const double *pv, const double *ptsq, double *v, double *tsq)
+{
+    const int64_t nb = (L - 1) / (lp < lm ? lp : lm) + 1;  /* blocks a box can need */
+    /* one spare entry each: a zero-size request may return NULL */
+    struct box { int64_t at, end, block; } *boxes = calloc(R + 1, sizeof *boxes);
+    uint8_t *plus = malloc(R * nb + 1);
+    if (boxes == NULL || plus == NULL) {
+        free(boxes);
+        free(plus);
+        return -1;
+    }
+    stream_below(R, keys, 0, nb, p, plus);
+    /* sites outermost: each site's row of v and tsq is written once, in order */
+    for (int64_t n = 0; n < L; ++n) {
+        for (int64_t r = 0; r < R; ++r) {
+            struct box *b = boxes + r;
+            if (b->at == b->end) {
+                /* arithmetic, not a branch: the signs are coin flips */
+                const int64_t minus = !plus[r * nb + b->block++];
+                b->at = minus * lp;
+                b->end = lp + minus * lm;
+            }
+            v[n * R + r] = pv[b->at];
+            if (n > 0)
+                tsq[(n - 1) * R + r] = ptsq[b->at];
+            ++b->at;
+        }
+    }
+    free(boxes);
+    free(plus);
+    return 0;
+}
+
+/* Advance R running 2x2 products P <- T P by steps j0 .. j0 + k - 1, step j
+   taking T = tp where draw j of the realization's stream (keys (R, 2)) is
+   below p and tm elsewhere.  P (R, 2, 2) and expo (R) are C-contiguous; tp
+   and tm are row-major 2x2.  The true product is 2^expo P: when an entry of
+   P exceeds 2^256, P is scaled by exactly 2^-256, so the only rounding is in
+   the products.  A short last group repeats its last realization and stores
+   only its own. */
+void lyapunov_steps(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t k, double p,
+                    const double *tp, const double *tm, double *P, int64_t *expo)
+{
+    for (int64_t r0 = 0; r0 < R; r0 += GROUP) {
+        uint64_t key[2 * GROUP];
+        double a[GROUP], b[GROUP], c[GROUP], d[GROUP];
+        int64_t e[GROUP];
+        for (int g = 0; g < GROUP; ++g) {
+            const int64_t r = r0 + g < R ? r0 + g : R - 1;
+            key[2 * g] = keys[2 * r];
+            key[2 * g + 1] = keys[2 * r + 1];
+            a[g] = P[4 * r]; b[g] = P[4 * r + 1]; c[g] = P[4 * r + 2]; d[g] = P[4 * r + 3];
+            e[g] = expo[r];
+        }
+        for (uint64_t j = j0; j < j0 + k; j += CHUNK) {
+            const uint64_t n = j0 + k - j < CHUNK ? j0 + k - j : CHUNK;
+            uint8_t plus[GROUP * CHUNK];
+            stream_below(GROUP, key, j, n, p, plus);
+            for (uint64_t i = 0; i < n; ++i)
+                for (int g = 0; g < GROUP; ++g) {
+                    const double *t = plus[g * n + i] ? tp : tm;
+                    const double na = t[0] * a[g] + t[1] * c[g], nb = t[0] * b[g] + t[1] * d[g];
+                    const double nc = t[2] * a[g] + t[3] * c[g], nd = t[2] * b[g] + t[3] * d[g];
+                    a[g] = na; b[g] = nb; c[g] = nc; d[g] = nd;
+                    if (fabs(na) > 0x1p256 || fabs(nb) > 0x1p256 || fabs(nc) > 0x1p256
+                        || fabs(nd) > 0x1p256) {
+                        a[g] *= 0x1p-256; b[g] *= 0x1p-256; c[g] *= 0x1p-256; d[g] *= 0x1p-256;
+                        e[g] += 256;
+                    }
+                }
+        }
+        for (int g = 0; g < GROUP && r0 + g < R; ++g) {
+            const int64_t r = r0 + g;
+            P[4 * r] = a[g]; P[4 * r + 1] = b[g]; P[4 * r + 2] = c[g]; P[4 * r + 3] = d[g];
+            expo[r] = e[g];
+        }
     }
 }
 """
@@ -239,8 +401,7 @@ def _cpu_flags() -> str:
 
 
 def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
-    """Path of the compiled kernels (Sturm sweep and Lyapunov product) in
-    cache_dir, built on a cache miss.
+    """Path of the compiled kernels in cache_dir, built on a cache miss.
 
     The cache key covers the C source, the flags and the host CPU's feature
     flags (`-march=native`).  The library is written under a temporary name
@@ -271,15 +432,22 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
 
 
 def _load_kernel(lib: Path) -> ctypes.CDLL:
-    """The library with typed `sturm_counts` and `lyapunov_steps` entry points."""
+    """The library with typed entry points: the Sturm sweep, the Philox stream
+    (`stream_keys`, `stream_below`), the box fill and the Lyapunov product."""
     dll = ctypes.CDLL(str(lib))
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
-    dll.sturm_counts.argtypes = [ctypes.c_int64] * 4 + [i64, f64, f64, f64, ctypes.c_double,
-                                                        i64, f64]
-    dll.lyapunov_steps.argtypes = [ctypes.c_int64] * 2 + [u8, f64, f64, f64, i64]
-    dll.sturm_counts.restype = dll.lyapunov_steps.restype = None
+    n, j = ctypes.c_int64, ctypes.c_uint64
+    dll.sturm_counts.argtypes = [n] * 4 + [i64, f64, f64, f64, ctypes.c_double, i64, f64]
+    dll.stream_keys.argtypes = [n, j, u64, u64]
+    dll.stream_below.argtypes = [n, u64, j, j, ctypes.c_double, u8]
+    dll.fill_boxes.argtypes = [n, n, u64, ctypes.c_double, n, n, f64, f64, f64, f64]
+    dll.lyapunov_steps.argtypes = [n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
+    for f in (dll.sturm_counts, dll.stream_keys, dll.stream_below, dll.lyapunov_steps):
+        f.restype = None
+    dll.fill_boxes.restype = ctypes.c_int
     return dll
 
 

@@ -4,6 +4,12 @@ A polymer model is built from two finite blocks ("polymers") of lattice
 sites, each carrying fixed potential and hopping values. Blocks are laid
 head-to-tail along the lattice, each block chosen independently: the plus
 polymer with probability p_plus, the minus polymer otherwise.
+
+Realization r of seed s draws its block signs from its own Philox4x64-10
+stream, `substream(s, r)`.  The library draws them in the compiled kernels
+of `eigensolve`, which derive each stream's key as numpy's SeedSequence does
+and reproduce `substream(s, r).random(n) < p_plus` bit for bit; the boxes of
+`potentials_for_sites_batch` are laid out there too.
 """
 from __future__ import annotations
 
@@ -35,11 +41,38 @@ def substream(seed: int, realization_index: int) -> np.random.Generator:
 
     Streams derived from the same master seed but different realization
     indices are statistically independent and reproducible under any
-    parallel schedule.
+    parallel schedule.  The library draws the same streams in compiled code
+    (`_stream_keys`, `_draws_below`); this Generator is their public numpy
+    form.
     """
     ss = np.random.SeedSequence(entropy=int(seed) % 2**64,
                                 spawn_key=(int(realization_index),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _stream_keys(seed: int, realization_indices) -> np.ndarray:
+    """(R, 2) uint64 Philox keys of the realizations' substreams, derived
+    in one compiled call."""
+    from .eigensolve import _kernel  # eigensolve imports this module
+    idx = [int(r) for r in realization_indices]
+    if any(r < 0 for r in idx):  # a negative numpy integer would wrap to uint64
+        raise ValueError("realization indices must be >= 0")
+    idx = np.array(idx, dtype=np.uint64)
+    keys = np.empty((idx.size, 2), dtype=np.uint64)
+    _kernel().stream_keys(idx.size, int(seed) % 2**64, idx, keys)
+    return keys
+
+
+def _draws_below(seed: int, realization_indices, p: float, count: int,
+                 start: int = 0) -> np.ndarray:
+    """(R, count) bool: whether draws start .. start + count - 1 of each
+    realization's substream are below p, bit for bit
+    substream(seed, r).random(start + count)[start:] < p."""
+    from .eigensolve import _kernel
+    keys = _stream_keys(seed, realization_indices)
+    below = np.empty((len(keys), count), dtype=bool)
+    _kernel().stream_below(len(keys), keys, start, count, p, below)
+    return below
 
 
 def _freeze(a):
@@ -93,10 +126,6 @@ class PolymerModel:
     @property
     def mean_length(self) -> float:
         return self.mean(self.plus.length, self.minus.length)
-
-    @property
-    def equal_lengths(self) -> bool:
-        return self.plus.length == self.minus.length
 
     @property
     def gershgorin_bound(self) -> tuple[float, float]:
@@ -159,8 +188,7 @@ def sample_configuration(model: PolymerModel, num_blocks: int, seed: int,
     """Draw iid block signs and lay the polymers from the origin."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    rng = substream(seed, realization_index)
-    signs = rng.random(num_blocks) < model.p_plus
+    signs = _draws_below(seed, [realization_index], model.p_plus, num_blocks)[0]
     lengths = np.where(signs, model.plus.length, model.minus.length)
     nodes = np.concatenate([[0], np.cumsum(lengths)])
     return Configuration(signs=signs, nodes=nodes, seed=int(seed),
@@ -172,16 +200,11 @@ def build_sequences(model: PolymerModel, config: Configuration) -> LatticeSequen
     lengths = np.where(config.signs, model.plus.length, model.minus.length)
     if not np.array_equal(np.diff(config.nodes), lengths):
         raise ValueError("configuration nodes are inconsistent with model polymer lengths")
-    if model.equal_lengths:
-        v = np.where(config.signs[:, None], model.plus.potentials[None, :],
-                     model.minus.potentials[None, :]).ravel()
-        t = np.where(config.signs[:, None], model.plus.hoppings[None, :],
-                     model.minus.hoppings[None, :]).ravel()
-    else:
-        v = np.concatenate([model.plus.potentials if s else model.minus.potentials
-                            for s in config.signs])
-        t = np.concatenate([model.plus.hoppings if s else model.minus.hoppings
-                            for s in config.signs])
+    # site i of block n is entry first[n] + i of the polymers' joined tables
+    first = np.where(config.signs, 0, model.plus.length)
+    at = np.arange(config.num_sites) + np.repeat(first - config.nodes[:-1], lengths)
+    v = np.concatenate([model.plus.potentials, model.minus.potentials])[at]
+    t = np.concatenate([model.plus.hoppings, model.minus.hoppings])[at]
     return LatticeSequences(potentials=v, hoppings=t, num_sites=int(config.nodes[-1]))
 
 
@@ -209,31 +232,26 @@ def lattice_for_sites(model: PolymerModel, num_sites: int, seed: int,
 
 def potentials_for_sites_batch(model: PolymerModel, num_sites: int, seed: int,
                                realization_indices) -> tuple[np.ndarray, np.ndarray]:
-    """Potential and hopping matrices, one column per realization.
+    """Potentials and squared hoppings of boxes, one column per realization.
 
-    Returns (v, t) with shape (num_sites, R).  Fast path for equal polymer
-    lengths; the general case concatenates per realization.  Column r is
-    bit-identical to lattice_for_sites(model, num_sites, seed, indices[r]).
+    Returns (v, tsq) with shapes (num_sites, R) and (num_sites - 1, R), the
+    two arrays every sweep reads: column r is bit for bit the potentials and
+    squared hoppings t(1)^2 .. t(L-1)^2 of lattice_for_sites(model,
+    num_sites, seed, indices[r]).  One compiled call draws every
+    realization's signs and lays its blocks.
     """
-    idx = list(realization_indices)
-    if model.equal_lengths:
-        L = model.plus.length
-        nblocks = num_sites // L + 1
-        signs = np.empty((nblocks, len(idx)), dtype=bool)
-        for j, r in enumerate(idx):
-            signs[:, j] = substream(seed, r).random(nblocks) < model.p_plus
-        v = np.where(signs[:, None, :], model.plus.potentials[None, :, None],
-                     model.minus.potentials[None, :, None]).reshape(-1, len(idx))
-        t = np.where(signs[:, None, :], model.plus.hoppings[None, :, None],
-                     model.minus.hoppings[None, :, None]).reshape(-1, len(idx))
-        return v[:num_sites], t[:num_sites]
-    v = np.empty((num_sites, len(idx)))
-    t = np.empty((num_sites, len(idx)))
-    for j, r in enumerate(idx):
-        seq = lattice_for_sites(model, num_sites, seed, r)
-        v[:, j] = seq.potentials
-        t[:, j] = seq.hoppings
-    return v, t
+    if num_sites < 1:
+        raise ValueError("num_sites must be >= 1")
+    from .eigensolve import _kernel
+    keys = _stream_keys(seed, realization_indices)
+    R = len(keys)
+    v, tsq = np.empty((num_sites, R)), np.empty((num_sites - 1, R))
+    pv = np.concatenate([model.plus.potentials, model.minus.potentials])
+    ptsq = np.concatenate([model.plus.hoppings, model.minus.hoppings]) ** 2
+    if _kernel().fill_boxes(num_sites, R, keys, model.p_plus, model.plus.length,
+                            model.minus.length, pv, ptsq, v, tsq):
+        raise MemoryError("no memory for the box sampler's signs and per-box state")
+    return v, tsq
 
 
 def dimer_preset(V: float, p: float) -> PolymerModel:

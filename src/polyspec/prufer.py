@@ -115,15 +115,16 @@ def prufer_trace(seq: LatticeSequences, M: np.ndarray, E: float,
                        log_amplitudes=logamp, energy=float(E))
 
 
-def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.ndarray:
+def free_phase_batch(v: np.ndarray, tsq: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Final lifted free phase for many disorder columns and energies at once.
 
     One Sturm sweep gives theta_L by the pivot formula of the module
-    docstring; t(0) does not enter.
+    docstring.
 
     Parameters
     ----------
-    v, t : (L, R) per-site potentials and hoppings, one realization per column.
+    v : (L, R) per-site potentials, one realization per column.
+    tsq : (L-1, R) squared hoppings t(1)^2 .. t(L-1)^2.
     energies : (R, K) energies; column broadcasting pairs realization r with
         its K probe energies.
 
@@ -131,30 +132,31 @@ def free_phase_batch(v: np.ndarray, t: np.ndarray, energies: np.ndarray) -> np.n
     -------
     (R, K) array of theta^0_L continuous lifts.
     """
-    counts, d = sturm_counts_batch(v, t[1:] ** 2, np.asarray(energies, float))
+    counts, d = sturm_counts_batch(v, tsq, np.asarray(energies, float))
     return np.pi * counts + np.arctan(1.0 / d)
 
 
-def relative_prufer_batch(v: np.ndarray, t: np.ndarray, M: np.ndarray, E_c: float,
+def relative_prufer_batch(v: np.ndarray, tsq: np.ndarray, M: np.ndarray, E_c: float,
                           n_Ec: float, xs) -> np.ndarray:
     """Relative Prufer angle Psi_L(x) = (theta_L(E_c + x/(n L)) - theta_L(E_c)) / pi.
 
-    v, t are (L, R) per-site potentials and hoppings, one realization per
-    column; returns (R, len(xs)).
+    v (L, R) and tsq (L-1, R) are per-site potentials and squared hoppings,
+    one realization per column, as free_phase_batch takes them; returns
+    (R, len(xs)).
     """
     if n_Ec <= 0:
         raise ValueError("n_Ec must be positive")
     xs = np.asarray(xs, float)
     L, R = v.shape
     energies = E_c + np.concatenate([[0.0], xs]) / (n_Ec * L)
-    thm = angle_map_m(M, free_phase_batch(v, t, np.tile(energies, (R, 1))))
+    thm = angle_map_m(M, free_phase_batch(v, tsq, np.tile(energies, (R, 1))))
     return (thm[:, 1:] - thm[:, [0]]) / np.pi
 
 
 def relative_prufer(seq: LatticeSequences, M: np.ndarray, E_c: float,
                     n_Ec: float, xs) -> np.ndarray:
     """Psi_L(x) of one box; see relative_prufer_batch."""
-    return relative_prufer_batch(seq.potentials[:, None], seq.hoppings[:, None],
+    return relative_prufer_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
                                  M, E_c, n_Ec, xs)[0]
 
 

@@ -190,9 +190,8 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
     decides the rest exactly.
     """
     idx = list(realization_indices)
-    boxes = [(v, t[1:] ** 2) for v, t in (
-        potentials_for_sites_batch(model, L_ids, seed, idx[s:s + _BATCH])
-        for s in range(0, len(idx), _BATCH))]
+    boxes = [potentials_for_sites_batch(model, L_ids, seed, idx[s:s + _BATCH])
+             for s in range(0, len(idx), _BATCH)]
     n = L_ids * len(idx)
 
     def count(energies) -> np.ndarray:
@@ -276,10 +275,10 @@ class ClockSpacingSample:
 
 def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realizations: int,
              size: int = _BATCH) -> list:
-    """[fn(indices, v, t)] over consecutive fixed-size realization batches.
+    """[fn(indices, v, tsq)] over consecutive fixed-size realization batches.
 
-    Each batch's disorder (v, t) exists only as fn's arguments, so one batch
-    at a time is in memory.
+    Each batch's disorder (v, tsq) exists only as fn's arguments, so one
+    batch at a time is in memory.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -322,7 +321,7 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
         a, b = E0 - half, E0 + half
     if not b > a:
         raise ValueError("empty energy window (window_atoms too small for the IDS resolution)")
-    parts = _batched(lambda idx, v, t: eigenvalues_in_window_batch(v, t[1:] ** 2, a, b),
+    parts = _batched(lambda idx, v, tsq: eigenvalues_in_window_batch(v, tsq, a, b),
                      model, L_sites, seed, realizations)
     samples = []
     for r, e in enumerate(e for part in parts for e in part):
@@ -469,8 +468,8 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
 def uniformity_test(model: PolymerModel, report: CriticalEnergyReport,
                     L_sites: int, realizations: int, seed: int) -> dict:
     """KS distance of the fractional Prufer phase phi(E_c, L)/pi to U[0,1)."""
-    def batch(idx, v, t):
-        free = free_phase_batch(v, t, np.full((len(idx), 1), report.energy))[:, 0]
+    def batch(idx, v, tsq):
+        free = free_phase_batch(v, tsq, np.full((len(idx), 1), report.energy))[:, 0]
         return angle_map_m(report.diagonalizer, free) % np.pi
 
     phis = np.concatenate(_batched(batch, model, L_sites, seed, realizations))
@@ -483,8 +482,8 @@ def psi_errors(model: PolymerModel, report: CriticalEnergyReport, L_sites: int,
     """Per-realization sup_x |Psi_L(x) - x| over the points xs."""
     n_Ec = _critical_density(model, report)
     xs = np.asarray(xs, float)
-    def batch(idx, v, t):
-        psi = relative_prufer_batch(v, t, report.diagonalizer, report.energy, n_Ec, xs)
+    def batch(idx, v, tsq):
+        psi = relative_prufer_batch(v, tsq, report.diagonalizer, report.energy, n_Ec, xs)
         return np.abs(psi - xs[None, :]).max(axis=1)
 
     return np.concatenate(_batched(batch, model, L_sites, seed, realizations,
@@ -546,8 +545,8 @@ def minami_probe(model: PolymerModel, L_sites: int, beta: float, gamma: float,
     ell1 = max(int(round(L_sites ** beta)), 2)
     width = c2 / L_sites ** gamma
     a, b = E0 - width / 2.0, E0 + width / 2.0
-    def batch(idx, v, t):
-        ends, _ = sturm_counts_batch(v, t[1:] ** 2, np.tile([[a, b]], (len(idx), 1)))
+    def batch(idx, v, tsq):
+        ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (len(idx), 1)))
         return ends[:, 1] - ends[:, 0]
 
     counts = np.concatenate(_batched(batch, model, ell1, seed, realizations))

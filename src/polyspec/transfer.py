@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import _in_row_ranges, _kernel
-from .model import PolymerModel, PolymerSpec, Configuration, substream
+from .model import PolymerModel, PolymerSpec, Configuration, _stream_keys
 
 __all__ = [
     "rotation",
@@ -361,11 +361,6 @@ def _validate_branch(model: PolymerModel, reports) -> None:
                           f"d-={coeffs.d_minus:.3g})")
 
 
-# signs drawn per kernel call; Generator.random gives the same stream for
-# any chunk size, so this bounds memory without moving a result
-_SIGN_CHUNK = 1 << 16
-
-
 def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
                         realization_indices, seed: int):
     """(half_at, log-norms at half_at, log-norms at steps) of each realization's
@@ -373,10 +368,12 @@ def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
 
     half_at is the first multiple of 1024 at or above steps // 2, or steps // 2
     itself when that multiple would reach steps.  The products run in the
-    compiled kernel, which keeps each as 2^e P with exact power-of-two rescaling.
-    The realizations are split into ranges, one per CPU (`_in_row_ranges`);
-    each range's thread draws its realizations' signs and advances their
-    products, so the result does not depend on the split.
+    compiled kernel, which draws each step's sign from the realization's
+    Philox stream and keeps the product as 2^e P with exact power-of-two
+    rescaling.  The realizations are split into ranges, one per CPU
+    (`_in_row_ranges`); each range's thread advances its products over
+    [0, half_at) and then [half_at, steps), so the result does not depend on
+    the split.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -385,25 +382,19 @@ def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
         half_at = steps // 2
     Tp = polymer_matrix(model.plus, E)
     Tm = polymer_matrix(model.minus, E)
-    rngs = [substream(seed, r) for r in realization_indices]
-    R = len(rngs)
+    keys = _stream_keys(seed, realization_indices)
+    R = len(keys)
     prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
     expo = np.zeros(R, dtype=np.int64)
     half_prod, half_expo = np.empty_like(prod), np.empty_like(expo)
-    steps_kernel = _kernel().lyapunov_steps
+    steps_kernel, p = _kernel().lyapunov_steps, model.p_plus
 
     def advance(r0: int, r1: int) -> None:
-        done = 0
-        for stop in (half_at, steps):
-            while done < stop:
-                k = min(_SIGN_CHUNK, stop - done)
-                signs = np.empty((r1 - r0, k), dtype=bool)
-                for r in range(r0, r1):
-                    signs[r - r0] = rngs[r].random(k) < model.p_plus
-                steps_kernel(r1 - r0, k, signs, Tp, Tm, prod[r0:r1], expo[r0:r1])
-                done += k
-            if stop == half_at:
-                half_prod[r0:r1], half_expo[r0:r1] = prod[r0:r1], expo[r0:r1]
+        rows = slice(r0, r1)
+        steps_kernel(r1 - r0, keys[rows], 0, half_at, p, Tp, Tm, prod[rows], expo[rows])
+        half_prod[rows], half_expo[rows] = prod[rows], expo[rows]
+        steps_kernel(r1 - r0, keys[rows], half_at, steps - half_at, p, Tp, Tm,
+                     prod[rows], expo[rows])
 
     _in_row_ranges(advance, np.full(R, steps), 1)
     log_norms = [e * np.log(2.0) + np.log(np.linalg.norm(P, ord=2, axis=(1, 2)))
@@ -423,7 +414,7 @@ def lyapunov(model: PolymerModel, E: float, steps: int, realizations: int,
     """Lyapunov exponent estimate (per site) with its standard error.
 
     Each realization multiplies `steps` polymer matrices, signs drawn from its
-    own substream, in one compiled loop that keeps the running product as
+    own substream inside one compiled loop that keeps the running product as
     2^e P and rescales it by exact powers of two; the realizations run on
     every CPU of the affinity set, with the same result for any CPU count.
     The estimate is the log-norm increment from half_at to steps per site,

@@ -1,4 +1,5 @@
 import inspect
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -10,12 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polyspec import eigensolve
 
 from polyspec.model import (LatticeSequences, PolymerModel, PolymerSpec, dimer_preset,
-                            lattice_for_sites, potentials_for_sites_batch)
+                            lattice_for_sites, potentials_for_sites_batch, substream)
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
                                  gershgorin_interval, sturm_count, sturm_counts_batch,
                                  eigenvalues_in_window, eigenvalues_in_window_batch,
                                  dense_oracle, _pivmin,
-                                 _build_kernel, _load_kernel)
+                                 _build_kernel, _load_kernel, _CFLAGS, _KERNELS_C)
 
 from conftest import explicit_models
 
@@ -210,8 +211,7 @@ def test_window_eigenvalues_match_oracle(case):
 @given(case=windowed_models())
 def test_window_batch_columns_match_single(case):
     model, L, seed, u = case
-    v, t = potentials_for_sites_batch(model, L, seed, [0, 1, 2])
-    tsq = t[1:] ** 2
+    v, tsq = potentials_for_sites_batch(model, L, seed, [0, 1, 2])
     a, b = _window(build_hamiltonian(lattice_for_sites(model, L, seed, 1)), u)
     batch = eigenvalues_in_window_batch(v, tsq, a, b)
     single = eigenvalues_in_window_batch(v[:, [1]], tsq[:, [1]], a, b)[0]
@@ -246,8 +246,7 @@ def test_window_batch_split_equals_serial_rectangle(case, R, cpus):
     # bit for bit, for any number of row ranges: R below the worker count,
     # one-site boxes, and windows empty for some or all realizations
     model, L, seed, u = case
-    v, t = potentials_for_sites_batch(model, L, seed, range(R))
-    tsq = t[1:] ** 2
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
     a, b = _window(build_hamiltonian(lattice_for_sites(model, L, seed)), u)
     want = _rectangle_bisection(v, tsq, a, b)
     with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
@@ -261,7 +260,8 @@ def _record_kernel_threads(monkeypatch) -> list:
     kernel, idents = eigensolve._kernel(), []
 
     class Recording:
-        lyapunov_steps = kernel.lyapunov_steps
+        def __getattr__(self, name):
+            return getattr(kernel, name)
 
         def sturm_counts(self, *args):
             idents.append(threading.get_ident())
@@ -282,13 +282,13 @@ def test_window_split_keeps_package_functions_on_calling_thread(monkeypatch):
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(eigensolve, name, recorded)
     kernel_threads = _record_kernel_threads(monkeypatch)
-    v, t = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 2000, 5, range(64))
-    want = _rectangle_bisection(v, t[1:] ** 2, 1.15, 1.25)
+    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 2000, 5, range(64))
+    want = _rectangle_bisection(v, tsq, 1.15, 1.25)
     monkeypatch.setattr(eigensolve, "_cpus", lambda: 3)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
     try:
-        evs = eigensolve.eigenvalues_in_window_batch(v, t[1:] ** 2, 1.15, 1.25)
+        evs = eigensolve.eigenvalues_in_window_batch(v, tsq, 1.15, 1.25)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -305,8 +305,8 @@ def test_window_below_floor_starts_no_thread(monkeypatch):
     monkeypatch.setattr(eigensolve, "ThreadPoolExecutor", no_executor)
     monkeypatch.setattr(eigensolve, "_cpus", lambda: 4)
     kernel_threads = _record_kernel_threads(monkeypatch)
-    v, t = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 200, 5, range(16))
-    evs = eigenvalues_in_window_batch(v, t[1:] ** 2, 1.15, 1.25)
+    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 200, 5, range(16))
+    evs = eigenvalues_in_window_batch(v, tsq, 1.15, 1.25)
     assert 0 < 200 * sum(e.size for e in evs) < eigensolve._SPLIT_FLOOR
     assert set(kernel_threads) == {threading.get_ident()}
 
@@ -335,19 +335,19 @@ def sturm_batches(draw):
     L = draw(st.integers(1, 40))
     R = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    v, t = potentials_for_sites_batch(model, L, seed, range(R))
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
     K = draw(st.integers(1, 5))
     kinds = draw(st.lists(st.sampled_from(["eig", "v0", "interval"]), min_size=K, max_size=K))
     u = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
     shifts = np.empty((R, K))
     for r in range(R):
-        H = TridiagonalOperator(diagonal=v[:, r], offdiagonal=t[1:, r], num_sites=L)
+        H = build_hamiltonian(lattice_for_sites(model, L, seed, r))
         ev = dense_oracle(H)[0].eigenvalues
         lo, hi = gershgorin_interval(H)
         for k in range(K):
             shifts[r, k] = {"eig": ev[int(u[k] * (L - 1))], "v0": v[0, r],
                             "interval": lo - 1.0 + u[k] * (hi - lo + 2.0)}[kinds[k]]
-    return v, t[1:] ** 2, shifts
+    return v, tsq, shifts
 
 
 @settings(max_examples=100)
@@ -373,6 +373,12 @@ def test_sturm_batch_rejects_mismatched_shapes():
         sturm_counts_batch(np.zeros((0, 2)), np.ones((0, 2)), np.zeros((2, 1)))
 
 
+def test_kernel_source_compiles_without_warnings():
+    cmd = ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"]
+    out = subprocess.run(cmd, input=_KERNELS_C, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_kernel_build_without_compiler_raises(tmp_path):
     with pytest.raises(RuntimeError, match="requires a C compiler"):
         _build_kernel(tmp_path, compiler=str(tmp_path / "no-such-cc"))
@@ -393,8 +399,15 @@ def test_kernel_builds_into_fresh_cache(tmp_path):
     ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
-    # the same library holds the Lyapunov product: three steps T-, T+, T+
+    # the same library holds the Philox stream and the Lyapunov product:
+    # draws 1, 2, 3 of substream(0, 2) are below 1/2, above, below, so the
+    # three steps are T+, T-, T+
+    keys = np.empty((1, 2), dtype=np.uint64)
+    kernels.stream_keys(1, 0, np.array([2], dtype=np.uint64), keys)
+    assert np.array_equal(keys[0], np.random.SeedSequence(0, spawn_key=(2,))
+                          .generate_state(2, np.uint64))
+    assert np.array_equal(substream(0, 2).random(4)[1:] < 0.5, [True, False, True])
     tp, tm = np.array([[2.0, -1.0], [1.0, 0.5]]), np.array([[0.5, -1.0], [1.5, 0.25]])
     prod, expo = np.eye(2)[None].copy(), np.zeros(1, dtype=np.int64)
-    kernels.lyapunov_steps(1, 3, np.array([[False, True, True]]), tp, tm, prod, expo)
-    assert np.array_equal(prod[0], tp @ tp @ tm) and expo[0] == 0
+    kernels.lyapunov_steps(1, keys, 1, 3, 0.5, tp, tm, prod, expo)
+    assert np.array_equal(prod[0], tp @ tm @ tp) and expo[0] == 0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyspec.model import (PolymerSpec, PolymerModel, sample_configuration,
                             build_sequences, lattice_for_sites, lattice_for_blocks,
                             dimer_preset, anderson_preset, model_from_dict,
-                            model_to_dict, substream, potentials_for_sites_batch)
+                            model_to_dict, substream, potentials_for_sites_batch,
+                            _draws_below, _stream_keys)
+
+from conftest import explicit_models
 
 
 def test_dimer_preset_values():
@@ -149,24 +153,76 @@ def test_lattice_for_sites_truncates():
     assert blocks.num_sites == 8
 
 
-def test_batch_matches_single():
-    m = dimer_preset(0.6, 0.4)
-    v, t = potentials_for_sites_batch(m, 31, 99, range(2, 6))
-    for j, r in enumerate(range(2, 6)):
-        seq = lattice_for_sites(m, 31, 99, r)
-        assert np.array_equal(v[:, j], seq.potentials)
-        assert np.array_equal(t[:, j], seq.hoppings)
+@settings(max_examples=60)
+@given(model=explicit_models(), L=st.integers(1, 60), seed=st.integers(-2 ** 63, 2 ** 64 - 1),
+       first=st.sampled_from([0, 10 ** 6 + 3, 2 ** 32 + 5]), R=st.integers(1, 5))
+@example(model=dimer_preset(0.6, 0.4), L=31, seed=99, first=2, R=4)
+def test_batch_matches_single(model, L, seed, first, R):
+    # every column, equal polymer lengths or not, is the single box's
+    # potentials and squared hoppings bit for bit
+    indices = range(first, first + R)
+    v, tsq = potentials_for_sites_batch(model, L, seed, indices)
+    assert v.shape == (L, R) and tsq.shape == (L - 1, R)
+    for j, r in enumerate(indices):
+        seq = lattice_for_sites(model, L, seed, r)
+        assert v[:, j].tobytes() == seq.potentials.tobytes()
+        assert tsq[:, j].tobytes() == (seq.hoppings[1:] ** 2).tobytes()
 
 
 def test_batch_matches_single_unequal_lengths():
     m = PolymerModel(plus=PolymerSpec(1, [0.3], [1.0]),
                      minus=PolymerSpec(3, [-0.1, 0.0, 0.1], [1.0, 2.0, 1.0]),
                      p_plus=0.5)
-    v, t = potentials_for_sites_batch(m, 17, 5, range(3))
+    v, tsq = potentials_for_sites_batch(m, 17, 5, range(3))
     for j in range(3):
         seq = lattice_for_sites(m, 17, 5, j)
         assert np.array_equal(v[:, j], seq.potentials)
-        assert np.array_equal(t[:, j], seq.hoppings)
+        assert np.array_equal(tsq[:, j], seq.hoppings[1:] ** 2)
+
+
+def test_batch_validates_num_sites_and_indices():
+    m = dimer_preset(0.6, 0.5)
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="num_sites must be >= 1"):
+            potentials_for_sites_batch(m, L, 1, range(4))
+    v, tsq = potentials_for_sites_batch(m, 5, 1, [])
+    assert v.shape == (5, 0) and tsq.shape == (4, 0)
+    v, tsq = potentials_for_sites_batch(m, 1, 1, range(3))
+    assert v.shape == (1, 3) and tsq.shape == (0, 3)
+    for idx in ([-1], np.array([2, -1])):
+        with pytest.raises(ValueError, match="realization indices must be >= 0"):
+            potentials_for_sites_batch(m, 5, 1, idx)
+
+
+# seeds and spawn indices of one and of two 32-bit words, and negative seeds
+_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -1, -(2 ** 40) - 7]
+_INDICES = [0, 1, 10 ** 6, 10 ** 6 + 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 64 - 1]
+
+
+def test_compiled_stream_matches_substream():
+    # the key, the block and lane of each draw, and the uniform compared with
+    # p, bit for bit against numpy, at every count and at starts off the
+    # 4-draw block boundary
+    for seed in _SEEDS:
+        keys = _stream_keys(seed, _INDICES)
+        for index, key in zip(_INDICES, keys):
+            ss = np.random.SeedSequence(entropy=seed % 2 ** 64, spawn_key=(index,))
+            assert key.tobytes() == ss.generate_state(2, np.uint64).tobytes()
+        for count in (0, 1, 3, 4, 5, 2001):
+            for start in (0, 1, 6, 4099):
+                got = _draws_below(seed, _INDICES, 0.3, count, start)
+                for row, index in zip(got, _INDICES):
+                    want = substream(seed, index).random(start + count)[start:] < 0.3
+                    assert row.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(-2 ** 63, 2 ** 64 - 1), index=st.integers(0, 2 ** 64 - 1),
+       count=st.integers(0, 300), start=st.integers(0, 4099), model=explicit_models())
+def test_compiled_draws_match_substream(seed, index, count, start, model):
+    want = substream(seed, index).random(start + count)[start:] < model.p_plus
+    got = _draws_below(seed, [index], model.p_plus, count, start)[0]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_model_dict_roundtrip():

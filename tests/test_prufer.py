@@ -129,7 +129,8 @@ def test_winding_count_matches_oracle(case):
     seq, Es = case
     Es = np.sort(Es)
     ref = dense_oracle(build_hamiltonian(seq))[0].eigenvalues
-    theta = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None], Es[None, :])[0]
+    theta = free_phase_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
+                             Es[None, :])[0]
     winding = np.floor(theta / np.pi + 0.5).astype(int)
     assert np.array_equal(winding, np.searchsorted(ref, Es))
     assert np.array_equal(sturm_count(build_hamiltonian(seq), Es), winding)
@@ -214,7 +215,7 @@ def test_free_phase_batch_matches_trace(case):
     H = build_hamiltonian(seq)
     probes = np.concatenate([dense_oracle(H)[0].eigenvalues[::-(-seq.num_sites // 5)],
                              seq.potentials[:1]])
-    out = free_phase_batch(seq.potentials[:, None], seq.hoppings[:, None],
+    out = free_phase_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
                            np.concatenate([Es, probes])[None, :])[0]
     for E, theta in zip(Es, out):
         assert abs(theta - prufer_trace(seq, np.eye(2), float(E)).free_angles[-1]) < 1e-9
@@ -228,9 +229,10 @@ def test_free_phase_batch_matches_trace(case):
 @settings(max_examples=40)
 @given(model=explicit_models(), L=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
 def test_free_phase_batch_columns_match_single(model, L, seed):
-    v, t = potentials_for_sites_batch(model, L, seed, range(3))
-    Es = np.random.default_rng(seed).uniform(v.min() - 2 * t.max(), v.max() + 2 * t.max(),
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(3))
+    t_max = np.sqrt(tsq.max(initial=0.0))
+    Es = np.random.default_rng(seed).uniform(v.min() - 2 * t_max, v.max() + 2 * t_max,
                                              size=(3, 4))
-    batch = free_phase_batch(v, t, Es)
+    batch = free_phase_batch(v, tsq, Es)
     for r in range(3):
-        assert np.array_equal(batch[r], free_phase_batch(v[:, [r]], t[:, [r]], Es[[r]])[0])
+        assert np.array_equal(batch[r], free_phase_batch(v[:, [r]], tsq[:, [r]], Es[[r]])[0])

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from polyspec import eigensolve, transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
-                            sample_configuration)
+                            sample_configuration, _stream_keys)
 from polyspec.transfer import (site_matrix, polymer_matrix, polymer_matrix_grid,
                                block_product, find_critical_energies, diagonalizer,
                                irrationality_check, expansion_coeffs, lyapunov,
@@ -260,15 +260,14 @@ def test_lyapunov_free_chain_and_dichotomy():
 # kernel's rescaling branch runs
 @settings(max_examples=60)
 @given(model=explicit_models(), E=st.floats(-4.0, 4.0), steps=st.integers(2, 2000),
-       R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 700))
+       R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(model=PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
                             PolymerSpec(1, [2.0], [0.05]), 0.4),
-         E=0.3, steps=1500, R=2, seed=7, chunk=300)
-def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed, chunk):
-    # signs drawn in chunks of `chunk` steps must equal one draw of all steps,
-    # which is what sample_configuration makes
-    with mock.patch.object(transfer, "_SIGN_CHUNK", chunk):
-        half_at, half, total = _lyapunov_log_norms(model, E, steps, range(R), seed)
+         E=0.3, steps=1500, R=2, seed=7)
+def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed):
+    # the kernel's own sign draws must equal the signs sample_configuration
+    # makes, and its products block_product's up to rounding
+    half_at, half, total = _lyapunov_log_norms(model, E, steps, range(R), seed)
     assert 1 <= half_at < steps
     for r in range(R):
         cfg = sample_configuration(model, steps, seed, r)
@@ -278,25 +277,48 @@ def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed, chunk)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+@settings(max_examples=60)
+@given(model=explicit_models(), E=st.floats(-4.0, 4.0), b=st.integers(0, 2000),
+       cut=st.floats(0.0, 1.0), R=st.integers(1, 3), seed=st.integers(-2 ** 40, 2 ** 64 - 1),
+       first=st.sampled_from([0, 10 ** 6 + 3, 2 ** 32 + 5]))
+@example(model=dimer_preset(0.5, 0.5), E=0.8, b=9, cut=0.4, R=2, seed=3, first=0)
+def test_lyapunov_kernel_resumes_at_any_step(model, E, b, cut, R, seed, first):
+    # steps [0, a) then [a, b) equal one call over [0, b) bit for bit, for
+    # any a: the kernel draws sign j from the stream's position j alone
+    a = int(cut * b)
+    keys = _stream_keys(seed, range(first, first + R))
+    Tp, Tm = polymer_matrix(model.plus, E), polymer_matrix(model.minus, E)
+    kernel = eigensolve._kernel()
+
+    def run(*spans):
+        prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
+        expo = np.zeros(R, dtype=np.int64)
+        for j0, k in spans:
+            kernel.lyapunov_steps(R, keys, j0, k, model.p_plus, Tp, Tm, prod, expo)
+        return prod.tobytes() + expo.tobytes()
+
+    assert run((0, a), (a, b - a)) == run((0, b))
+
+
 @settings(max_examples=40)
 @given(model=explicit_models(), E=st.floats(-4.0, 4.0), steps=st.integers(2, 3000),
-       R=st.integers(2, 7), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 700),
+       R=st.integers(2, 7), seed=st.integers(0, 2 ** 32 - 1),
        cpus=st.sampled_from([2, 3, 5]))
-@example(model=dimer_preset(0.5, 0.5), E=0.5, steps=2, R=2, seed=1, chunk=1, cpus=5)
-def test_lyapunov_split_equals_serial(model, E, steps, R, seed, chunk, cpus):
+@example(model=dimer_preset(0.5, 0.5), E=0.5, steps=2, R=2, seed=1, cpus=5)
+@example(model=dimer_preset(0.5, 0.5), E=0.5, steps=1003, R=3, seed=1, cpus=2)
+def test_lyapunov_split_equals_serial(model, E, steps, R, seed, cpus):
     # bit for bit against one serial range, for more workers than realizations
-    # too, with sign chunks that straddle half_at
+    # too, with half_at odd or not a multiple of 4
     def run(c):
         with mock.patch.object(eigensolve, "_cpus", return_value=c), \
-                mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0), \
-                mock.patch.object(transfer, "_SIGN_CHUNK", chunk):
+                mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0):
             return lyapunov(model, E, steps, R, seed)
     assert np.array(run(cpus)).tobytes() == np.array(run(1)).tobytes()
 
 
 def test_lyapunov_split_keeps_package_functions_on_calling_thread(monkeypatch):
-    # worker threads draw signs and run the kernel; substreams are made and
-    # every package function runs on the calling thread
+    # worker threads only run the kernel, which draws the signs; the stream
+    # keys are derived and every package function runs on the calling thread
     calls = []
     for mod in (transfer, eigensolve):
         for name, fn in list(vars(mod).items()):
