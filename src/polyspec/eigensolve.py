@@ -1,4 +1,5 @@
-"""Spectra of finite Dirichlet Hamiltonians via Sturm-sequence bisection.
+"""Spectra of finite Dirichlet Hamiltonians via Sturm counts and twisted
+factorizations.
 
 The operator acts as (H psi)(n) = -t(n+1) psi(n+1) - t(n) psi(n-1) + v(n) psi(n)
 restricted to {0, ..., L-1} with Dirichlet conditions, so the matrix is real
@@ -6,15 +7,20 @@ symmetric tridiagonal with diagonal v and off-diagonal entries -t(n).
 
 Eigenvalue extraction is windowed by design: the statistics experiments need
 only a handful of eigenvalues near a reference energy out of boxes with 1e4+
-sites, so bisection on the Sturm count is the workhorse.  It bisects only
-the (operator, eigenvalue index) pairs inside the window, and splits the
-operators over the CPUs of the process's affinity set (`_in_row_ranges`);
-the eigenvalues do not depend on the split.  A LAPACK-backed dense
-decomposition serves as the independent oracle for small instances.  The C
-source of the Sturm sweep also holds the package's other compiled loops: the
-Philox4x64-10 disorder stream and box layout that `model` calls, and the
-Lyapunov product that `transfer` calls, so one build and one cached library
-serve them all.
+sites.  The Sturm count of the LDL^T recursion places them: it gives each
+operator's eigenvalue indices in the window and brackets every (operator,
+index) pair until the bracket holds that eigenvalue alone.  Newton steps on
+the twist pivot gamma_r of a twisted factorization (Parlett and Dhillon,
+MRRR; LAPACK dlar1v) then converge to it in a few sweeps, each of which also
+counts, so the bracket holds throughout; clusters closer than the tolerance
+are bisected.  The pairs run in lockstep in one compiled loop, and the
+operators are split over the CPUs of the process's affinity set
+(`_in_row_ranges`); the eigenvalues do not depend on the split.  A
+LAPACK-backed dense decomposition serves as the independent oracle for small
+instances.  The C source of these loops also holds the package's other
+compiled loops: the Philox4x64-10 disorder stream and box layout that
+`model` calls, and the Lyapunov product that `transfer` calls, so one build
+and one cached library serve them all.
 """
 from __future__ import annotations
 
@@ -82,8 +88,8 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Nondecreasing eigenvalues; ones closer than the bisection tol come out
-    equal, listed once per multiplicity."""
+    """Nondecreasing eigenvalues, listed once per multiplicity; ones closer
+    than the extraction tol may come out equal."""
 
     eigenvalues: np.ndarray
 
@@ -161,6 +167,13 @@ _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <sys/mman.h>
+
+/* a pivot of magnitude below pivmin counts as -pivmin */
+static inline double pivot(double x, double pivmin)
+{
+    return fabs(x) < pivmin ? -pivmin : x;
+}
 
 /* v (L, R) and tsq (L-1, R) hold one operator per column; realization r
    owns the flat columns off[r] .. off[r+1] - 1 of s, counts and d.  One call
@@ -174,8 +187,7 @@ void sturm_counts(int64_t L, int64_t R, int64_t r0, int64_t r1,
     for (int64_t r = r0; r < r1; ++r) {
         const int64_t i1 = off[r + 1];
         for (int64_t i = off[r]; i < i1; ++i) {
-            double x = v[r] - s[i];
-            x = fabs(x) < pivmin ? -pivmin : x;
+            const double x = pivot(v[r] - s[i], pivmin);
             d[i] = x;
             counts[i] = x < 0;
         }
@@ -189,13 +201,633 @@ void sturm_counts(int64_t L, int64_t R, int64_t r0, int64_t r1,
             int64_t *cr = counts + off[r];
             const int64_t K = off[r + 1] - off[r];
             for (int64_t k = 0; k < K; ++k) {
-                double x = (vr - sr[k]) - tr / dr[k];
-                x = fabs(x) < pivmin ? -pivmin : x;
+                const double x = pivot((vr - sr[k]) - tr / dr[k], pivmin);
                 dr[k] = x;
                 cr[k] += x < 0;
             }
         }
     }
+}
+
+/* Lanes come in whole vectors: every run of lanes below starts and ends on
+   a multiple of VEC, padded with spare lanes whose results nobody reads,
+   so each lockstep loop is a whole number of fixed-width blocks. */
+enum { VEC = 8 };
+
+static int64_t vec_up(int64_t k)
+{
+    return (k + VEC - 1) / VEC * VEC;
+}
+
+/* One site's step of the twisted lanes k .. k + VEC - 1 of lane_sweep: the
+   pivots p and their derivatives dp in x.  Under `masked`, only the lanes
+   the site belongs to step: tw > n forward, tw < -n backward (n < 0). */
+static inline void twisted_block(int64_t k, int64_t n, double vr, double tr, double pivmin,
+                                 const int64_t *restrict tw, const double *restrict x,
+                                 double *restrict p, double *restrict dp,
+                                 int64_t *restrict cnt, int masked)
+{
+    for (int64_t i = k; i < k + VEC; ++i) {
+        const double inv = 1.0 / p[i], q = tr * inv;
+        const double y = pivot((vr - x[i]) - q, pivmin), dy = q * inv * dp[i] - 1.0;
+        const int on = !masked || (n > 0 ? tw[i] > n : tw[i] < -n);
+        p[i] = on ? y : p[i];
+        dp[i] = on ? dy : dp[i];
+        cnt[i] += on & (y < 0);
+    }
+}
+
+/* One lockstep evaluation of the lanes of nseg segments.  Segment s holds
+   lanes s0[s] .. s2[s] - 1, all at shifts x of realization sr[s]: twisted
+   lanes s0[s] .. s1[s] - 1, ascending in their twist index tw, then plain
+   lanes.  A plain lane gets cnt, the count of sturm_counts at x.  A twisted
+   lane at t = tw runs the recursion forward over sites 0 .. t-1 (pivots d,
+   derivatives dd in x) and backward over sites L-1 .. t+1 (pivots e,
+   derivatives de); cnt is the negative count of the twisted factorization
+   of H - x, which by Sylvester's law of inertia is again the eigenvalue
+   count below x, and g, gp are the twist pivot
+   gamma_t = (v_t - x) - tsq_{t-1}/d_{t-1} - tsq_t/e_{t+1} and its
+   derivative.  gamma_t is left as computed (pivmin bounds only the pivots
+   that divide), so a Newton step from an x on the eigenvalue is exactly 0.
+   With the twisted lanes sorted by t, those a site updates are a
+   contiguous run, whose start (forward) or end (backward) ptr tracks; only
+   the block that holds the run's edge updates under a mask.  Not inlined,
+   so that its restrict arguments stay distinct to the vectorizer although
+   they are carved from one mapping. */
+__attribute__((noinline))
+static void lane_sweep(int64_t L, int64_t R, const double *restrict v,
+                       const double *restrict tsq, double pivmin, int64_t nseg,
+                       const int64_t *restrict sr, const int64_t *restrict s0,
+                       const int64_t *restrict s1, const int64_t *restrict s2,
+                       int64_t *restrict ptr, const int64_t *restrict tw,
+                       const double *restrict x, double *restrict d, double *restrict dd,
+                       double *restrict e, double *restrict de, int64_t *restrict cnt,
+                       double *restrict g, double *restrict gp)
+{
+    int64_t twisted = 0;
+    for (int64_t s = 0; s < nseg; ++s) {
+        const double v0 = v[sr[s]], vl = v[(L - 1) * R + sr[s]];
+        twisted |= s1[s] > s0[s];
+        ptr[s] = s0[s];
+        for (int64_t k = s0[s]; k < s1[s]; ++k) {
+            d[k] = pivot(v0 - x[k], pivmin);
+            dd[k] = -1.0;
+            e[k] = pivot(vl - x[k], pivmin);
+            de[k] = -1.0;
+            cnt[k] = ((tw[k] > 0) & (d[k] < 0)) + ((tw[k] < L - 1) & (e[k] < 0));
+        }
+        for (int64_t k = s1[s]; k < s2[s]; ++k) {
+            d[k] = pivot(v0 - x[k], pivmin);
+            cnt[k] = (L > 1) & (d[k] < 0);  /* with L = 1 site 0 is the last */
+        }
+    }
+    for (int64_t n = 1; n < L - 1; ++n) {
+        const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
+        for (int64_t s = 0; s < nseg; ++s) {
+            const double vr = vn[sr[s]], tr = tn[sr[s]];
+            int64_t k0 = ptr[s];
+            while (k0 < s1[s] && tw[k0] <= n)
+                ++k0;
+            ptr[s] = k0;
+            /* the block holding the run's start under a mask, then whole blocks */
+            const int64_t kb = k0 / VEC * VEC;
+            if (kb < k0)
+                twisted_block(kb, n, vr, tr, pivmin, tw, x, d, dd, cnt, 1);
+            for (int64_t k = kb < k0 ? kb + VEC : kb; k < s1[s]; k += VEC)
+                twisted_block(k, n, vr, tr, pivmin, tw, x, d, dd, cnt, 0);
+            for (int64_t k = s1[s]; k < s2[s]; k += VEC)
+                for (int64_t i = k; i < k + VEC; ++i) {  /* as sturm_counts, bit for bit */
+                    const double y = pivot((vr - x[i]) - tr / d[i], pivmin);
+                    d[i] = y;
+                    cnt[i] += y < 0;
+                }
+        }
+    }
+    for (int64_t s = 0; s < nseg; ++s)
+        ptr[s] = s1[s];
+    for (int64_t n = L - 2; n > 0 && twisted; --n) {
+        const double *vn = v + n * R, *tn = tsq + n * R;
+        for (int64_t s = 0; s < nseg; ++s) {
+            int64_t k1 = ptr[s];
+            while (k1 > s0[s] && tw[k1 - 1] >= n)
+                --k1;
+            ptr[s] = k1;
+            const double vr = vn[sr[s]], tr = tn[sr[s]];
+            /* whole blocks, then the block holding the run's end under a mask */
+            const int64_t ke = k1 / VEC * VEC;
+            for (int64_t k = s0[s]; k < ke; k += VEC)
+                twisted_block(k, -n, vr, tr, pivmin, tw, x, e, de, cnt, 0);
+            if (ke < k1)
+                twisted_block(ke, -n, vr, tr, pivmin, tw, x, e, de, cnt, 1);
+        }
+    }
+    for (int64_t s = 0; s < nseg; ++s) {
+        const int64_t r = sr[s];
+        for (int64_t k = s0[s]; k < s2[s]; ++k) {
+            const int64_t t = k < s1[s] ? tw[k] : L - 1;
+            double y = v[t * R + r] - x[k], dy = -1.0;
+            if (k >= s1[s]) {
+                if (t > 0)
+                    y -= tsq[(t - 1) * R + r] / d[k];
+            } else {
+                if (t > 0) {
+                    const double inv = 1.0 / d[k], q = tsq[(t - 1) * R + r] * inv;
+                    y -= q;
+                    dy += q * inv * dd[k];
+                }
+                if (t < L - 1) {
+                    const double inv = 1.0 / e[k], q = tsq[t * R + r] * inv;
+                    y -= q;
+                    dy += q * inv * de[k];
+                }
+            }
+            cnt[k] += pivot(y, pivmin) < 0;
+            g[k] = y;
+            gp[k] = dy;
+        }
+    }
+}
+
+/* The twist index of each lane: the two-sided pass at x that picks
+   tw = argmin_t |gamma_t| (the largest t on ties), with g and gp gamma and
+   its derivative there, and cnt the forward negative count.  Lanes are
+   grouped in whole-vector segments (s0[s] .. s2[s] - 1, realization sr[s]);
+   A and P (L, B) hold each site's forward part of gamma and of its
+   derivative, so a pass takes B lanes at most.  Not inlined, as
+   lane_sweep. */
+__attribute__((noinline))
+static void twist_pass(int64_t L, int64_t R, const double *restrict v,
+                       const double *restrict tsq, double pivmin, int64_t nseg,
+                       const int64_t *restrict sr, const int64_t *restrict s0,
+                       const int64_t *restrict s2, int64_t B, const double *restrict x,
+                       double *restrict A, double *restrict P, double *restrict d,
+                       double *restrict dd, int64_t *restrict cnt, int64_t *restrict tw,
+                       double *restrict g, double *restrict gp)
+{
+    for (int64_t s = 0; s < nseg; ++s) {
+        const double v0 = v[sr[s]];
+        for (int64_t k = s0[s]; k < s2[s]; ++k) {
+            const double y = v0 - x[k];
+            A[k] = y;
+            P[k] = 0.0;
+            d[k] = pivot(y, pivmin);
+            dd[k] = -1.0;
+            cnt[k] = d[k] < 0;
+        }
+    }
+    for (int64_t n = 1; n < L; ++n) {
+        const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
+        double *An = A + n * B, *Pn = P + n * B;
+        for (int64_t s = 0; s < nseg; ++s) {
+            const double vr = vn[sr[s]], tr = tn[sr[s]];
+            for (int64_t k = s0[s]; k < s2[s]; k += VEC)
+                for (int64_t i = k; i < k + VEC; ++i) {
+                    const double inv = 1.0 / d[i], q = tr * inv;
+                    const double y = (vr - x[i]) - q, p = q * inv * dd[i];
+                    An[i] = y;
+                    Pn[i] = p;
+                    dd[i] = p - 1.0;
+                    d[i] = pivot(y, pivmin);
+                    cnt[i] += d[i] < 0;
+                }
+        }
+    }
+    /* backward: d and dd now hold the backward pivots and derivatives */
+    for (int64_t s = 0; s < nseg; ++s) {
+        const double vl = v[(L - 1) * R + sr[s]];
+        for (int64_t k = s0[s]; k < s2[s]; ++k) {
+            tw[k] = L - 1;
+            g[k] = A[(L - 1) * B + k];
+            gp[k] = P[(L - 1) * B + k] - 1.0;
+            d[k] = pivot(vl - x[k], pivmin);
+            dd[k] = -1.0;
+        }
+    }
+    for (int64_t n = L - 2; n >= 0; --n) {
+        const double *vn = v + n * R, *tn = tsq + n * R, *An = A + n * B, *Pn = P + n * B;
+        for (int64_t s = 0; s < nseg; ++s) {
+            const double vr = vn[sr[s]], tr = tn[sr[s]];
+            for (int64_t k = s0[s]; k < s2[s]; k += VEC)
+                for (int64_t i = k; i < k + VEC; ++i) {
+                    const double inv = 1.0 / d[i], q = tr * inv, qd = q * inv * dd[i];
+                    const double y = An[i] - q, dy = (Pn[i] + qd) - 1.0;
+                    const int better = fabs(y) < fabs(g[i]);
+                    tw[i] = better ? n : tw[i];
+                    g[i] = better ? y : g[i];
+                    gp[i] = better ? dy : gp[i];
+                    d[i] = pivot((vr - x[i]) - q, pivmin);
+                    dd[i] = qd - 1.0;
+                }
+        }
+    }
+}
+
+/* window_eigenvalues: what a column does this round */
+enum { BISECT, TWIST, REFINE, CONFIRM, DONE };
+/* twisted-pivot steps a column may take before it falls back to bisection */
+enum { MAX_REFINE = 10 };
+/* a bracket shared by g columns is cut at MULTI g points per round */
+enum { MULTI = 2 };
+
+struct window {
+    double a, b, tol;
+    double *lo, *hi, *x, *g, *gp, *step, *work, *eig;
+    int64_t *j, *clo, *chi, *tw, *nref, *rejected, *twists, *state;
+};
+
+static void finish(struct window *w, int64_t c, double value)
+{
+    w->eig[c] = value;
+    w->state[c] = DONE;
+}
+
+/* a bisecting column: done once its bracket is no wider than tol (or cannot
+   be split), on to the twist pass once it holds its own eigenvalue alone
+   and is wide enough for refinement to save sweeps */
+static void settle(struct window *w, int64_t c)
+{
+    const double lo = w->lo[c], hi = w->hi[c], mid = lo + (hi - lo) * 0.5;
+    if (hi - lo <= w->tol || !(lo < mid && mid < hi))
+        finish(w, c, mid);
+    else if (w->twists[c] > 0 && w->clo[c] == w->j[c] && w->chi[c] == w->j[c] + 1
+             && hi - lo > 32 * w->tol)
+        w->state[c] = TWIST;
+    else
+        w->state[c] = BISECT;
+}
+
+/* a refining column, with the twist pivot (g) and its derivative (gp) at
+   x: confirm once the Newton step is below tol/8, else take the step if it
+   stays inside the bracket and at most halves the previous one, else
+   bisect.  Two rejected steps in a row mean a poor twist index (one where
+   a neighbour's eigenvector outweighs the column's own): the column takes
+   the twist pass again, once, at its now narrower bracket. */
+static void propose(struct window *w, int64_t c)
+{
+    const double lo = w->lo[c], hi = w->hi[c], x = w->x[c], dx = -w->g[c] / w->gp[c];
+    const int newton = isfinite(w->gp[c]) && isfinite(dx);
+    if (w->nref[c] >= MAX_REFINE || hi - lo <= w->tol) {
+        w->twists[c] = 0;
+        settle(w, c);
+        return;
+    }
+    if (newton && fabs(dx) <= 0.125 * w->tol) {
+        w->x[c] = x + dx;
+        w->state[c] = CONFIRM;
+        return;
+    }
+    double nx = x + dx;
+    if (newton && lo < nx && nx < hi && fabs(dx) <= 0.5 * fabs(w->step[c])) {
+        w->rejected[c] = 0;
+    } else if (++w->rejected[c] >= 2 && w->twists[c] > 0) {
+        w->state[c] = TWIST;
+        return;
+    } else {
+        nx = lo + (hi - lo) * 0.5;
+    }
+    if (!(lo < nx && nx < hi)) {
+        w->twists[c] = 0;
+        settle(w, c);
+        return;
+    }
+    w->step[c] = nx - x;
+    w->x[c] = nx;
+    w->state[c] = REFINE;
+}
+
+/* an eigenvalue count `below` at x: x becomes the bracket end it may be */
+static void narrow(struct window *w, int64_t c, double x, int64_t below)
+{
+    if (below <= w->j[c]) {
+        w->lo[c] = x;
+        w->clo[c] = below;
+    } else {
+        w->hi[c] = x;
+        w->chi[c] = below;
+    }
+}
+
+/* x -+ tol/4 around a confirming column's x; a bracket end already past
+   one of them settles that side without a count */
+static void confirm_ends(const struct window *w, int64_t c, double *xl, double *xh,
+                         int *need_lo, int *need_hi)
+{
+    const double h = 0.25 * w->tol;
+    *xl = w->x[c] - h;
+    *xh = w->x[c] + h;
+    *need_lo = !(w->lo[c] >= *xl);
+    *need_hi = !(w->hi[c] <= *xh);
+}
+
+/* the confirming counts below xl and xh (of the sides that need one): done
+   with the midpoint of [xl, xh], or back to plain bisection on what the
+   counts and the bracket say */
+static void confirm(struct window *w, int64_t c, int64_t below_lo, int64_t below_hi)
+{
+    double xl, xh;
+    int need_lo, need_hi;
+    confirm_ends(w, c, &xl, &xh, &need_lo, &need_hi);
+    const int64_t j = w->j[c];
+    w->work[c] += need_lo + need_hi;
+    if ((!need_lo || below_lo <= j) && (!need_hi || below_hi > j) && xh - xl <= w->tol) {
+        finish(w, c, 0.5 * (xl + xh));
+        return;
+    }
+    if (need_lo && (below_lo <= j ? xl > w->lo[c] : xl < w->hi[c]))
+        narrow(w, c, xl, below_lo);
+    if (need_hi && (below_hi <= j ? xh > w->lo[c] : xh < w->hi[c]))
+        narrow(w, c, xh, below_hi);
+    if (!(w->lo[c] < w->hi[c])) {  /* counts disagree in the last bits: restart */
+        w->lo[c] = w->a;
+        w->hi[c] = w->b;
+    }
+    w->twists[c] = 0;
+    settle(w, c);
+}
+
+/* The scratch of one window_eigenvalues call: one anonymous mapping, so
+   that its pages go back to the system on return instead of staying in the
+   allocator's heap.  Built with AddressSanitizer, each array is a malloc of
+   its own instead, so that redzones separate them. */
+struct scratch {
+    char *mem, *at;
+    size_t bytes;
+    int n;
+    void *parts[64];
+};
+
+static int scratch_open(struct scratch *s, size_t bytes)
+{
+    s->bytes = bytes;
+    s->n = 0;
+#ifdef __SANITIZE_ADDRESS__
+    s->mem = s->at = NULL;
+    return 0;
+#else
+    s->mem = s->at = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return s->mem == MAP_FAILED ? -1 : 0;
+#endif
+}
+
+static void *carve(struct scratch *s, size_t bytes)
+{
+#ifdef __SANITIZE_ADDRESS__
+    return s->parts[s->n++] = malloc(bytes);
+#else
+    void *p = s->at;
+    s->at += (bytes + 63) / 64 * 64;
+    if (s->at > s->mem + s->bytes)  /* the size sum below is out of step */
+        abort();
+    return p;
+#endif
+}
+
+static void scratch_close(struct scratch *s)
+{
+#ifdef __SANITIZE_ADDRESS__
+    while (s->n > 0)
+        free(s->parts[--s->n]);
+#else
+    munmap(s->mem, s->bytes);
+#endif
+}
+
+/* Eigenvalues in [a, b) of realizations r0 .. r1 - 1 (v, tsq and off as in
+   sturm_counts; realization r has na[r] eigenvalues below a and owns one
+   column per eigenvalue in the window, column i finding eigenvalue index
+   na[r] + i - off[r]).  eig[i] gets the midpoint of a bracket no wider than
+   tol that holds the eigenvalue, and sweeps[i] the column's share of the
+   sweeps over the L sites, rounded (q counts that g columns share add q/g
+   to each, a twist pass 2).
+
+   The columns of a realization that share a bracket cut it at twice as
+   many points as they are, in one lockstep sweep, until each bracket holds
+   its eigenvalue alone.  A column then picks its twist index in one
+   two-sided pass, takes safeguarded Newton steps on the twist pivot, whose
+   root is the eigenvalue and whose negative count keeps the bracket, and
+   confirms with the counts at x -+ tol/4.  A cluster too tight to split,
+   or a column whose steps fail, bisects to tol.  Each round evaluates every
+   active column in lockstep, sites outermost; a column's result depends on
+   its own realization only.  Returns -1 if the scratch cannot be
+   allocated, else 0. */
+int window_eigenvalues(int64_t L, int64_t R, int64_t r0, int64_t r1,
+                       const int64_t *restrict off, const double *restrict v,
+                       const double *restrict tsq, double pivmin, double a, double b,
+                       double tol, const int64_t *restrict na, double *restrict eig,
+                       int64_t *restrict sweeps)
+{
+    const int64_t c0 = off[r0], C = off[r1] - c0, nr = r1 - r0;
+    if (C == 0)
+        return 0;
+    /* twist pass: about 1 MB of A and P, in whole vectors */
+    const int64_t B = L < 65536 / VEC ? 65536 / L / VEC * VEC : VEC;
+    const int64_t M = MULTI * C + 2 * VEC * nr;  /* lanes: MULTI per column, and padding */
+    const size_t d8 = sizeof(double), i8 = sizeof(int64_t);
+    const size_t bytes = 64 * 64 + C * (7 * d8 + 13 * i8) + M * (7 * d8 + 3 * i8)
+                         + nr * 6 * i8 + 2 * B * L * d8 + B * (5 * d8 + 5 * i8);
+    struct scratch sc;
+    if (scratch_open(&sc, bytes))
+        return -1;
+    struct window w = {.a = a, .b = b, .tol = tol};
+    w.eig = eig + c0;
+    double **cd[] = {&w.lo, &w.hi, &w.x, &w.g, &w.gp, &w.step, &w.work};
+    for (int i = 0; i < 7; ++i)
+        *cd[i] = carve(&sc, C * d8);
+    int64_t **ci[] = {&w.j, &w.clo, &w.chi, &w.tw, &w.nref, &w.rejected, &w.twists, &w.state};
+    for (int i = 0; i < 8; ++i)
+        *ci[i] = carve(&sc, C * i8);
+    /* perm: each realization's columns, refining ones first by twist index;
+       lane1, lane2: a column's lanes this round; jobs: the twist passes */
+    int64_t *perm = carve(&sc, C * i8), *lane1 = carve(&sc, C * i8);
+    int64_t *lane2 = carve(&sc, C * i8), *jobs = carve(&sc, C * i8);
+    int64_t *jobr = carve(&sc, C * i8);
+    double *lx = carve(&sc, M * d8), *ld = carve(&sc, M * d8), *ldd = carve(&sc, M * d8);
+    double *le = carve(&sc, M * d8), *lde = carve(&sc, M * d8), *lg = carve(&sc, M * d8);
+    double *lgp = carve(&sc, M * d8);
+    int64_t *ltw = carve(&sc, M * i8), *lcnt = carve(&sc, M * i8);
+    int64_t *lshare = carve(&sc, M * i8);
+    int64_t *sr = carve(&sc, nr * i8), *s0 = carve(&sc, nr * i8), *s1 = carve(&sc, nr * i8);
+    int64_t *s2 = carve(&sc, nr * i8), *ptr = carve(&sc, nr * i8);
+    int64_t *nact = carve(&sc, nr * i8);
+    double *A = carve(&sc, B * L * d8), *P = carve(&sc, B * L * d8);
+    double *tx = carve(&sc, B * d8), *td = carve(&sc, B * d8), *tdd = carve(&sc, B * d8);
+    double *tg = carve(&sc, B * d8), *tgp = carve(&sc, B * d8);
+    int64_t *tcnt = carve(&sc, B * i8), *ttw = carve(&sc, B * i8), *tsr = carve(&sc, B * i8);
+    int64_t *ts0 = carve(&sc, B * i8), *ts2 = carve(&sc, B * i8);
+
+    for (int64_t r = r0; r < r1; ++r) {
+        const int64_t K = off[r + 1] - off[r];
+        nact[r - r0] = K;
+        for (int64_t k = 0; k < K; ++k) {
+            const int64_t c = off[r] - c0 + k;
+            perm[c] = c;
+            w.j[c] = na[r] + k;
+            w.lo[c] = a;
+            w.hi[c] = b;
+            w.clo[c] = na[r];
+            w.chi[c] = na[r] + K;
+            w.nref[c] = 0;
+            w.rejected[c] = 0;
+            w.twists[c] = 2;
+            w.work[c] = 0.0;
+            settle(&w, c);
+        }
+    }
+    for (;;) {
+        /* plan: per realization, refining columns ascending in twist index
+           (a stable insertion sort: the order changes little per round),
+           then the others; done columns drop out at the end */
+        int64_t nseg = 0, m = 0, nj = 0;
+        for (int64_t r = r0; r < r1; ++r) {
+            int64_t *p = perm + (off[r] - c0), n = nact[r - r0];
+#define KEY(c) (w.state[c] == REFINE ? w.tw[c] : w.state[c] == DONE ? L + 1 : L)
+            for (int64_t i = 1; i < n; ++i) {
+                const int64_t c = p[i], key = KEY(c);
+                int64_t k = i;
+                for (; k > 0 && KEY(p[k - 1]) > key; --k)
+                    p[k] = p[k - 1];
+                p[k] = c;
+            }
+#undef KEY
+            while (n > 0 && w.state[p[n - 1]] == DONE)
+                --n;
+            nact[r - r0] = n;
+            sr[nseg] = r;
+            s0[nseg] = m;
+            int64_t i = 0;
+            for (; i < n && w.state[p[i]] == REFINE; ++i) {
+                const int64_t c = p[i];
+                lx[m] = w.x[c];
+                ltw[m] = w.tw[c];
+                lane1[c] = m++;
+            }
+            for (const int64_t k1 = vec_up(m); m < k1; ++m) {  /* spare twisted lanes */
+                lx[m] = lx[s0[nseg]];
+                ltw[m] = L - 1;
+            }
+            s1[nseg] = m;
+            for (; i < n; ++i) {
+                const int64_t c = p[i];
+                double xl, xh;
+                int need_lo, need_hi;
+                switch (w.state[c]) {
+                case BISECT: {
+                    /* the g columns from here with this bracket share its q points */
+                    const double lo = w.lo[c], hi = w.hi[c];
+                    int64_t g = 1;
+                    while (i + g < n && w.state[p[i + g]] == BISECT && w.lo[p[i + g]] == lo
+                           && w.hi[p[i + g]] == hi)
+                        ++g;
+                    const int64_t q = w.twists[c] > 0 ? MULTI * g : 1;
+                    for (int64_t u = 1; u <= q; ++u)
+                        lx[m + u - 1] = lo + (hi - lo) * ((double)u / (double)(q + 1));
+                    for (int64_t k = i; k < i + g; ++k) {
+                        lane1[p[k]] = m;
+                        lane2[p[k]] = q;
+                    }
+                    lshare[m] = g;
+                    m += q;
+                    i += g - 1;
+                    break;
+                }
+                case CONFIRM:
+                    confirm_ends(&w, c, &xl, &xh, &need_lo, &need_hi);
+                    lane1[c] = lane2[c] = -1;
+                    if (need_lo)
+                        lx[m] = xl, lane1[c] = m++;
+                    if (need_hi)
+                        lx[m] = xh, lane2[c] = m++;
+                    break;
+                case TWIST:
+                    jobr[nj] = r;
+                    jobs[nj++] = c;
+                    break;
+                }
+            }
+            for (const int64_t k2 = vec_up(m); m < k2; ++m)  /* spare plain lanes */
+                lx[m] = lx[m - 1];
+            if (m > s0[nseg])
+                s2[nseg++] = m;
+        }
+        if (m == 0 && nj == 0)
+            break;
+        lane_sweep(L, R, v, tsq, pivmin, nseg, sr, s0, s1, s2, ptr, ltw, lx, ld, ldd, le, lde,
+                   lcnt, lg, lgp);
+        for (int64_t r = r0; r < r1; ++r) {
+            const int64_t *p = perm + (off[r] - c0);
+            for (int64_t i = 0; i < nact[r - r0]; ++i) {
+                const int64_t c = p[i], k = lane1[c];
+                switch (w.state[c]) {
+                case BISECT:
+                    /* the tightest bracket the points give */
+                    w.work[c] += (double)lane2[c] / (double)lshare[k];
+                    for (int64_t u = k; u < k + lane2[c]; ++u) {
+                        narrow(&w, c, lx[u], lcnt[u]);
+                        if (lcnt[u] > w.j[c])
+                            break;
+                    }
+                    settle(&w, c);
+                    break;
+                case REFINE:
+                    w.work[c] += 1;
+                    w.nref[c] += 1;
+                    narrow(&w, c, lx[k], lcnt[k]);
+                    w.g[c] = lg[k];
+                    w.gp[c] = lgp[k];
+                    propose(&w, c);
+                    break;
+                case CONFIRM:
+                    confirm(&w, c, k < 0 ? 0 : lcnt[k], lane2[c] < 0 ? 0 : lcnt[lane2[c]]);
+                    break;
+                }
+            }
+        }
+        /* twist passes over blocks of at most B lanes, each block in
+           whole-vector segments of one realization (jobs come in
+           realization order) */
+        for (int64_t j0 = 0; j0 < nj;) {
+            int64_t ns = 0, k = 0, j1 = j0;
+            for (; j1 < nj; ++j1) {
+                const int64_t fresh = ns == 0 || tsr[ns - 1] != jobr[j1];
+                const int64_t at = fresh ? vec_up(k) : k;
+                if (at + 1 > B && j1 > j0)
+                    break;
+                if (fresh) {
+                    for (; k < at; ++k)
+                        tx[k] = tx[k - 1];
+                    if (ns > 0)
+                        ts2[ns - 1] = at;
+                    tsr[ns] = jobr[j1];
+                    ts0[ns++] = at;
+                }
+                tx[k++] = w.lo[jobs[j1]] + (w.hi[jobs[j1]] - w.lo[jobs[j1]]) * 0.5;
+            }
+            for (const int64_t k2 = vec_up(k); k < k2; ++k)
+                tx[k] = tx[k - 1];
+            ts2[ns - 1] = k;
+            twist_pass(L, R, v, tsq, pivmin, ns, tsr, ts0, ts2, B, tx, A, P, td, tdd, tcnt, ttw,
+                       tg, tgp);
+            for (int64_t s = 0, jj = j0; s < ns; ++s)
+                for (int64_t u = ts0[s]; u < ts2[s] && jj < j1 && jobr[jj] == tsr[s]; ++u) {
+                    const int64_t c = jobs[jj++];
+                    w.work[c] += 2;
+                    w.twists[c] -= 1;
+                    w.rejected[c] = 0;
+                    w.step[c] = w.hi[c] - w.lo[c];
+                    narrow(&w, c, tx[u], tcnt[u]);
+                    w.x[c] = tx[u];
+                    w.tw[c] = ttw[u];
+                    w.g[c] = tg[u];
+                    w.gp[c] = tgp[u];
+                    propose(&w, c);
+                }
+            j0 = j1;
+        }
+    }
+    for (int64_t c = 0; c < C; ++c)
+        sweeps[c0 + c] = (int64_t)(w.work[c] + 0.5);
+    scratch_close(&sc);
+    return 0;
 }
 
 /* Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: x gets
@@ -406,7 +1038,9 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
     The cache key covers the C source, the flags and the host CPU's feature
     flags (`-march=native`).  The library is written under a temporary name
     and renamed into place, so a failed or concurrent build leaves no partial
-    file under the final name.
+    file under the final name.  A build then removes every other
+    `kernels_*.so` of cache_dir (builds of older sources), so the cache
+    holds one library; a cache hit removes nothing.
     """
     key = hashlib.sha256("\0".join((_KERNELS_C, *_CFLAGS, _cpu_flags())).encode())
     lib = cache_dir / f"kernels_{key.hexdigest()[:16]}.so"
@@ -428,12 +1062,16 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in cache_dir.glob("kernels_*.so"):
+        if stale != lib:
+            stale.unlink(missing_ok=True)  # a concurrent build may prune it first
     return lib
 
 
 def _load_kernel(lib: Path) -> ctypes.CDLL:
-    """The library with typed entry points: the Sturm sweep, the Philox stream
-    (`stream_keys`, `stream_below`), the box fill and the Lyapunov product."""
+    """The library with typed entry points: the Sturm sweep, windowed
+    eigenvalues, the Philox stream (`stream_keys`, `stream_below`), the box
+    fill and the Lyapunov product."""
     dll = ctypes.CDLL(str(lib))
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -445,9 +1083,11 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     dll.stream_below.argtypes = [n, u64, j, j, ctypes.c_double, u8]
     dll.fill_boxes.argtypes = [n, n, u64, ctypes.c_double, n, n, f64, f64, f64, f64]
     dll.lyapunov_steps.argtypes = [n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
+    dll.window_eigenvalues.argtypes = [n] * 4 + [i64, f64, f64] + [ctypes.c_double] * 4 + [
+        i64, f64, i64]
     for f in (dll.sturm_counts, dll.stream_keys, dll.stream_below, dll.lyapunov_steps):
         f.restype = None
-    dll.fill_boxes.restype = ctypes.c_int
+    dll.fill_boxes.restype = dll.window_eigenvalues.restype = ctypes.c_int
     return dll
 
 
@@ -501,12 +1141,20 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     """All eigenvalues in [a, b) for a batch of same-size operators.
 
     Sturm counts at a and b give each operator's eigenvalue indices in the
-    window; only those (operator, index) pairs are bisected, each to a
-    bracket of width <= tol, with every pair halving its bracket once per
-    sweep.  The operators are split into contiguous ranges of near-equal
-    pair count that run on one thread each (see _in_row_ranges); every pair
-    bisects on its own bracket, so the result is the same for any split.
+    window, one packed column per (operator, index) pair.  The compiled
+    `window_eigenvalues` narrows each column's Sturm bracket until it holds
+    that eigenvalue alone, then refines it by Newton steps on the twist
+    pivot of a twisted factorization and confirms it by counts; every
+    eigenvalue is the midpoint of a bracket of width <= tol, and clusters
+    closer than tol are bisected to it.  The operators are split
+    into contiguous ranges of near-equal pair count that run on one thread
+    each (see _in_row_ranges); every pair refines on its own, so the result
+    is the same for any split.
     """
+    a, b, tol = float(a), float(b), float(tol)
+    for name, x in (("window start a", a), ("window end b", b), ("tol", tol)):
+        if not np.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not b > a:
@@ -515,30 +1163,19 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     tsq = np.ascontiguousarray(tsq, float)
     L, R = v.shape
     ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
-    na, nb = ends[:, 0], ends[:, 1]
+    na, nb = np.ascontiguousarray(ends.T)
     # operator r owns the packed columns off[r] .. off[r+1] - 1, one per
     # 0-based eigenvalue index in the window
     off = np.concatenate([[0], np.cumsum(nb - na)])
-    C = int(off[-1])
-    target = np.arange(C) + np.repeat(na - off[:-1], nb - na)
-    lo, hi, mid, d = np.full(C, a), np.full(C, b), np.empty(C), np.empty(C)
-    counts = np.empty(C, dtype=np.int64)
-    sweeps = max(int(np.ceil(np.log2((b - a) / tol))), 1)
-    sweep, pivmin = _kernel().sturm_counts, _pivmin(v, tsq)
+    eig, sweeps = np.empty(int(off[-1])), np.empty(int(off[-1]), dtype=np.int64)
+    solve, pivmin = _kernel().window_eigenvalues, _pivmin(v, tsq)
 
-    def bisect(r0: int, r1: int) -> None:
-        cols = slice(off[r0], off[r1])
-        lo_r, hi_r, mid_r = lo[cols], hi[cols], mid[cols]
-        counts_r, target_r = counts[cols], target[cols]
-        for _ in range(sweeps):
-            np.multiply(0.5, lo_r + hi_r, out=mid_r)
-            sweep(L, R, r0, r1, off, v, tsq, mid, pivmin, counts, d)
-            above = counts_r <= target_r
-            np.copyto(lo_r, mid_r, where=above)
-            np.copyto(hi_r, mid_r, where=~above)
+    def refine(r0: int, r1: int) -> None:
+        if solve(L, R, r0, r1, off, v, tsq, pivmin, a, b, tol, na, eig, sweeps):
+            raise MemoryError("window_eigenvalues could not allocate its scratch")
 
-    _in_row_ranges(bisect, nb - na, L)
-    return [np.sort(x) for x in np.split(0.5 * (lo + hi), off[1:-1])]
+    _in_row_ranges(refine, nb - na, L)
+    return [np.sort(x) for x in np.split(eig, off[1:-1])]
 
 
 def eigenvalues_in_window(H: TridiagonalOperator, window, tol: float = 1e-11) -> Spectrum:

@@ -1,12 +1,15 @@
 import inspect
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from polyspec import eigensolve
 
@@ -220,7 +223,8 @@ def test_window_batch_columns_match_single(case):
 
 def _rectangle_bisection(v, tsq, a, b, tol=1e-11):
     """Windowed bisection as one serial lockstep over an (R, K) rectangle of
-    targets, K the largest window count, padding columns included."""
+    targets, K the largest window count, padding columns included: every
+    target halves its bracket for ceil(log2((b - a) / tol)) sweeps."""
     R = v.shape[1]
     ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
     na, nb = ends[:, 0], ends[:, 1]
@@ -235,28 +239,41 @@ def _rectangle_bisection(v, tsq, a, b, tol=1e-11):
     return [np.sort(mid[r][target[r] < nb[r]]) for r in range(R)]
 
 
+def _rounding(v, tsq):
+    """Eigenvalue error that rounding alone allows: a few ulps of the norm,
+    for LAPACK's answer and the Sturm count's alike, plus twice pivmin, the
+    most a pivot clamped to -pivmin moves the count's eigenvalue."""
+    norm = np.abs(v).max() + 2 * np.sqrt(tsq.max(initial=0.0))
+    return 16 * np.finfo(float).eps * norm + 2 * _pivmin(v, tsq)
+
+
 @settings(max_examples=60)
-@given(case=windowed_models(), R=st.integers(1, 7), cpus=st.sampled_from([1, 2, 3, 5]))
-@example(case=(dimer_preset(0.6, 0.5), 1, 4, [0.2, 0.7]), R=4, cpus=5)
-@example(case=(dimer_preset(0.6, 0.5), 40, 9, [0.5, 0.52]), R=2, cpus=5)
+@given(case=windowed_models(), R=st.integers(1, 7))
+@example(case=(dimer_preset(0.6, 0.5), 1, 4, [0.2, 0.7]), R=4)
+@example(case=(dimer_preset(0.6, 0.5), 40, 9, [0.5, 0.52]), R=2)
 @example(case=(PolymerModel(PolymerSpec(1, [0.4], [1.0]),
                             PolymerSpec(3, [-0.2, 0.9, 0.1], [0.5, 2.0, 1.0]), 0.3),
-               60, 2, [0.48, 0.5]), R=7, cpus=3)
-def test_window_batch_split_equals_serial_rectangle(case, R, cpus):
-    # bit for bit, for any number of row ranges: R below the worker count,
-    # one-site boxes, and windows empty for some or all realizations
+               60, 2, [0.48, 0.5]), R=7)
+def test_window_batch_split_bit_identical_near_rectangle(case, R):
+    # bit for bit for any number of row ranges (R below the worker count,
+    # one-site boxes, windows empty for some or all realizations), and
+    # within tol of plain bisection
     model, L, seed, u = case
     v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
     a, b = _window(build_hamiltonian(lattice_for_sites(model, L, seed)), u)
-    want = _rectangle_bisection(v, tsq, a, b)
-    with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
-            mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0):
-        got = eigenvalues_in_window_batch(v, tsq, a, b)
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    runs = []
+    for cpus in (1, 2, 3, 5):
+        with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
+                mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0):
+            runs.append([e.tobytes() for e in eigenvalues_in_window_batch(v, tsq, a, b)])
+    assert runs[1:] == runs[:1] * 3
+    got, want = eigenvalues_in_window_batch(v, tsq, a, b), _rectangle_bisection(v, tsq, a, b)
+    assert [g.size for g in got] == [w.size for w in want]
+    assert all(np.all(np.abs(g - w) <= 1e-11 + _rounding(v, tsq)) for g, w in zip(got, want))
 
 
 def _record_kernel_threads(monkeypatch) -> list:
-    """Thread idents of every Sturm kernel call made from here on."""
+    """Thread idents of every Sturm or window kernel call made from here on."""
     kernel, idents = eigensolve._kernel(), []
 
     class Recording:
@@ -267,6 +284,10 @@ def _record_kernel_threads(monkeypatch) -> list:
             idents.append(threading.get_ident())
             return kernel.sturm_counts(*args)
 
+        def window_eigenvalues(self, *args):
+            idents.append(threading.get_ident())
+            return kernel.window_eigenvalues(*args)
+
     monkeypatch.setattr(eigensolve, "_kernel", lambda: Recording())
     return idents
 
@@ -274,6 +295,9 @@ def _record_kernel_threads(monkeypatch) -> list:
 def test_window_split_keeps_package_functions_on_calling_thread(monkeypatch):
     # worker threads run only the kernel and numpy; every function of the
     # package runs on the calling thread, and no thread outlives the call
+    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 2000, 5, range(64))
+    with mock.patch.object(eigensolve, "_cpus", return_value=1):
+        want = eigensolve.eigenvalues_in_window_batch(v, tsq, 1.15, 1.25)
     calls = []
     for name, fn in list(vars(eigensolve).items()):
         if inspect.isfunction(fn) and fn.__module__ == eigensolve.__name__:
@@ -282,8 +306,6 @@ def test_window_split_keeps_package_functions_on_calling_thread(monkeypatch):
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(eigensolve, name, recorded)
     kernel_threads = _record_kernel_threads(monkeypatch)
-    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 2000, 5, range(64))
-    want = _rectangle_bisection(v, tsq, 1.15, 1.25)
     monkeypatch.setattr(eigensolve, "_cpus", lambda: 3)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
@@ -309,6 +331,88 @@ def test_window_below_floor_starts_no_thread(monkeypatch):
     evs = eigenvalues_in_window_batch(v, tsq, 1.15, 1.25)
     assert 0 < 200 * sum(e.size for e in evs) < eigensolve._SPLIT_FLOOR
     assert set(kernel_threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("window, tol, name", [((-np.inf, 0.0), 1e-11, "window start"),
+                                               ((0.0, np.nan), 1e-11, "window end"),
+                                               ((-1.0, 1.0), np.nan, "tol")],
+                         ids=["infinite-start", "nan-end", "nan-tol"])
+def test_window_rejects_non_finite_input(window, tol, name):
+    # named before any sweep, not an OverflowError from a sweep count
+    with pytest.raises(ValueError, match=f"{name} .*must be finite"):
+        eigenvalues_in_window(free_chain(3), window, tol)
+
+
+# binary Anderson model at strong disorder: sites of the same potential far
+# apart give eigenvalues closer than any tol, which only bisection can part
+ANDERSON = PolymerModel(PolymerSpec(1, [3.0], [1e-3]), PolymerSpec(1, [-3.0], [1e-3]), 0.5)
+FLAT = PolymerModel(PolymerSpec(1, [0.4], [1.0]), PolymerSpec(1, [0.4], [1.0]), 0.5)
+FREE = PolymerModel(PolymerSpec(1, [0.0], [1.0]), PolymerSpec(1, [0.0], [1.0]), 0.5)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(model, L, seed, window, tol): a windowed_models case with its window
+    in absolute energies, and a tol down to 1e-13."""
+    model, L, seed, u = draw(windowed_models())
+    H = build_hamiltonian(lattice_for_sites(model, L, seed))
+    return model, L, seed, _window(H, u), draw(st.sampled_from([1e-11, 1e-12, 1e-13]))
+
+
+@settings(max_examples=80)
+@given(case=oracle_cases())
+@example(case=(ANDERSON, 60, 3, (2.9, 3.1), 1e-11))  # clusters below tol
+@example(case=(FLAT, 1, 0, (0.4, 1.0), 1e-11))  # the eigenvalue on the window start
+@example(case=(FLAT, 1, 0, (-1.0, 0.4), 1e-11))  # ... on the window end
+@example(case=(FREE, 3, 0, (0.0, 2.0), 1e-12))  # 0 is an eigenvalue of 3 free sites
+@example(case=(dimer_preset(0.6, 0.5), 2, 7, (-3.0, 3.0), 1e-11))
+@example(case=(dimer_preset(0.6, 0.5), 40, 9, (5.0, 6.0), 1e-11))  # empty window
+@example(case=(dimer_preset(0.6, 0.5), 60, 9, (-1.0, 1.5), 1e-13))
+def test_window_eigenvalues_within_tol_of_lapack(case):
+    # every eigenvalue the Sturm counts at the window ends place inside it
+    model, L, seed, (a, b), tol = case
+    H = build_hamiltonian(lattice_for_sites(model, L, seed))
+    mine = eigenvalues_in_window(H, (a, b), tol).eigenvalues
+    ref = eigvalsh_tridiagonal(H.diagonal, -H.offdiagonal)
+    k0, k1 = sturm_count(H, a), sturm_count(H, b)
+    assert mine.size == k1 - k0
+    assert np.all(np.abs(mine - ref[k0:k1]) <= tol + _rounding(H.diagonal, H.offdiagonal ** 2))
+
+
+def test_anderson_example_has_clusters_below_tol():
+    H = build_hamiltonian(lattice_for_sites(ANDERSON, 60, 3))
+    ref = eigvalsh_tridiagonal(H.diagonal, -H.offdiagonal)
+    assert np.diff(ref[(ref > 2.9) & (ref < 3.1)]).min() < 1e-11
+
+
+def _window_sweeps(monkeypatch) -> list:
+    """The sweep-count output of every window kernel call made from here on."""
+    kernel, outputs = eigensolve._kernel(), []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def window_eigenvalues(self, *args):
+            outputs.append(args[-1])
+            return kernel.window_eigenvalues(*args)
+
+    monkeypatch.setattr(eigensolve, "_kernel", lambda: Recording())
+    return outputs
+
+
+@pytest.mark.parametrize("L, E0, half", [(2000, 0.6, 0.06), (600, 1.2, 0.0875)],
+                         ids=["clock", "poisson"])
+def test_window_sweeps_per_eigenvalue(monkeypatch, L, E0, half):
+    # dimer V = 0.6: evenly spaced levels at E_c = 0.6, clustered ones at
+    # 1.2; plain bisection to tol 1e-11 takes 34-35 sweeps per eigenvalue
+    outputs = _window_sweeps(monkeypatch)
+    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), L, 3, range(16))
+    evs = eigenvalues_in_window_batch(v, tsq, E0 - half, E0 + half)
+    sweeps = outputs[0]
+    assert sweeps.size == sum(e.size for e in evs) > 300
+    assert all(out is sweeps for out in outputs)
+    assert np.median(sweeps) <= 18
 
 
 def _sturm_oracle(v, tsq, shifts):
@@ -383,6 +487,88 @@ def test_kernel_build_without_compiler_raises(tmp_path):
     with pytest.raises(RuntimeError, match="requires a C compiler"):
         _build_kernel(tmp_path, compiler=str(tmp_path / "no-such-cc"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_build_prunes_stale_builds(tmp_path):
+    # a build removes the libraries of other sources; a cache hit removes nothing
+    stale, other = tmp_path / "kernels_0123456789abcdef.so", tmp_path / "notes.txt"
+    stale.write_bytes(b"")
+    other.write_text("kept")
+    lib = _build_kernel(tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted([lib, other])
+    stale.write_bytes(b"")
+    assert _build_kernel(tmp_path) == lib
+    assert stale.is_file()
+
+
+def test_kernel_build_tolerates_concurrent_prune(tmp_path, monkeypatch):
+    # a stale library another process removed first is skipped
+    gone = tmp_path / "kernels_fedcba9876543210.so"
+    real_glob = Path.glob
+    monkeypatch.setattr(Path, "glob", lambda self, pattern: [*real_glob(self, pattern), gone])
+    lib = _build_kernel(tmp_path)
+    assert list(tmp_path.iterdir()) == [lib]
+
+
+_ASAN_CALLS = r"""
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from polyspec.eigensolve import _load_kernel, _pivmin
+
+k = _load_kernel(Path(sys.argv[1]))
+rng = np.random.default_rng(0)
+R = 5
+shift = np.array([0.0, 10.0, 0.0, 10.0, 0.0])  # realizations 1 and 3: no eigenvalue near 0
+for L in (1, 2, 9):
+    v = rng.uniform(-1.0, 1.0, (L, R)) + shift
+    tsq = rng.uniform(0.25, 2.0, (L - 1, R))
+    pivmin = _pivmin(v, tsq)
+    ends, d = np.empty(2 * R, dtype=np.int64), np.empty(2 * R)
+    k.sturm_counts(L, R, 0, R, np.arange(R + 1, dtype=np.int64) * 2, v, tsq,
+                   np.tile([-3.0, 3.0], R), pivmin, ends, d)
+    na = np.ascontiguousarray(ends[0::2])
+    off = np.concatenate([[0], np.cumsum(ends[1::2] - na)]).astype(np.int64)
+    assert off[-1] > 0 and (np.diff(off) == 0).any()
+    eig, sweeps = np.empty(off[-1]), np.empty(off[-1], dtype=np.int64)
+    counts, piv = np.empty(off[-1], dtype=np.int64), np.empty(off[-1])
+    for r0, r1 in ((0, R), (2, 4), (1, 2), (3, 5), (4, 5)):
+        assert k.window_eigenvalues(L, R, r0, r1, off, v, tsq, pivmin, -3.0, 3.0, 1e-11,
+                                    na, eig, sweeps) == 0
+        k.sturm_counts(L, R, r0, r1, off, v, tsq, eig, pivmin, counts, piv)
+    keys = np.empty((R, 2), dtype=np.uint64)
+    k.stream_keys(R, 7, np.arange(R, dtype=np.uint64), keys)
+    below = np.empty((R, 13), dtype=np.bool_)
+    k.stream_below(R, keys, 3, 13, 0.5, below)
+    bv, bt = np.empty((L, R)), np.empty((L - 1, R))
+    assert k.fill_boxes(L, R, keys, 0.5, 1, 2, np.array([0.1, 0.2, 0.3]),
+                        np.array([1.0, 1.5, 2.0]), bv, bt) == 0
+    prod, expo = np.tile(np.eye(2), (R, 1, 1)), np.zeros(R, dtype=np.int64)
+    k.lyapunov_steps(R, keys, 1, 300, 0.5, np.array([[2.0, -1.0], [1.0, 0.0]]),
+                     np.array([[0.5, -1.0], [1.0, 0.0]]), prod, expo)
+print("ok")
+"""
+
+
+def test_kernels_clean_under_address_sanitizer(tmp_path):
+    # every entry point on ragged offsets with empty realizations, one-site
+    # boxes and row ranges that start mid-batch, under AddressSanitizer
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no AddressSanitizer runtime for cc")
+    lib = tmp_path / "kernels_asan.so"
+    subprocess.run(["cc", *_CFLAGS, "-fsanitize=address", "-fno-omit-frame-pointer",
+                    "-x", "c", "-", "-o", str(lib)], input=_KERNELS_C, text=True, check=True)
+    src = Path(eigensolve.__file__).resolve().parents[1]
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _ASAN_CALLS, str(lib)], env=env,
+                         capture_output=True, text=True)
+    assert "AddressSanitizer" not in out.stderr, out.stderr
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
 
 
 def test_kernel_builds_into_fresh_cache(tmp_path):
