@@ -31,5 +31,5 @@ from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          clock_spacing_statistic, uniformity_test,
                          psi_errors, holder_probe, minami_probe)
 from .transport import (EvolutionSetup, MomentCurve, BoundaryContaminationError,
-                        evolution_setup, evolve_amplitudes, moment,
-                        moment_curve, transport_exponent)
+                        evolution_setup, moment, moment_curve,
+                        transport_exponent)

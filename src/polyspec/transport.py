@@ -23,7 +23,6 @@ __all__ = [
     "EvolutionSetup",
     "MomentCurve",
     "evolution_setup",
-    "evolve_amplitudes",
     "moment",
     "moment_curve",
     "transport_exponent",
@@ -91,12 +90,6 @@ def _weighted_modes(setup: EvolutionSetup):
     underflows to 0."""
     keep = setup.weights != 0
     return setup.modes[:, keep], setup.energies[keep], setup.weights[keep]
-
-
-def evolve_amplitudes(setup: EvolutionSetup, t: float) -> np.ndarray:
-    """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the projected modes."""
-    modes, energies, w = _weighted_modes(setup)
-    return modes @ (np.cos(energies * t) * w) - 1j * (modes @ (np.sin(energies * t) * w))
 
 
 def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,

@@ -220,7 +220,7 @@ def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
     # les-poisson and sharpness pool only their unfolding window, by Sturm
     # counts and bisection; ids and holder-probe still pool full spectra
     from polyspec import statistics
-    calls = {"pool_spectra": 0, "dsterf": 0}
+    calls = {"pool_spectra": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -230,16 +230,12 @@ def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
 
     monkeypatch.setattr(statistics, "pool_spectra",
                         counted("pool_spectra", statistics.pool_spectra))
-    # the LAPACK entry point, called on the pool's worker threads
-    dsterf = counted("dsterf", statistics._dsterf())
-    monkeypatch.setattr(statistics, "_dsterf", lambda: dsterf)
     golden = json.loads((Path(__file__).parent / "golden_kinds.json").read_text())
     for kind, full_pool in (("les-poisson", False), ("sharpness", False),
                             ("ids", True), ("holder-probe", True)):
         calls.update(dict.fromkeys(calls, 0))
         run(cfg(kind, tmp_path, params=golden[kind]["params"], seed=5))
         assert (calls["pool_spectra"] > 0) == full_pool, (kind, calls)
-        assert (calls["dsterf"] > 0) == full_pool, (kind, calls)
 
 
 def test_ids_extra_probe_writes_null_formula(tmp_path):

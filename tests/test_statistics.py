@@ -12,7 +12,9 @@ from scipy.stats import chi2, kstest
 
 from polyspec import statistics
 from polyspec.cli import main
-from polyspec.model import PolymerSpec, PolymerModel, dimer_preset, lattice_for_sites
+from polyspec.eigensolve import _pivmin
+from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, lattice_for_sites,
+                            potentials_for_sites_batch)
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                                  empirical_ids, windowed_ids, pool_spectra, ids_at_critical,
@@ -60,29 +62,33 @@ UNEQUAL = PolymerModel(PolymerSpec(1, [0.4], [1.0]),
 
 @settings(max_examples=40)
 @given(model=explicit_models(), L_ids=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
-       indices=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=7),
-       cpus=st.sampled_from([1, 2, 3, 16]))
-@example(model=UNEQUAL, L_ids=1, seed=3, indices=[4], cpus=2)
-@example(model=UNEQUAL, L_ids=2, seed=3, indices=[9, 2, 7], cpus=16)
-@example(model=UNEQUAL, L_ids=50, seed=8, indices=[10 ** 6 + 5, 3, 3, 40], cpus=1)
-def test_pool_spectra_equals_serial_sterf(model, L_ids, seed, indices, cpus):
-    # bit for bit, for one worker and for more workers than boxes
+       indices=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=7))
+@example(model=UNEQUAL, L_ids=1, seed=3, indices=[4])
+@example(model=UNEQUAL, L_ids=2, seed=3, indices=[9, 2, 7])
+@example(model=UNEQUAL, L_ids=50, seed=8, indices=[10 ** 6 + 5, 3, 3, 40])
+def test_pool_spectra_matches_serial_sterf(model, L_ids, seed, indices):
+    # every eigenvalue of every box, box after box, each within the window
+    # kernel's tol of LAPACK's plus what rounding allows either of them
     want = serial_sterf_pool(model, L_ids, seed, indices)
-    with mock.patch.object(statistics, "_cpus", return_value=cpus):
-        got = pool_spectra(model, L_ids, seed, indices)
-    assert got.tobytes() == want.tobytes()
+    got = pool_spectra(model, L_ids, seed, indices)
+    assert got.size == want.size == L_ids * len(indices)
+    v, tsq = potentials_for_sites_batch(model, L_ids, seed, indices)
+    norm = np.abs(v).max() + 2 * np.sqrt(tsq.max(initial=0.0))
+    bound = (statistics._IDS_TOL / 2 + 16 * np.finfo(float).eps * norm
+             + 2 * _pivmin(v, tsq))
+    assert np.abs(got - want).max() <= bound
 
 
 def test_pool_spectra_draws_boxes_on_calling_thread(tmp_path, monkeypatch):
-    # worker threads run only LAPACK; every package function stays on the
-    # calling thread, and no thread outlives the pool
+    # worker threads run only the compiled window kernel; every package
+    # function stays on the calling thread, and no thread outlives the pool
     threads = []
 
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return lattice_for_sites(*args, **kwargs)
+    def recorded(model, num_sites, seed, indices):
+        threads.extend([threading.get_ident()] * len(indices))
+        return potentials_for_sites_batch(model, num_sites, seed, indices)
 
-    monkeypatch.setattr(statistics, "lattice_for_sites", recorded)
+    monkeypatch.setattr(statistics, "potentials_for_sites_batch", recorded)
     before = threading.active_count()
     code = main(["ids", "--out", str(tmp_path), "--seed", "5",
                  "--param", "L_ids=200", "--param", "realizations=9"])
@@ -91,11 +97,13 @@ def test_pool_spectra_draws_boxes_on_calling_thread(tmp_path, monkeypatch):
     assert len(threads) == 9 and set(threads) == {threading.get_ident()}
 
 
-def test_pool_spectra_raises_on_lapack_failure(monkeypatch):
-    def failing(n, d, e, info):
-        info._obj.value = 3
-    monkeypatch.setattr(statistics, "_dsterf", lambda: failing)
-    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+def test_pool_spectra_refuses_a_short_pool():
+    # a bracket that misses part of the spectrum raises instead of
+    # returning fewer than L_ids eigenvalues per box
+    bottom, top = UNEQUAL.gershgorin_bound
+    narrow = property(lambda self: (bottom, 0.5 * (bottom + top)))
+    with mock.patch.object(PolymerModel, "gershgorin_bound", narrow), \
+            pytest.raises(RuntimeError, match="for 4 boxes of 20 sites"):
         pool_spectra(UNEQUAL, 20, 1, range(4))
 
 

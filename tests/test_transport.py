@@ -5,9 +5,15 @@ from scipy.special import jv
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec import transport
 from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
-from polyspec.transport import (evolution_setup, evolve_amplitudes, moment,
-                                moment_curve, transport_exponent,
-                                BoundaryContaminationError, _moment_integrand)
+from polyspec.transport import (evolution_setup, moment, moment_curve, transport_exponent,
+                                BoundaryContaminationError, _moment_integrand,
+                                _weighted_modes)
+
+
+def evolve_amplitudes(setup, t):
+    """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the modes with nonzero weight."""
+    modes, energies, w = _weighted_modes(setup)
+    return modes @ (np.cos(energies * t) * w) - 1j * (modes @ (np.sin(energies * t) * w))
 
 
 def free_setup(L, window=None):
