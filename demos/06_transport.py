@@ -21,8 +21,8 @@ for name, window in (("critical window [-0.6, 0.6]", (-0.6, 0.6)),
     seq = lattice_for_sites(model, 1601, seed=2)
     setup = evolution_setup(build_hamiltonian(seq), projection_window=window)
     curve = moment_curve(setup, 2.0, Ts, quadrature_points=500)
-    slope = np.polyfit(np.log(Ts), np.log(curve.cesaro_moments), 1)[0]
-    vals = ", ".join(f"{v:.1f}" for v in curve.cesaro_moments)
+    slope = np.polyfit(np.log(Ts), np.log(curve.values), 1)[0]
+    vals = ", ".join(f"{v:.1f}" for v in curve.values)
     print(f"{name}: M_2(T) = [{vals}]  slope {slope:.2f}")
 
 free, = transport_exponent(anderson_preset(0.0, 0.5), 2.0, [10.0, 20.0, 40.0],

@@ -28,7 +28,7 @@ from .transfer import find_critical_energies, expansion_coeffs, lyapunov
 from .statistics import (empirical_ids, windowed_ids, ids_at_critical, dos_at_critical,
                          les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
-                         holder_probe, minami_probe)
+                         holder_probe, minami_probe, COUNTING_MIN_SAMPLES)
 from .transport import transport_exponent
 
 __all__ = ["ExperimentConfig", "RunReport", "validate", "experiment", "run", "main",
@@ -166,6 +166,12 @@ _KIND_DEFAULTS = {
 
 KINDS = tuple(sorted(_KIND_DEFAULTS))
 
+# counts below which a run always fails: the critical scan needs two grid
+# points; the Lyapunov estimate drops the first half of the steps and its
+# stderr needs two realizations; les-poisson's counting test needs its minimum
+_LEAST = {"critical": {"grid": 2}, "lyapunov": {"steps": 2, "realizations": 2},
+          "les-poisson": {"realizations": COUNTING_MIN_SAMPLES}}
+
 
 def build_config(kind: str, raw: dict) -> ExperimentConfig:
     if kind not in _KIND_DEFAULTS:
@@ -210,9 +216,14 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("params.gamma: gamma must lie in (0, 1]")
         if not _positive(p.get("c2", 1.0)):
             diags.append("params.c2: c2 must be positive")
+    for key, least in _LEAST.get(config.kind, {}).items():
+        if _positive_int(p.get(key)) and int(p[key]) < least:
+            diags.append(f"params.{key}: must be at least {least}")
     if config.kind == "transport":
         if not _positive(p.get("q", 2.0)):
             diags.append("params.q: q must be positive")
+        if p.get("averaging", "cesaro") not in ("cesaro", "abel"):
+            diags.append("params.averaging: must be 'cesaro' or 'abel'")
         for key in ("T_grid", "free_T_grid"):
             if key in p and not _time_grid(p[key]):
                 diags.append(f"params.{key}: must hold at least two distinct times, "
@@ -231,12 +242,10 @@ def validate(config: ExperimentConfig) -> list[str]:
                             f"params.{key}: every time must be at least max T / "
                             f"(quadrature_points - 1) = {max(Ts) / (int(quad) - 1)!r}, "
                             "so that [0, T] holds two quadrature points")
-    # every integer size or count must be positive
-    for key in ("realizations", "L", "L_ids", "steps", "grid", "irr_k_max", "ids_L",
-                "ids_realizations", "control_L", "control_realizations", "window_atoms",
-                "control_window_atoms", "j_max", "box_radius", "free_box_radius",
-                "quadrature_points", "x_points"):
-        if key in p and p[key] is not None and not _positive_int(p[key]):
+    # every integer size or count, the parameters with int defaults, must be positive
+    for key, default in _KIND_DEFAULTS[config.kind]["params"].items():
+        if type(default) is int and key in p and p[key] is not None \
+                and not _positive_int(p[key]):
             diags.append(f"params.{key}: must be a positive integer")
     if p.get("search") is not None and not _interval(p["search"]):
         diags.append("params.search: must be null or [lo, hi] with lo < hi")
@@ -352,11 +361,22 @@ def _exp_ids(model, params, seed):
     passes = {}
     if reports:
         passes["branch_consistency"] = branch_err <= params["branch_tolerance"]
-    if abs(model.p_plus - 0.5) < 1e-12:
+    if _symmetric_law(model):
         passes["symmetry"] = sym_err <= params["symmetry_tolerance"]
     tables = {"ids_curve": (["energy", "N"], curve_rows),
               "ids_probes": (["energy", "N_empirical", "N_formula"], probe_rows)}
     return stats, passes, tables
+
+
+def _symmetric_law(model) -> bool:
+    """Whether the disorder law is invariant under v -> -v, so that
+    N(E) + N(-E) = 1: every potential is 0, or p_plus = 1/2 and the minus
+    polymer is the plus one with negated potentials and the same hoppings."""
+    if not (np.any(model.plus.potentials) or np.any(model.minus.potentials)):
+        return True
+    return (abs(model.p_plus - 0.5) < 1e-12
+            and np.array_equal(model.minus.potentials, -model.plus.potentials)
+            and np.array_equal(model.minus.hoppings, model.plus.hoppings))
 
 
 def _ids_indices(params):
@@ -412,7 +432,8 @@ def _exp_les_clock(model, params, seed):
                       "clock statistics may not converge", stacklevel=2)
     samples = les_ensemble(model, report.energy, int(params["L"]),
                            int(params["realizations"]), seed,
-                           window_atoms=int(params["window_atoms"]), report=report)
+                           window_atoms=int(params["window_atoms"]),
+                           dos_value=dos_at_critical(expansion_coeffs(model, report), model))
     gs, stats, tables = _les_outputs(samples)
     stats.update(critical_energy=report.energy,
                  irrationality_violations=report.irrationality_violations)
@@ -484,7 +505,7 @@ def _exp_sharpness(model, params, seed):
     E0_L = report.energy + L ** (-delta)
     # clock-like run centered at the drifting energy E0(L)
     sharp_samples = les_ensemble(model, E0_L, L, int(params["realizations"]), seed,
-                                 window_atoms=int(params["j_max"]) + 4, report=report)
+                                 window_atoms=int(params["j_max"]) + 4, dos_value=n_Ec)
     sharp = gap_statistics(sharp_samples)
 
     # Poisson control at a fixed noncritical energy, unfolded for the KS test
@@ -551,7 +572,7 @@ def _exp_transport(model, params, seed):
     runs = {"critical_window": crit, "localized_window": loc, "free_chain": free}
     rows = [(name, r, float(T), float(val)) for name, res in runs.items()
             for r, curve in enumerate(res["curves"])
-            for T, val in zip(curve.times, curve.values(averaging))]
+            for T, val in zip(curve.times, curve.values)]
     passes = {
         "critical_slope": crit["slope"] >= params["critical_slope_min"],
         "localized_slope": loc["slope"] <= params["localized_slope_max"],

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import LatticeSequences
+from .model import LatticeSequences, _freeze
 
 __all__ = [
     "TridiagonalOperator",
@@ -50,12 +50,6 @@ __all__ = [
 ]
 
 DENSE_ORACLE_CAP = 4096
-
-
-def _freeze(a):
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -175,31 +169,27 @@ static inline double pivot(double x, double pivmin)
     return fabs(x) < pivmin ? -pivmin : x;
 }
 
-/* v (L, R) and tsq (L-1, R) hold one operator per column; realization r
-   owns the flat columns off[r] .. off[r+1] - 1 of s, counts and d.  One call
-   sweeps realizations r0 .. r1 - 1 and touches only their columns, so calls
-   on disjoint realization ranges may run at once. */
-void sturm_counts(int64_t L, int64_t R, int64_t r0, int64_t r1,
-                  const int64_t *restrict off, const double *restrict v,
+/* v (L, R) and tsq (L-1, R) hold one operator per column; s, counts and d
+   (R, K) hold realization r's K shifts, counts below them and last pivots
+   in row r. */
+void sturm_counts(int64_t L, int64_t R, int64_t K, const double *restrict v,
                   const double *restrict tsq, const double *restrict s, double pivmin,
                   int64_t *restrict counts, double *restrict d)
 {
-    for (int64_t r = r0; r < r1; ++r) {
-        const int64_t i1 = off[r + 1];
-        for (int64_t i = off[r]; i < i1; ++i) {
+    for (int64_t r = 0; r < R; ++r)
+        for (int64_t i = r * K; i < (r + 1) * K; ++i) {
             const double x = pivot(v[r] - s[i], pivmin);
             d[i] = x;
             counts[i] = x < 0;
         }
-    }
     /* sites outermost: each site's row of v and tsq is read once per sweep */
     for (int64_t n = 1; n < L; ++n) {
         const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
-        for (int64_t r = r0; r < r1; ++r) {
-            const double vr = vn[r], tr = tn[r], *sr = s + off[r];
-            double *dr = d + off[r];
-            int64_t *cr = counts + off[r];
-            const int64_t K = off[r + 1] - off[r];
+        const double *sr = s;
+        double *dr = d;
+        int64_t *cr = counts;
+        for (int64_t r = 0; r < R; ++r, sr += K, dr += K, cr += K) {
+            const double vr = vn[r], tr = tn[r];
             for (int64_t k = 0; k < K; ++k) {
                 const double x = pivot((vr - sr[k]) - tr / dr[k], pivmin);
                 dr[k] = x;
@@ -592,13 +582,13 @@ static void scratch_close(struct scratch *s)
 #endif
 }
 
-/* Eigenvalues in [a, b) of realizations r0 .. r1 - 1 (v, tsq and off as in
-   sturm_counts; realization r has na[r] eigenvalues below a and owns one
-   column per eigenvalue in the window, column i finding eigenvalue index
-   na[r] + i - off[r]).  eig[i] gets the midpoint of a bracket no wider than
-   tol that holds the eigenvalue, and sweeps[i] the column's share of the
-   sweeps over the L sites, rounded (q counts that g columns share add q/g
-   to each, a twist pass 2).
+/* Eigenvalues in [a, b) of realizations r0 .. r1 - 1 (v and tsq as in
+   sturm_counts; realization r has na[r] eigenvalues below a and owns the
+   columns off[r] .. off[r+1] - 1, one per eigenvalue in the window, column
+   i finding eigenvalue index na[r] + i - off[r]).  eig[i] gets the
+   midpoint of a bracket no wider than tol that holds the eigenvalue, and
+   sweeps[i] the column's share of the sweeps over the L sites, rounded (q
+   counts that g columns share add q/g to each, a twist pass 2).
 
    The columns of a realization that share a bracket cut it at twice as
    many points as they are, in one lockstep sweep, until each bracket holds
@@ -1078,7 +1068,7 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
     n, j = ctypes.c_int64, ctypes.c_uint64
-    dll.sturm_counts.argtypes = [n] * 4 + [i64, f64, f64, f64, ctypes.c_double, i64, f64]
+    dll.sturm_counts.argtypes = [n] * 3 + [f64, f64, f64, ctypes.c_double, i64, f64]
     dll.stream_keys.argtypes = [n, j, u64, u64]
     dll.stream_below.argtypes = [n, u64, j, j, ctypes.c_double, u8]
     dll.fill_boxes.argtypes = [n, n, u64, ctypes.c_double, n, n, f64, f64, f64, f64]
@@ -1124,8 +1114,7 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
                          f"got {v.shape}, {tsq.shape}, {shifts.shape}")
     counts = np.empty((R, K), dtype=np.int64)
     d = np.empty((R, K))
-    _kernel().sturm_counts(L, R, 0, R, np.arange(R + 1, dtype=np.int64) * K, v, tsq,
-                           shifts, _pivmin(v, tsq), counts, d)
+    _kernel().sturm_counts(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     return counts, d
 
 

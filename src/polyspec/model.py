@@ -135,6 +135,14 @@ class PolymerModel:
         t = max(self.plus.hoppings.max(), self.minus.hoppings.max())
         return float(v.min() - 2 * t), float(v.max() + 2 * t)
 
+    @property
+    def spectrum_bracket(self) -> tuple[float, float]:
+        """gershgorin_bound padded by 5% of its width on each side, so that
+        [a, b) holds every eigenvalue of every box and every critical energy."""
+        bottom, top = self.gershgorin_bound
+        pad = 0.05 * (top - bottom)
+        return bottom - pad, top + pad
+
 
 @dataclass(frozen=True)
 class Configuration:

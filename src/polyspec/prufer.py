@@ -25,7 +25,7 @@ import numpy as np
 
 from .eigensolve import sturm_counts_batch
 from .model import LatticeSequences, PolymerModel
-from .transfer import CriticalEnergyReport, polymer_matrix
+from .transfer import TWO_PI, CriticalEnergyReport, _conjugated_polymer
 
 __all__ = [
     "PruferTrace",
@@ -36,9 +36,6 @@ __all__ = [
     "relative_prufer_batch",
     "phase_shift",
 ]
-
-TWO_PI = 2.0 * np.pi
-
 
 def angle_map_m(M: np.ndarray, theta):
     """Continuous lift of theta -> arg(M e_theta), with m(theta + pi) = m(theta) + pi.
@@ -160,13 +157,6 @@ def relative_prufer(seq: LatticeSequences, M: np.ndarray, E_c: float,
                                  M, E_c, n_Ec, xs)[0]
 
 
-def _conjugated_polymer(model: PolymerModel, report: CriticalEnergyReport,
-                        sign: str, eps: float) -> np.ndarray:
-    spec = model.plus if sign == "plus" else model.minus
-    M = report.diagonalizer
-    return M @ polymer_matrix(spec, report.energy + eps) @ np.linalg.inv(M)
-
-
 def phase_shift(model: PolymerModel, report: CriticalEnergyReport, sign: str,
                 eps: float, theta):
     """One-polymer phase shift: rho e_S = M T^{E_c + eps} M^{-1} e_theta.
@@ -177,8 +167,9 @@ def phase_shift(model: PolymerModel, report: CriticalEnergyReport, sign: str,
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    eta = report.eta_plus if sign == "plus" else report.eta_minus
-    B = _conjugated_polymer(model, report, sign, eps)
+    spec, eta = ((model.plus, report.eta_plus) if sign == "plus"
+                 else (model.minus, report.eta_minus))
+    B = _conjugated_polymer(spec, report.diagonalizer, report.energy + eps)
     theta = np.asarray(theta, float)
     ux = B[0, 0] * np.cos(theta) + B[0, 1] * np.sin(theta)
     uy = B[1, 0] * np.cos(theta) + B[1, 1] * np.sin(theta)

@@ -57,6 +57,8 @@ _POOL_BATCH = 32
 _IDS_TOL = 1e-13
 _RANK_PAD = 2
 _BRACKET_POINTS = 7
+# counting_statistics needs this many samples for its chi-square bins
+COUNTING_MIN_SAMPLES = 500
 
 
 class InsufficientDataError(ValueError):
@@ -113,36 +115,26 @@ class EmpiricalIDS:
         return np.interp(u, q, self.pooled)
 
 
-def _spectrum_bracket(model: PolymerModel) -> tuple[float, float]:
-    """The model's Gershgorin bound padded by 5% of its width on each side,
-    so that [a, b) holds every eigenvalue of every box."""
-    bottom, top = model.gershgorin_bound
-    pad = 0.05 * (top - bottom)
-    return bottom - pad, top + pad
-
-
-def _ids_eigenvalues(boxes, a: float, b: float) -> np.ndarray:
-    """All eigenvalues in [a, b) of the (v, tsq) box batches at _IDS_TOL,
+def _ids_eigenvalues(v: np.ndarray, tsq: np.ndarray, a: float, b: float) -> np.ndarray:
+    """All eigenvalues in [a, b) of one (v, tsq) box batch at _IDS_TOL,
     each box's ascending, box after box."""
-    return np.concatenate([e for v, tsq in boxes
-                           for e in eigenvalues_in_window_batch(v, tsq, a, b, tol=_IDS_TOL)])
+    return np.concatenate(eigenvalues_in_window_batch(v, tsq, a, b, tol=_IDS_TOL))
 
 
 def pool_spectra(model: PolymerModel, L_ids: int, seed: int,
                  realization_indices) -> np.ndarray:
     """Concatenated full spectra of iid boxes, one per realization index.
 
-    Each box's spectrum is every eigenvalue in _spectrum_bracket, found by
-    the compiled window kernel at _IDS_TOL on every CPU; the boxes are drawn
-    in _POOL_BATCH blocks and each block is solved before the next is drawn.
-    Raises RuntimeError rather than return fewer than L_ids eigenvalues
-    per box.
+    Each box's spectrum is every eigenvalue in the model's spectrum_bracket,
+    found by the compiled window kernel at _IDS_TOL on every CPU; the boxes
+    are drawn in _POOL_BATCH blocks and each block is solved before the next
+    is drawn.  Raises RuntimeError rather than return fewer than L_ids
+    eigenvalues per box.
     """
     idx = list(realization_indices)
-    a, b = _spectrum_bracket(model)
-    blocks = (potentials_for_sites_batch(model, L_ids, seed, idx[s:s + _POOL_BATCH])
-              for s in range(0, len(idx), _POOL_BATCH))
-    pool = _ids_eigenvalues(blocks, a, b)
+    a, b = model.spectrum_bracket
+    pool = np.concatenate(_batched(lambda _, v, tsq: _ids_eigenvalues(v, tsq, a, b),
+                                   model, L_ids, seed, idx, _POOL_BATCH))
     if pool.size != L_ids * len(idx):
         raise RuntimeError(f"pool_spectra found {pool.size} eigenvalues in [{a!r}, {b!r}) "
                            f"for {len(idx)} boxes of {L_ids} sites")
@@ -177,8 +169,7 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
     decides the rest exactly.
     """
     idx = list(realization_indices)
-    boxes = [potentials_for_sites_batch(model, L_ids, seed, idx[s:s + _BATCH])
-             for s in range(0, len(idx), _BATCH)]
+    boxes = _batched(lambda _, v, tsq: (v, tsq), model, L_ids, seed, idx)
     n = L_ids * len(idx)
 
     def count(energies) -> np.ndarray:
@@ -197,7 +188,7 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
     hi_rank = min(math.ceil(i_hi + 1 + k) + _RANK_PAD, n)
     # [x0, count(x0), x1, count(x1)] around lo_rank and hi_rank; a bracket
     # is done once its outer count is within `slack` ranks of its target
-    a, b = _spectrum_bracket(model)
+    a, b = model.spectrum_bracket
     lower, upper = [a, 0, E0 - near, i_lo], [E0 + near, i_hi, b, n]
     slack = max(_RANK_PAD, (hi_rank - lo_rank) // 64)
     while todo := [(br, target) for br, target, off in
@@ -213,7 +204,8 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
             j = np.searchsorted(cs, target, side="left")
             if j < _BRACKET_POINTS:
                 br[2:] = xs[j], int(cs[j])
-    pooled = np.sort(_ids_eigenvalues(boxes, float(lower[0]), float(upper[2])))
+    pooled = np.sort(np.concatenate([_ids_eigenvalues(v, tsq, float(lower[0]), float(upper[2]))
+                                     for v, tsq in boxes]))
     return EmpiricalIDS(pooled=pooled, below=int(lower[1]), total_count=n)
 
 
@@ -258,18 +250,19 @@ class ClockSpacingSample:
             raise ValueError("rescaled gaps must be nonnegative")
 
 
-def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realizations: int,
+def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realization_indices,
              size: int = _BATCH) -> list:
-    """[fn(indices, v, tsq)] over consecutive fixed-size realization batches.
+    """[fn(indices, v, tsq)] over consecutive blocks of `size` realization
+    indices, the last block shorter.
 
     Each batch's disorder (v, tsq) exists only as fn's arguments, so one
-    batch at a time is in memory.
+    batch at a time is in memory unless fn keeps it.
     """
-    if realizations < 1:
+    idx = list(realization_indices)
+    if not idx:
         raise ValueError("realizations must be >= 1")
-    return [fn(idx, *potentials_for_sites_batch(model, L_sites, seed, idx))
-            for idx in (range(s, min(s + size, realizations))
-                        for s in range(0, realizations, size))]
+    return [fn(block, *potentials_for_sites_batch(model, L_sites, seed, block))
+            for block in (idx[s:s + size] for s in range(0, len(idx), size))]
 
 
 def _critical_density(model: PolymerModel, report: CriticalEnergyReport) -> float:
@@ -278,20 +271,18 @@ def _critical_density(model: PolymerModel, report: CriticalEnergyReport) -> floa
 
 def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int,
                  seed: int, window_atoms: int = 20, ids: EmpiricalIDS | None = None,
-                 report: CriticalEnergyReport | None = None,
                  dos_value: float | None = None) -> list[PointProcessSample]:
     """Local eigenvalue samples for many realizations at once.
 
-    Exactly one of `ids` (unfolded rescaling), `report` (exact critical
-    rescaling n(E_c) L (E - E_c)), or `dos_value` (the same rescaling with a
-    precomputed density) must be given.  Only the energy window mapping to
+    Exactly one of `ids` (unfolded rescaling) or `dos_value` (a density n,
+    rescaling E to n L (E - E0); at a critical energy, n(E_c) of
+    dos_at_critical) must be given.  Only the energy window mapping to
     atoms within +-window_atoms is extracted, via windowed Sturm bisection,
     never the full spectrum.  An unfolding window that leaves the pooled
     IDS's plotting positions raises ValueError.
     """
-    given = sum(x is not None for x in (ids, report, dos_value))
-    if given != 1:
-        raise ValueError("pass exactly one of ids=, report=, or dos_value=")
+    if (ids is None) == (dos_value is None):
+        raise ValueError("pass exactly one of ids= or dos_value=")
     if window_atoms < 1:
         raise ValueError("window_atoms must be >= 1")
     if ids is not None:
@@ -301,13 +292,13 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
             raise _unfolding_window_error(E0, n)
         a, b = float(ids.invert(N0 - du)), float(ids.invert(N0 + du))
     else:
-        n_Ec = _critical_density(model, report) if report is not None else float(dos_value)
+        n_Ec = float(dos_value)
         half = window_atoms / (n_Ec * L_sites)
         a, b = E0 - half, E0 + half
     if not b > a:
         raise ValueError("empty energy window (window_atoms too small for the IDS resolution)")
     parts = _batched(lambda idx, v, tsq: eigenvalues_in_window_batch(v, tsq, a, b),
-                     model, L_sites, seed, realizations)
+                     model, L_sites, seed, range(realizations))
     samples = []
     for r, e in enumerate(e for part in parts for e in part):
         if ids is not None:
@@ -374,8 +365,9 @@ class CountingStatistics:
 
 def counting_statistics(samples, intervals) -> CountingStatistics:
     """Per-interval count histograms with chi-square against Poisson(|I|)."""
-    if len(samples) < 500:
-        raise InsufficientDataError(f"need >= 500 samples, got {len(samples)}")
+    if len(samples) < COUNTING_MIN_SAMPLES:
+        raise InsufficientDataError(f"need >= {COUNTING_MIN_SAMPLES} samples, "
+                                    f"got {len(samples)}")
     intervals = [(float(a), float(b)) for a, b in intervals]
     for i, (a, b) in enumerate(intervals):
         if b <= a:
@@ -425,8 +417,8 @@ def clock_spacing_statistic(model: PolymerModel, report: CriticalEnergyReport,
                       f"(first violation k={report.irrationality_violations[0][0]}); "
                       "clock statistics may not converge")
     Ec = report.energy
-    samples = les_ensemble(model, Ec, L_sites, realizations, seed,
-                           window_atoms=j_max + 4, report=report)
+    samples = les_ensemble(model, Ec, L_sites, realizations, seed, window_atoms=j_max + 4,
+                           dos_value=_critical_density(model, report))
     gaps, gap_reals = [], []
     for s in samples:
         atoms = s.atoms
@@ -457,7 +449,7 @@ def uniformity_test(model: PolymerModel, report: CriticalEnergyReport,
         free = free_phase_batch(v, tsq, np.full((len(idx), 1), report.energy))[:, 0]
         return angle_map_m(report.diagonalizer, free) % np.pi
 
-    phis = np.concatenate(_batched(batch, model, L_sites, seed, realizations))
+    phis = np.concatenate(_batched(batch, model, L_sites, seed, range(realizations)))
     ks = _ks_distance(phis / np.pi, lambda x: np.clip(x, 0.0, 1.0))
     return {"ks_statistic": ks, "phis": phis, "num_realizations": realizations}
 
@@ -471,7 +463,7 @@ def psi_errors(model: PolymerModel, report: CriticalEnergyReport, L_sites: int,
         psi = relative_prufer_batch(v, tsq, report.diagonalizer, report.energy, n_Ec, xs)
         return np.abs(psi - xs[None, :]).max(axis=1)
 
-    return np.concatenate(_batched(batch, model, L_sites, seed, realizations,
+    return np.concatenate(_batched(batch, model, L_sites, seed, range(realizations),
                                    size=_PSI_BATCH))
 
 
@@ -534,7 +526,7 @@ def minami_probe(model: PolymerModel, L_sites: int, beta: float, gamma: float,
         ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (len(idx), 1)))
         return ends[:, 1] - ends[:, 0]
 
-    counts = np.concatenate(_batched(batch, model, ell1, seed, realizations))
+    counts = np.concatenate(_batched(batch, model, ell1, seed, range(realizations)))
     return {
         "box_sites": ell1,
         "interval": (a, b),

@@ -20,7 +20,6 @@ __all__ = [
     "rotation",
     "site_matrix",
     "polymer_matrix",
-    "polymer_matrix_grid",
     "block_product",
     "CriticalEnergyReport",
     "ExpansionCoeffs",
@@ -49,17 +48,13 @@ def site_matrix(v: float, t: float, E: float) -> np.ndarray:
     return np.array([[(v - E) / t, -t], [1.0 / t, 0.0]])
 
 
-def polymer_matrix(spec: PolymerSpec, E: float) -> np.ndarray:
-    """Product of site matrices over one polymer, site 0 applied first."""
-    T = np.eye(2)
-    for v, t in zip(spec.potentials, spec.hoppings):
-        T = site_matrix(v, t, E) @ T
-    return T
+def polymer_matrix(spec: PolymerSpec, E) -> np.ndarray:
+    """Product of site matrices over one polymer, site 0 applied first.
 
-
-def polymer_matrix_grid(spec: PolymerSpec, energies: np.ndarray) -> np.ndarray:
-    """Polymer matrices for an array of energies, shape (G, 2, 2)."""
-    E = np.asarray(energies, float)
+    E is a scalar, giving a (2, 2) matrix, or an array of energies, giving
+    one matrix per energy, shape E.shape + (2, 2).
+    """
+    E = np.asarray(E, float)
     T = np.broadcast_to(np.eye(2), E.shape + (2, 2)).copy()
     for v, t in zip(spec.potentials, spec.hoppings):
         S = np.empty(E.shape + (2, 2))
@@ -69,6 +64,12 @@ def polymer_matrix_grid(spec: PolymerSpec, energies: np.ndarray) -> np.ndarray:
         S[..., 1, 1] = 0.0
         T = S @ T
     return T
+
+
+def _conjugated_polymer(spec: PolymerSpec, M: np.ndarray, E) -> np.ndarray:
+    """M T(E) M^{-1}, the polymer matrix in the frame of the diagonalizer M,
+    for a scalar E or for each energy of an array."""
+    return M @ polymer_matrix(spec, E) @ np.linalg.inv(M)
 
 
 def block_product(model: PolymerModel, config: Configuration, E: float,
@@ -222,31 +223,19 @@ def expansion_coeffs(model: PolymerModel, report: CriticalEnergyReport,
     """
     if eps_probe <= 0:
         raise ValueError("eps_probe must be positive")
-    M = report.diagonalizer
-    Minv = np.linalg.inv(M)
-    Ec = report.energy
+    M, Ec, h = report.diagonalizer, report.energy, eps_probe
     out = {}
     for name, spec, eta in (("plus", model.plus, report.eta_plus),
                             ("minus", model.minus, report.eta_minus)):
-        def conj_at(e):
-            return M @ polymer_matrix(spec, Ec + e) @ Minv
-
-        def arg_a(e):
-            a, _ = _ab_coeffs(conj_at(e))
-            return _lift_near(np.angle(a), eta)
-
-        def b_of(e):
-            return _ab_coeffs(conj_at(e))[1]
-
-        h = eps_probe
-        d1 = (arg_a(h) - arg_a(-h)) / (2 * h)
-        d2 = (arg_a(h / 2) - arg_a(-h / 2)) / h
-        c1 = (b_of(h) - b_of(-h)) / (2 * h)
-        c2 = (b_of(h / 2) - b_of(-h / 2)) / h
-        a_eps, b_eps = _ab_coeffs(conj_at(eps_probe))
-        out[name] = ((4 * d2 - d1) / 3.0,
-                     ((4 * c2 - c1) / 3.0) * np.exp(1j * eta),
-                     a_eps, b_eps)
+        # (a, b) of the conjugated polymer at E_c + h, E_c - h, E_c + h/2, E_c - h/2
+        ab = [_ab_coeffs(B) for B in
+              _conjugated_polymer(spec, M, Ec + np.array([h, -h, h / 2, -h / 2]))]
+        arg = [_lift_near(np.angle(a), eta) for a, _ in ab]
+        d1 = (arg[0] - arg[1]) / (2 * h)
+        d2 = (arg[2] - arg[3]) / h
+        c1 = (ab[0][1] - ab[1][1]) / (2 * h)
+        c2 = (ab[2][1] - ab[3][1]) / h
+        out[name] = ((4 * d2 - d1) / 3.0, ((4 * c2 - c1) / 3.0) * np.exp(1j * eta), *ab[0])
     dp, cp, ap, bp = out["plus"]
     dm, cm, am, bm = out["minus"]
     return ExpansionCoeffs(d_plus=dp, d_minus=dm, c_plus=cp, c_minus=cm,
@@ -255,8 +244,8 @@ def expansion_coeffs(model: PolymerModel, report: CriticalEnergyReport,
 
 
 def _commutator_norms(model: PolymerModel, energies: np.ndarray) -> np.ndarray:
-    Tp = polymer_matrix_grid(model.plus, energies)
-    Tm = polymer_matrix_grid(model.minus, energies)
+    Tp = polymer_matrix(model.plus, energies)
+    Tm = polymer_matrix(model.minus, energies)
     C = Tp @ Tm - Tm @ Tp
     return np.sqrt((C ** 2).sum(axis=(-2, -1)))
 
@@ -285,9 +274,8 @@ def find_critical_energies(model: PolymerModel, search=None,
                            irr_k_max: int = 64) -> list[CriticalEnergyReport]:
     """Scan for critical energies on `search` and certify each candidate.
 
-    The default search is both polymers' Gershgorin bound
-    [min v - 2 max t, max v + 2 max t], which holds the spectrum of every
-    configuration and so every critical energy, padded by 5% of its width.
+    The default search is the model's spectrum_bracket, which holds the
+    spectrum of every configuration and so every critical energy.
     Local minima of the commutator Frobenius norm on the grid are refined
     by golden-section; a refined energy is kept only if the commutator norm
     is <= tol there and both polymer matrices are elliptic or +-identity.
@@ -297,10 +285,7 @@ def find_critical_energies(model: PolymerModel, search=None,
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if search is None:
-        lo, hi = model.gershgorin_bound
-        search = (lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
-    lo, hi = float(search[0]), float(search[1])
+    lo, hi = (float(x) for x in (model.spectrum_bracket if search is None else search))
     Es = np.linspace(lo, hi, grid)
     h = (hi - lo) / (grid - 1)
     norms = _commutator_norms(model, Es)

@@ -23,7 +23,6 @@ __all__ = [
     "EvolutionSetup",
     "MomentCurve",
     "evolution_setup",
-    "moment",
     "moment_curve",
     "transport_exponent",
 ]
@@ -59,7 +58,7 @@ class EvolutionSetup:
 
 
 def evolution_setup(H: TridiagonalOperator, initial_site: int | None = None,
-                    projection_window=None, cap: int = 6000) -> EvolutionSetup:
+                    projection_window=None) -> EvolutionSetup:
     """Diagonalize the box and project delta_j onto the energy window.
 
     The initial state is P(I) delta_j, unnormalized; with no window it is
@@ -69,7 +68,7 @@ def evolution_setup(H: TridiagonalOperator, initial_site: int | None = None,
         initial_site = H.num_sites // 2
     if not 0 <= initial_site < H.num_sites:
         raise ValueError("initial_site outside the box")
-    spec, modes = dense_oracle(H, cap=cap)
+    spec, modes = dense_oracle(H, cap=H.num_sites)
     setup = EvolutionSetup(hamiltonian=H, energies=spec.eigenvalues, modes=modes,
                            initial_site=int(initial_site), projection_window=None,
                            weights=modes[initial_site, :].copy())
@@ -128,59 +127,41 @@ def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
     return out
 
 
-def moment(setup: EvolutionSetup, q: float, T: float, averaging: str = "cesaro",
-           quadrature_points: int = DEFAULT_QUAD_POINTS) -> float:
-    """Time-averaged moment M_q(T) for a single averaging time."""
-    if q <= 0 or T <= 0:
-        raise ValueError("q and T must be positive")
-    if averaging not in ("cesaro", "abel"):
-        raise ValueError("averaging must be 'cesaro' or 'abel'")
-    horizon = T if averaging == "cesaro" else ABEL_TRUNCATION * T
-    times = np.linspace(0.0, horizon, quadrature_points)
-    m = _moment_integrand(setup, q, times)
-    if averaging == "cesaro":
-        return float(np.trapezoid(m, times) / T)
-    return float(np.trapezoid(m * np.exp(-times / T), times) / T)
-
-
 @dataclass(frozen=True)
 class MomentCurve:
-    """M_q(T) on a grid of averaging times; a mode not computed is None."""
+    """M_q(T) on a grid of averaging times."""
 
     times: np.ndarray
-    abel_moments: np.ndarray | None
-    cesaro_moments: np.ndarray | None
+    values: np.ndarray
     q: float
-
-    def values(self, averaging: str) -> np.ndarray:
-        out = self.cesaro_moments if averaging == "cesaro" else self.abel_moments
-        if out is None:
-            raise ValueError(f"{averaging} moments were not computed for this curve")
-        return out
 
 
 def moment_curve(setup: EvolutionSetup, q: float, Ts, averaging: str = "cesaro",
                  quadrature_points: int = DEFAULT_QUAD_POINTS) -> MomentCurve:
-    """Moment curve over a grid of averaging times.
+    """Moment curve over a grid of averaging times, each by the trapezoid rule.
 
-    Cesaro values share one integrand evaluation on [0, max(T)]; Abel values
-    integrate each T on its own truncated horizon (10T), which costs one
+    Cesaro values share one integrand evaluation on [0, max(T)]; each Abel
+    value integrates on its own truncated horizon [0, 10T], which costs one
     evaluation per grid point.
     """
     Ts = np.sort(np.asarray(Ts, float))
+    if q <= 0:
+        raise ValueError("q must be positive")
     if np.any(Ts <= 0):
         raise ValueError("averaging times must be positive")
-    if averaging not in ("cesaro", "abel", "both"):
-        raise ValueError("averaging must be 'cesaro', 'abel', or 'both'")
-    cesaro = abel = None
-    if averaging in ("cesaro", "both"):
+    if averaging == "cesaro":
         times = np.linspace(0.0, Ts[-1], quadrature_points)
         m = _moment_integrand(setup, q, times)
-        cesaro = np.array([np.trapezoid(m[times <= T], times[times <= T]) / T
-                           for T in Ts])
-    if averaging in ("abel", "both"):
-        abel = np.array([moment(setup, q, T, "abel", quadrature_points) for T in Ts])
-    return MomentCurve(times=Ts, abel_moments=abel, cesaro_moments=cesaro, q=q)
+        values = [np.trapezoid(m[times <= T], times[times <= T]) / T for T in Ts]
+    elif averaging == "abel":
+        values = []
+        for T in Ts:
+            times = np.linspace(0.0, ABEL_TRUNCATION * T, quadrature_points)
+            m = _moment_integrand(setup, q, times)
+            values.append(np.trapezoid(m * np.exp(-times / T), times) / T)
+    else:
+        raise ValueError("averaging must be 'cesaro' or 'abel'")
+    return MomentCurve(times=Ts, values=np.array(values), q=q)
 
 
 def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
@@ -201,13 +182,13 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
     curves = [[] for _ in windows]
     for r in range(realizations):
         seq = lattice_for_sites(model, num_sites, seed, r)
-        full = evolution_setup(build_hamiltonian(seq), cap=max(num_sites, 6000))
+        full = evolution_setup(build_hamiltonian(seq))
         for window, out in zip(windows, curves):
             setup = full if window is None else _project(full, window)
             out.append(moment_curve(setup, q, Ts, averaging, quadrature_points))
     results = []
     for window, wcurves in zip(windows, curves):
-        slopes = np.array([np.polyfit(np.log(Ts), np.log(c.values(averaging)), 1)[0]
+        slopes = np.array([np.polyfit(np.log(Ts), np.log(c.values), 1)[0]
                            for c in wcurves])
         stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
         results.append({

@@ -172,7 +172,7 @@ def test_criterion_09_sharpness(dimer06, les_poisson_run):
     L = 20000
     E0_L = report.energy + L ** (-0.6)
     sharp_samples = les_ensemble(model, E0_L, L, 200, ACCEPT_SEED + 5,
-                                 window_atoms=24, report=report)
+                                 window_atoms=24, dos_value=n_Ec)
     sharp = gap_statistics(sharp_samples)
     control_samples = les_ensemble(model, 1.2, 4000, 500, ACCEPT_SEED + 6,
                                    window_atoms=10, dos_value=n_Ec)

@@ -64,7 +64,11 @@ def test_validate_bad_model_and_param():
             ("transport", "T_grid", [-5.0, 5.0]), ("transport", "free_T_grid", [20.0]),
             ("transport", "q", 0.0), ("transport", "q", -1.0),
             ("minami-probe", "beta", "x"), ("minami-probe", "gamma", [1.0]),
-            ("sharpness", "delta", "big")]:
+            ("sharpness", "delta", "big"),
+            # each of these used to pass validation and then exit 1 in the run
+            ("transport", "averaging", "laplace"), ("transport", "averaging", "both"),
+            ("critical", "grid", 1), ("lyapunov", "steps", 1),
+            ("lyapunov", "realizations", 1), ("les-poisson", "realizations", 100)]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
     for search in ([1.0, -1.0], [0.0], "wide"):
@@ -245,6 +249,24 @@ def test_ids_extra_probe_writes_null_formula(tmp_path):
     probes = strict_summary(tmp_path / "ids_summary.json")["statistics"]["probes"]
     assert probes[-1]["energy"] == 0.1
     assert probes[-1]["formula"] is None
+
+
+def test_ids_checks_symmetry_only_for_a_symmetric_law(tmp_path):
+    # N(E) + N(-E) = 1 needs a disorder law invariant under v -> -v; at
+    # p_plus = 1/2 this one is not, and its symmetry error is about 0.1
+    model = {"plus": {"potentials": [0.6, 0.1], "hoppings": [1.0, 1.0]},
+             "minus": {"potentials": [-0.3], "hoppings": [1.0]}, "p_plus": 0.5}
+    report = run(cfg("ids", tmp_path, model=model, seed=5,
+                     params={"L_ids": 400, "realizations": 40}))
+    summary = strict_summary(Path(report.files[-1]))
+    assert "symmetry" not in summary["passes"]
+    assert summary["statistics"]["symmetry_error"] > 0.05
+    mirrored = dict(model, minus={"potentials": [-0.6, -0.1], "hoppings": [1.0, 1.0]})
+    for d, symmetric in ((model, False), (mirrored, True), (dict(mirrored, p_plus=0.4), False),
+                         ({"preset": "dimer", "V": 0.6, "p": 0.5}, True),
+                         ({"preset": "anderson", "V": 0.0, "p": 0.3}, True),
+                         ({"preset": "anderson", "V": 0.5, "p": 0.3}, False)):
+        assert cli._symmetric_law(model_from_dict(d)) is symmetric, d
 
 
 def test_main_param_override(tmp_path, capsys):

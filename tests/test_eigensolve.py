@@ -527,17 +527,16 @@ for L in (1, 2, 9):
     tsq = rng.uniform(0.25, 2.0, (L - 1, R))
     pivmin = _pivmin(v, tsq)
     ends, d = np.empty(2 * R, dtype=np.int64), np.empty(2 * R)
-    k.sturm_counts(L, R, 0, R, np.arange(R + 1, dtype=np.int64) * 2, v, tsq,
-                   np.tile([-3.0, 3.0], R), pivmin, ends, d)
+    k.sturm_counts(L, R, 2, v, tsq, np.tile([-3.0, 3.0], R), pivmin, ends, d)
     na = np.ascontiguousarray(ends[0::2])
     off = np.concatenate([[0], np.cumsum(ends[1::2] - na)]).astype(np.int64)
     assert off[-1] > 0 and (np.diff(off) == 0).any()
     eig, sweeps = np.empty(off[-1]), np.empty(off[-1], dtype=np.int64)
-    counts, piv = np.empty(off[-1], dtype=np.int64), np.empty(off[-1])
     for r0, r1 in ((0, R), (2, 4), (1, 2), (3, 5), (4, 5)):
         assert k.window_eigenvalues(L, R, r0, r1, off, v, tsq, pivmin, -3.0, 3.0, 1e-11,
                                     na, eig, sweeps) == 0
-        k.sturm_counts(L, R, r0, r1, off, v, tsq, eig, pivmin, counts, piv)
+    counts, piv = np.empty((R, 3), dtype=np.int64), np.empty((R, 3))
+    k.sturm_counts(L, R, 3, v, tsq, np.tile([-1.0, 0.0, 11.0], (R, 1)), pivmin, counts, piv)
     keys = np.empty((R, 2), dtype=np.uint64)
     k.stream_keys(R, 7, np.arange(R, dtype=np.uint64), keys)
     below = np.empty((R, 13), dtype=np.bool_)
@@ -580,8 +579,7 @@ def test_kernel_builds_into_fresh_cache(tmp_path):
     shifts = np.linspace(-2.5, 2.5, 7)[None, :]
     counts, d = np.empty((1, 7), dtype=np.int64), np.empty((1, 7))
     kernels = _load_kernel(lib)
-    kernels.sturm_counts(300, 1, 0, 1, np.array([0, 7]), v, tsq, shifts, _pivmin(v, tsq),
-                         counts, d)
+    kernels.sturm_counts(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))

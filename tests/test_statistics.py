@@ -244,10 +244,9 @@ def test_les_sample_empty_below_spectrum():
 def test_les_ensemble_argument_checks():
     m = dimer_preset(0.6, 0.5)
     ids = empirical_ids(m, L_ids=500, seed=5, realization_indices=range(30))
-    rep = find_critical_energies(m)[-1]
-    with pytest.raises(ValueError):
-        les_ensemble(m, 0.6, 1000, 2, 1, ids=ids, report=rep)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one"):
+        les_ensemble(m, 0.6, 1000, 2, 1, ids=ids, dos_value=0.2)
+    with pytest.raises(ValueError, match="exactly one"):
         les_ensemble(m, 0.6, 1000, 2, 1)
     with pytest.raises(ValueError):
         les_ensemble(m, 0.6, 1000, 2, 1, ids=ids, window_atoms=0)

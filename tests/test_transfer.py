@@ -10,8 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polyspec import eigensolve, transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
                             sample_configuration, _stream_keys)
-from polyspec.transfer import (site_matrix, polymer_matrix, polymer_matrix_grid,
-                               block_product, find_critical_energies, diagonalizer,
+from polyspec.transfer import (site_matrix, polymer_matrix, block_product, find_critical_energies, diagonalizer,
                                irrationality_check, expansion_coeffs, lyapunov,
                                rotation, _lyapunov_log_norms)
 
@@ -61,9 +60,25 @@ def test_polymer_matrix_dimer_identities():
 def test_polymer_matrix_grid_consistent():
     m = dimer_preset(0.45, 0.5)
     Es = np.linspace(-2, 2, 11)
-    G = polymer_matrix_grid(m.plus, Es)
+    G = polymer_matrix(m.plus, Es)
+    assert G.shape == (11, 2, 2)
     for i, E in enumerate(Es):
-        assert np.allclose(G[i], polymer_matrix(m.plus, E))
+        assert np.allclose(G[i], site_matrix(0.45, 1.0, E) @ site_matrix(0.45, 1.0, E))
+
+
+@settings(max_examples=60)
+@given(model=explicit_models(),
+       Es=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6))
+def test_polymer_matrix_array_equals_scalar_calls(model, Es):
+    # one energy array gives, bit for bit, the stack of the scalar products,
+    # and so does the conjugated polymer that expansion_coeffs batches
+    M = np.array([[2.0, 0.3], [-0.7, 1.1]])
+    for spec in (model.plus, model.minus):
+        stacked = np.array([polymer_matrix(spec, E) for E in Es])
+        assert np.array_equal(polymer_matrix(spec, np.array(Es)), stacked)
+        assert np.array_equal(polymer_matrix(spec, np.array(Es).reshape(-1, 1))[:, 0], stacked)
+        assert np.array_equal(transfer._conjugated_polymer(spec, M, np.array(Es)),
+                              [transfer._conjugated_polymer(spec, M, E) for E in Es])
 
 
 def test_block_product_identity_and_single():

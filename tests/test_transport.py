@@ -5,7 +5,7 @@ from scipy.special import jv
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec import transport
 from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
-from polyspec.transport import (evolution_setup, moment, moment_curve, transport_exponent,
+from polyspec.transport import (evolution_setup, moment_curve, transport_exponent,
                                 BoundaryContaminationError, _moment_integrand,
                                 _weighted_modes)
 
@@ -14,6 +14,11 @@ def evolve_amplitudes(setup, t):
     """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the modes with nonzero weight."""
     modes, energies, w = _weighted_modes(setup)
     return modes @ (np.cos(energies * t) * w) - 1j * (modes @ (np.sin(energies * t) * w))
+
+
+def moment(setup, q, T, averaging="cesaro", quadrature_points=256):
+    """M_q(T) at one averaging time."""
+    return moment_curve(setup, q, [T], averaging, quadrature_points).values[0]
 
 
 def free_setup(L, window=None):
@@ -48,11 +53,15 @@ def test_free_chain_bessel_law():
 def test_moment_small_T_and_validation():
     setup = free_setup(201)
     assert moment(setup, 2.0, 1e-6, "cesaro", quadrature_points=64) < 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be positive"):
         moment(setup, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be positive"):
+        moment(setup, -1.0, 1.0, averaging="abel")
+    with pytest.raises(ValueError, match="times must be positive"):
         moment(setup, 2.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="times must be positive"):
+        moment(setup, 2.0, 0.0, averaging="abel")
+    with pytest.raises(ValueError, match="averaging must be"):
         moment(setup, 2.0, 1.0, averaging="laplace")
 
 
@@ -62,8 +71,8 @@ def test_projection_full_range_equals_none():
     lo, hi = gershgorin_interval(H)
     full = evolution_setup(H, projection_window=(lo - 0.1, hi + 0.1))
     none = evolution_setup(H)
-    m1 = moment(full, 2.0, 10.0, quadrature_points=256)
-    m2 = moment(none, 2.0, 10.0, quadrature_points=256)
+    m1 = moment(full, 2.0, 10.0)
+    m2 = moment(none, 2.0, 10.0)
     assert abs(m1 - m2) <= 1e-8 * max(m2, 1.0)
 
 
@@ -81,9 +90,9 @@ def test_projection_triangle_bound():
                       projection_window=None,
                       weights=full.weights - inner.weights)
     for T in (5.0, 20.0):
-        mf = moment(full, 2.0, T, quadrature_points=256)
-        mi = moment(inner, 2.0, T, quadrature_points=256)
-        mc = moment(comp, 2.0, T, quadrature_points=256)
+        mf = moment(full, 2.0, T)
+        mi = moment(inner, 2.0, T)
+        mc = moment(comp, 2.0, T)
         assert mf <= 3.0 * (mi + mc) + 1e-9
 
 
@@ -96,7 +105,7 @@ def test_localized_window_bounded():
         setup = evolution_setup(build_hamiltonian(seq), projection_window=(1.4, 2.0))
         curve = moment_curve(setup, 2.0, [50.0, 100.0, 200.0, 400.0],
                              quadrature_points=400)
-        acc += curve.cesaro_moments
+        acc += curve.values
     assert acc.max() / acc.min() <= 2.0
 
 
@@ -104,7 +113,7 @@ def test_free_chain_ballistic_slope():
     setup = free_setup(1001)
     curve = moment_curve(setup, 2.0, [20.0, 40.0, 60.0, 80.0, 100.0],
                          quadrature_points=400)
-    slope = np.polyfit(np.log(curve.times), np.log(curve.cesaro_moments), 1)[0]
+    slope = np.polyfit(np.log(curve.times), np.log(curve.values), 1)[0]
     assert abs(slope - 2.0) <= 0.1
 
 
@@ -112,19 +121,19 @@ def test_abel_and_cesaro_agree_for_power_law():
     # free chain is exactly ballistic, m(t) = 2 t^2:
     # Abel gives (1/T)int e^{-t/T} m = 4T^2, Cesaro gives (2/3) T^2, ratio 6
     setup = free_setup(2001)
-    curve = moment_curve(setup, 2.0, [20.0, 40.0], averaging="both",
-                         quadrature_points=500)
-    ratio = curve.abel_moments / curve.cesaro_moments
-    assert np.allclose(ratio, 6.0, rtol=0.05)
+    abel, cesaro = (moment_curve(setup, 2.0, [20.0, 40.0], averaging=averaging,
+                                 quadrature_points=500).values
+                    for averaging in ("abel", "cesaro"))
+    assert np.allclose(abel / cesaro, 6.0, rtol=0.05)
 
 
 def test_moment_curve_mode_validation():
     setup = free_setup(201)
-    with pytest.raises(ValueError):
-        moment_curve(setup, 2.0, [10.0], averaging="trapezoid")
-    c = moment_curve(setup, 2.0, [5.0], averaging="cesaro", quadrature_points=64)
-    with pytest.raises(ValueError):
-        c.values("abel")
+    for averaging in ("trapezoid", "both"):
+        with pytest.raises(ValueError, match="averaging must be"):
+            moment_curve(setup, 2.0, [10.0], averaging=averaging)
+    c = moment_curve(setup, 2.0, [2.0, 1.0], averaging="abel", quadrature_points=64)
+    assert c.times.tolist() == [1.0, 2.0] and c.values.shape == (2,) and c.q == 2.0
 
 
 def test_boundary_guard_trips():
@@ -166,7 +175,7 @@ def test_integrand_matches_complex_all_mode_formula(make):
 def test_projected_window_trips_guard():
     setup = dimer_setup((-0.6, 0.6))
     with pytest.raises(BoundaryContaminationError, match=r"at t=31\.3725$"):
-        moment(setup, 2.0, 400.0, quadrature_points=256)
+        moment(setup, 2.0, 400.0)
 
 
 def test_windows_share_one_diagonalization(monkeypatch):
