@@ -11,17 +11,16 @@ experiments (also exposed as the `polyspec` command).
 
 __version__ = "0.1.0"
 
-from .model import (PolymerSpec, PolymerModel, Configuration, LatticeSequences,
-                    substream, sample_configuration, build_sequences,
-                    lattice_for_blocks, lattice_for_sites, dimer_preset,
+from .model import (PolymerSpec, PolymerModel, LatticeSequences, substream,
+                    lattice_for_sites, potentials_for_sites_batch, dimer_preset,
                     anderson_preset, model_from_dict, model_to_dict, load_model)
-from .eigensolve import (TridiagonalOperator, Spectrum, build_hamiltonian,
-                         sturm_count, eigenvalues_in_window, dense_oracle)
-from .transfer import (site_matrix, polymer_matrix, block_product, rotation,
+from .eigensolve import (TridiagonalOperator, build_hamiltonian, sturm_counts_batch,
+                         eigenvalues_in_window_batch, dense_oracle)
+from .transfer import (site_matrix, polymer_matrix, rotation,
                        CriticalEnergyReport, ExpansionCoeffs,
                        find_critical_energies, diagonalizer,
                        irrationality_check, expansion_coeffs, lyapunov)
-from .prufer import (PruferTrace, angle_map_m, prufer_trace, relative_prufer,
+from .prufer import (angle_map_m, free_phase_batch, relative_prufer_batch,
                      phase_shift)
 from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          GapStatistics, CountingStatistics, HolderReport,

@@ -29,7 +29,7 @@ from .statistics import (empirical_ids, windowed_ids, ids_at_critical, dos_at_cr
                          les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
                          holder_probe, minami_probe, COUNTING_MIN_SAMPLES)
-from .transport import transport_exponent
+from .transport import ABEL_TRUNCATION, _GUARD_FRACTION, transport_exponent
 
 __all__ = ["ExperimentConfig", "RunReport", "validate", "experiment", "run", "main",
            "KINDS"]
@@ -242,6 +242,18 @@ def validate(config: ExperimentConfig) -> list[str]:
                             f"params.{key}: every time must be at least max T / "
                             f"(quadrature_points - 1) = {max(Ts) / (int(quad) - 1)!r}, "
                             "so that [0, T] holds two quadrature points")
+        # the free chain (t = 1) spreads at most 2 sites per unit time
+        radius = p.get("free_box_radius")
+        if _time_grid(p.get("free_T_grid")) and _positive_int(radius):
+            horizon = max(float(T) for T in p["free_T_grid"])
+            if p.get("averaging") == "abel":
+                horizon *= ABEL_TRUNCATION
+            if 2 * horizon > _GUARD_FRACTION * int(radius):
+                diags.append(
+                    f"params.free_T_grid: {p.get('averaging', 'cesaro')} averaging reaches "
+                    f"t = {horizon:g}, by which the free chain's wavefront (2 sites per "
+                    f"unit time) passes {_GUARD_FRACTION:.0%} of free_box_radius = "
+                    f"{int(radius)}; need 2 * t <= {_GUARD_FRACTION * int(radius):g}")
     # every integer size or count, the parameters with int defaults, must be positive
     for key, default in _KIND_DEFAULTS[config.kind]["params"].items():
         if type(default) is int and key in p and p[key] is not None \

@@ -8,8 +8,10 @@ polymer with probability p_plus, the minus polymer otherwise.
 Realization r of seed s draws its block signs from its own Philox4x64-10
 stream, `substream(s, r)`.  The library draws them in the compiled kernels
 of `eigensolve`, which derive each stream's key as numpy's SeedSequence does
-and reproduce `substream(s, r).random(n) < p_plus` bit for bit; the boxes of
-`potentials_for_sites_batch` are laid out there too.
+and reproduce `substream(s, r).random(n) < p_plus` bit for bit.
+`potentials_for_sites_batch` lays a whole batch of boxes out there, one
+column per realization; `lattice_for_sites` lays one box in numpy, with the
+same values.
 """
 from __future__ import annotations
 
@@ -21,13 +23,10 @@ import numpy as np
 __all__ = [
     "PolymerSpec",
     "PolymerModel",
-    "Configuration",
     "LatticeSequences",
     "substream",
-    "sample_configuration",
-    "build_sequences",
-    "lattice_for_blocks",
     "lattice_for_sites",
+    "potentials_for_sites_batch",
     "dimer_preset",
     "anderson_preset",
     "model_from_dict",
@@ -145,36 +144,6 @@ class PolymerModel:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """A sampled arrangement of polymer blocks.
-
-    ``signs[n]`` is True for a plus block.  ``nodes`` holds the block
-    boundary positions p_0 = 0 < p_1 < ... < p_N; block n occupies sites
-    nodes[n] .. nodes[n+1]-1.  Regeneration from (seed, realization_index)
-    is bit-identical.
-    """
-
-    signs: np.ndarray
-    nodes: np.ndarray
-    seed: int
-    realization_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", _freeze(np.asarray(self.signs, bool)))
-        object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, np.int64)))
-        if self.nodes.shape != (self.signs.size + 1,):
-            raise ValueError("nodes must have one more entry than signs")
-
-    @property
-    def num_blocks(self) -> int:
-        return self.signs.size
-
-    @property
-    def num_sites(self) -> int:
-        return int(self.nodes[-1])
-
-
-@dataclass(frozen=True)
 class LatticeSequences:
     """Concatenated per-site potential and hopping sequences of a finite box."""
 
@@ -191,51 +160,26 @@ class LatticeSequences:
             raise ValueError("all hoppings must be strictly positive")
 
 
-def sample_configuration(model: PolymerModel, num_blocks: int, seed: int,
-                         realization_index: int = 0) -> Configuration:
-    """Draw iid block signs and lay the polymers from the origin."""
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    signs = _draws_below(seed, [realization_index], model.p_plus, num_blocks)[0]
-    lengths = np.where(signs, model.plus.length, model.minus.length)
-    nodes = np.concatenate([[0], np.cumsum(lengths)])
-    return Configuration(signs=signs, nodes=nodes, seed=int(seed),
-                         realization_index=int(realization_index))
-
-
-def build_sequences(model: PolymerModel, config: Configuration) -> LatticeSequences:
-    """Concatenate per-block potential/hopping tuples in block order."""
-    lengths = np.where(config.signs, model.plus.length, model.minus.length)
-    if not np.array_equal(np.diff(config.nodes), lengths):
-        raise ValueError("configuration nodes are inconsistent with model polymer lengths")
-    # site i of block n is entry first[n] + i of the polymers' joined tables
-    first = np.where(config.signs, 0, model.plus.length)
-    at = np.arange(config.num_sites) + np.repeat(first - config.nodes[:-1], lengths)
-    v = np.concatenate([model.plus.potentials, model.minus.potentials])[at]
-    t = np.concatenate([model.plus.hoppings, model.minus.hoppings])[at]
-    return LatticeSequences(potentials=v, hoppings=t, num_sites=int(config.nodes[-1]))
-
-
-def lattice_for_blocks(model: PolymerModel, num_blocks: int, seed: int,
-                       realization_index: int = 0) -> LatticeSequences:
-    """Finite box specified by block count (box ends on a polymer node)."""
-    return build_sequences(model, sample_configuration(model, num_blocks, seed,
-                                                       realization_index))
-
-
 def lattice_for_sites(model: PolymerModel, num_sites: int, seed: int,
                       realization_index: int = 0) -> LatticeSequences:
-    """Finite box of exactly `num_sites` sites (last block truncated)."""
+    """Finite box of exactly `num_sites` sites (last block truncated).
+
+    Block n is the plus polymer where draw n of the realization's substream
+    is below p_plus; the blocks are laid from the origin.
+    """
     if num_sites < 1:
         raise ValueError("num_sites must be >= 1")
-    min_len = min(model.plus.length, model.minus.length)
-    num_blocks = num_sites // min_len + 1
-    seq = lattice_for_blocks(model, num_blocks, seed, realization_index)
-    if seq.num_sites < num_sites:
-        raise RuntimeError("block oversampling too small")  # unreachable
-    return LatticeSequences(potentials=seq.potentials[:num_sites],
-                            hoppings=seq.hoppings[:num_sites],
-                            num_sites=num_sites)
+    # enough blocks to cover num_sites were every block the shorter polymer
+    num_blocks = num_sites // min(model.plus.length, model.minus.length) + 1
+    signs = _draws_below(seed, [realization_index], model.p_plus, num_blocks)[0]
+    lengths = np.where(signs, model.plus.length, model.minus.length)
+    starts = np.cumsum(lengths) - lengths
+    # site i of block n is entry first[n] + i of the polymers' joined tables
+    first = np.where(signs, 0, model.plus.length)
+    at = (np.arange(lengths.sum()) + np.repeat(first - starts, lengths))[:num_sites]
+    v = np.concatenate([model.plus.potentials, model.minus.potentials])[at]
+    t = np.concatenate([model.plus.hoppings, model.minus.hoppings])[at]
+    return LatticeSequences(potentials=v, hoppings=t, num_sites=num_sites)
 
 
 def potentials_for_sites_batch(model: PolymerModel, num_sites: int, seed: int,

@@ -11,7 +11,8 @@ exactly (the oscillation theorem): as y_{n+1} = x_n / t(n), each step takes
 theta from (c pi - pi/2, c pi + pi/2) into (c pi, (c + 1) pi), and d_n < 0
 puts it past c pi + pi/2, adding one to c.  Where d_{L-1} crosses 0 (at an
 eigenvalue) the count gains one as arctan(1/d) drops by pi, so theta_L is
-continuous in E.  `prufer_trace` keeps the arctan2 evolution as reference.
+continuous in E.  The tests keep the site-by-site arctan2 evolution as the
+reference this formula is checked against.
 
 The modified phase is the continuous image of the free phase under the
 angle map theta -> arg(M e_theta) induced by the diagonalizer M; at a
@@ -19,23 +20,19 @@ critical energy each polymer block advances it by exactly eta_pm modulo 2pi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eigensolve import sturm_counts_batch
-from .model import LatticeSequences, PolymerModel
+from .model import PolymerModel
 from .transfer import TWO_PI, CriticalEnergyReport, _conjugated_polymer
 
 __all__ = [
-    "PruferTrace",
     "angle_map_m",
-    "prufer_trace",
     "free_phase_batch",
-    "relative_prufer",
     "relative_prufer_batch",
     "phase_shift",
 ]
+
 
 def angle_map_m(M: np.ndarray, theta):
     """Continuous lift of theta -> arg(M e_theta), with m(theta + pi) = m(theta) + pi.
@@ -54,62 +51,6 @@ def angle_map_m(M: np.ndarray, theta):
     raw = np.arctan2(M[1, 0] * x + M[1, 1] * y, M[0, 0] * x + M[0, 1] * y)
     out = k * np.pi + m0 + (raw - m0) % TWO_PI
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class PruferTrace:
-    """Site-by-site phase evolution at one energy.
-
-    Amplitudes are stored in log scale; `amplitudes` exponentiates and may
-    overflow to inf for long boxes away from critical energies.
-    """
-
-    free_angles: np.ndarray
-    modified_angles: np.ndarray
-    log_amplitudes: np.ndarray
-    energy: float
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_amplitudes)
-
-
-def prufer_trace(seq: LatticeSequences, M: np.ndarray, E: float,
-                 theta0: float = 0.0) -> PruferTrace:
-    """Evolve the solution vector through the box, recording both phases.
-
-    The vector is renormalized each step so amplitudes never overflow; the
-    free angle uses the (-pi/2, 3pi/2) increment rule and the modified angle
-    is the continuous angle-map image.
-    """
-    if np.linalg.det(M) <= 0:
-        raise ValueError("modified Prufer variables require det M > 0")
-    L = seq.num_sites
-    v, t = seq.potentials, seq.hoppings
-    free = np.empty(L + 1)
-    logamp = np.empty(L + 1)
-    free[0] = theta0
-    x, y = np.cos(theta0), np.sin(theta0)
-    la = 0.0
-    # log of ||M (cos, sin)|| for the modified amplitude
-    def log_r(xx, yy):
-        return 0.5 * np.log((M[0, 0] * xx + M[0, 1] * yy) ** 2
-                            + (M[1, 0] * xx + M[1, 1] * yy) ** 2)
-    logamp[0] = log_r(x, y)
-    th = theta0
-    for n in range(L):
-        xn = ((v[n] - E) * x - t[n] ** 2 * y) / t[n]
-        yn = x / t[n]
-        r = np.hypot(xn, yn)
-        la += np.log(r)
-        x, y = xn / r, yn / r
-        raw = np.arctan2(y, x)
-        th += (raw - th + np.pi / 2) % TWO_PI - np.pi / 2
-        free[n + 1] = th
-        logamp[n + 1] = la + log_r(x, y)
-    return PruferTrace(free_angles=free, modified_angles=angle_map_m(M, free),
-                       log_amplitudes=logamp, energy=float(E))
 
 
 def free_phase_batch(v: np.ndarray, tsq: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -148,13 +89,6 @@ def relative_prufer_batch(v: np.ndarray, tsq: np.ndarray, M: np.ndarray, E_c: fl
     energies = E_c + np.concatenate([[0.0], xs]) / (n_Ec * L)
     thm = angle_map_m(M, free_phase_batch(v, tsq, np.tile(energies, (R, 1))))
     return (thm[:, 1:] - thm[:, [0]]) / np.pi
-
-
-def relative_prufer(seq: LatticeSequences, M: np.ndarray, E_c: float,
-                    n_Ec: float, xs) -> np.ndarray:
-    """Psi_L(x) of one box; see relative_prufer_batch."""
-    return relative_prufer_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
-                                 M, E_c, n_Ec, xs)[0]
 
 
 def phase_shift(model: PolymerModel, report: CriticalEnergyReport, sign: str,

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import _in_row_ranges, _kernel
-from .model import PolymerModel, PolymerSpec, Configuration, _stream_keys
+from .model import PolymerModel, PolymerSpec, _stream_keys
 
 __all__ = [
     "rotation",
     "site_matrix",
     "polymer_matrix",
-    "block_product",
     "CriticalEnergyReport",
     "ExpansionCoeffs",
     "find_critical_energies",
@@ -70,30 +69,6 @@ def _conjugated_polymer(spec: PolymerSpec, M: np.ndarray, E) -> np.ndarray:
     """M T(E) M^{-1}, the polymer matrix in the frame of the diagonalizer M,
     for a scalar E or for each energy of an array."""
     return M @ polymer_matrix(spec, E) @ np.linalg.inv(M)
-
-
-def block_product(model: PolymerModel, config: Configuration, E: float,
-                  from_block: int = 0, to_block: int | None = None):
-    """Renormalized product of polymer matrices over blocks [from, to).
-
-    Returns (matrix, log_scale): the true product equals exp(log_scale)
-    times the returned matrix, which is rescaled to unit max-norm after
-    every block so products over 1e6 blocks never overflow.
-    """
-    if to_block is None:
-        to_block = config.num_blocks
-    if to_block < from_block:
-        raise ValueError("to_block must be >= from_block")
-    Tp = polymer_matrix(model.plus, E)
-    Tm = polymer_matrix(model.minus, E)
-    prod = np.eye(2)
-    log_scale = 0.0
-    for s in config.signs[from_block:to_block]:
-        prod = (Tp if s else Tm) @ prod
-        scale = np.abs(prod).max()
-        log_scale += np.log(scale)
-        prod = prod / scale
-    return prod, log_scale
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,8 @@ def evolution_setup(H: TridiagonalOperator, initial_site: int | None = None,
         initial_site = H.num_sites // 2
     if not 0 <= initial_site < H.num_sites:
         raise ValueError("initial_site outside the box")
-    spec, modes = dense_oracle(H, cap=H.num_sites)
-    setup = EvolutionSetup(hamiltonian=H, energies=spec.eigenvalues, modes=modes,
+    energies, modes = dense_oracle(H, cap=H.num_sites)
+    setup = EvolutionSetup(hamiltonian=H, energies=energies, modes=modes,
                            initial_site=int(initial_site), projection_window=None,
                            weights=modes[initial_site, :].copy())
     return setup if projection_window is None else _project(setup, projection_window)

@@ -7,6 +7,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from polyspec.model import PolymerModel, PolymerSpec, dimer_preset
+from polyspec.eigensolve import eigenvalues_in_window_batch, sturm_counts_batch
 from polyspec.transfer import find_critical_energies, expansion_coeffs
 from polyspec.statistics import dos_at_critical
 
@@ -29,6 +30,28 @@ def explicit_models(draw):
         log_t = draw(st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n))
         return PolymerSpec(n, v, 10.0 ** np.asarray(log_t))
     return PolymerModel(polymer(), polymer(), draw(st.floats(0.02, 0.98)))
+
+
+def columns(H):
+    """(v, tsq) of one operator H: the single column the batched calls take."""
+    return H.diagonal[:, None], (H.offdiagonal ** 2)[:, None]
+
+
+def sturm_count(H, E):
+    """Number of eigenvalues of H below E (scalar or array of energies)."""
+    counts, _ = sturm_counts_batch(*columns(H), np.atleast_1d(np.asarray(E, float))[None, :])
+    return int(counts[0, 0]) if np.ndim(E) == 0 else counts[0]
+
+
+def eigenvalues_in_window(H, window, tol=1e-11):
+    """Eigenvalues of H in [window[0], window[1]), each bracketed to width <= tol."""
+    return eigenvalues_in_window_batch(*columns(H), window[0], window[1], tol)[0]
+
+
+def gershgorin_interval(H):
+    """[min v - 2 max t, max v + 2 max t]: an interval holding the spectrum of H."""
+    tmax = float(H.offdiagonal.max()) if H.offdiagonal.size else 0.0
+    return (float(H.diagonal.min()) - 2 * tmax, float(H.diagonal.max()) + 2 * tmax)
 
 
 @pytest.fixture(scope="session")

@@ -71,6 +71,15 @@ def test_validate_bad_model_and_param():
             ("lyapunov", "realizations", 1), ("les-poisson", "realizations", 100)]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
+    # Abel averages to 10 max T, where the free chain's wavefront passes the
+    # guard zone at the defaults: this too used to pass and then exit 1
+    diags = validate(cfg("transport", "x", params={"averaging": "abel"}))
+    assert any(d.startswith("params.free_T_grid:") for d in diags), diags
+    # a Cesàro horizon is max T itself: 2 * 45 = 0.9 * 100 is the last one allowed
+    for T_max, flagged in ((45.0, False), (46.0, True)):
+        diags = validate(cfg("transport", "x", params={"free_box_radius": 100,
+                                                       "free_T_grid": [5.0, T_max]}))
+        assert any(d.startswith("params.free_T_grid:") for d in diags) == flagged, diags
     for search in ([1.0, -1.0], [0.0], "wide"):
         diags = validate(cfg("critical", "x", params={"search": search}))
         assert any(d.startswith("params.search:") for d in diags), (search, diags)
@@ -98,7 +107,8 @@ def test_validate_rejects_transport_quadrature_that_misses_a_time(tmp_path, caps
                                                   "T_grid": [100.0, 400.0],
                                                   "free_T_grid": [25.0, 100.0]})) == []
     assert validate(cfg("transport", "x", params={"quadrature_points": 2,
-                                                  "averaging": "abel"})) == []
+                                                  "averaging": "abel",
+                                                  "free_T_grid": [4.0, 8.0]})) == []
 
 
 @pytest.mark.parametrize("entry", ["potentials", "hoppings", "p_plus"])

@@ -15,13 +15,11 @@ from polyspec import eigensolve
 
 from polyspec.model import (LatticeSequences, PolymerModel, PolymerSpec, dimer_preset,
                             lattice_for_sites, potentials_for_sites_batch, substream)
-from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian,
-                                 gershgorin_interval, sturm_count, sturm_counts_batch,
-                                 eigenvalues_in_window, eigenvalues_in_window_batch,
-                                 dense_oracle, _pivmin,
+from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian, sturm_counts_batch,
+                                 eigenvalues_in_window_batch, dense_oracle, _pivmin,
                                  _build_kernel, _load_kernel, _CFLAGS, _KERNELS_C)
 
-from conftest import explicit_models
+from conftest import explicit_models, eigenvalues_in_window, gershgorin_interval, sturm_count
 
 
 def free_chain(L):
@@ -37,15 +35,20 @@ def free_chain_eigenvalues(L):
 def all_eigenvalues(H, tol=1e-11):
     """The whole spectrum, as the window over the padded Gershgorin enclosure."""
     lo, hi = gershgorin_interval(H)
-    spec = eigenvalues_in_window(H, (lo - 1e-6, hi + 1e-6), tol)
-    assert len(spec) == H.num_sites
-    return spec.eigenvalues
+    evs = eigenvalues_in_window(H, (lo - 1e-6, hi + 1e-6), tol)
+    assert evs.size == H.num_sites
+    return evs
+
+
+def dense(H):
+    """H as a dense matrix: diagonal v, off-diagonals -t."""
+    return np.diag(H.diagonal) - np.diag(H.offdiagonal, 1) - np.diag(H.offdiagonal, -1)
 
 
 def test_build_hamiltonian_dense():
     seq = LatticeSequences(potentials=np.zeros(2), hoppings=np.ones(2), num_sites=2)
     H = build_hamiltonian(seq)
-    assert np.allclose(H.to_dense(), [[0, -1], [-1, 0]])
+    assert np.allclose(dense(H), [[0, -1], [-1, 0]])
 
 
 def test_single_site():
@@ -97,10 +100,10 @@ def test_sturm_count_at_exact_eigenvalue():
 
 
 def test_window_extraction():
-    spec = eigenvalues_in_window(free_chain(3), (-0.5, 0.5), tol=1e-12)
-    assert np.allclose(spec.eigenvalues, [0.0], atol=1e-11)
+    evs = eigenvalues_in_window(free_chain(3), (-0.5, 0.5), tol=1e-12)
+    assert np.allclose(evs, [0.0], atol=1e-11)
     empty = eigenvalues_in_window(free_chain(3), (-9.0, -5.0))
-    assert len(empty) == 0
+    assert empty.size == 0
     with pytest.raises(ValueError):
         eigenvalues_in_window(free_chain(3), (-1.0, 1.0), tol=0.0)
 
@@ -111,8 +114,8 @@ def test_window_vs_oracle_dimer_l40():
     lo, hi = gershgorin_interval(H)
     mine = eigenvalues_in_window(H, (lo - 1e-6, hi + 1e-6), tol=1e-12)
     ref, _ = dense_oracle(H)
-    assert mine.eigenvalues.size == 40
-    assert np.abs(mine.eigenvalues - ref.eigenvalues).max() < 1e-9
+    assert mine.size == 40
+    assert np.abs(mine - ref).max() < 1e-9
 
 
 def test_full_spectrum_free_l50():
@@ -123,12 +126,11 @@ def test_full_spectrum_free_l50():
 def test_dense_oracle_properties():
     seq = lattice_for_sites(dimer_preset(0.6, 0.5), 60, seed=9)
     H = build_hamiltonian(seq)
-    spec, Phi = dense_oracle(H)
-    Hd = H.to_dense()
-    assert np.abs(Hd @ Phi - Phi * spec.eigenvalues).max() <= 1e-9
+    w, Phi = dense_oracle(H)
+    assert np.abs(dense(H) @ Phi - Phi * w).max() <= 1e-9
     assert np.abs(Phi.T @ Phi - np.eye(60)).max() <= 1e-10
     assert np.all(Phi[np.abs(Phi).argmax(axis=0), np.arange(60)] > 0)  # sign convention
-    assert abs(spec.eigenvalues.sum() - H.diagonal.sum()) <= 1e-9
+    assert abs(w.sum() - H.diagonal.sum()) <= 1e-9
     with pytest.raises(ValueError):
         dense_oracle(H, cap=10)
 
@@ -142,8 +144,8 @@ def test_oracle_equivalence_and_simplicity_sample():
         seq = lattice_for_sites(dimer_preset(V, 0.5), L, seed=int(rng.integers(1 << 30)))
         H = build_hamiltonian(seq)
         lo, hi = gershgorin_interval(H)
-        mine = eigenvalues_in_window(H, (lo - 1e-9, hi + 1e-9), tol=1e-12).eigenvalues
-        ref = dense_oracle(H)[0].eigenvalues
+        mine = eigenvalues_in_window(H, (lo - 1e-9, hi + 1e-9), tol=1e-12)
+        ref = dense_oracle(H)[0]
         assert mine.size == L
         assert np.abs(mine - ref).max() < 1e-9
         assert np.all(np.diff(ref) > 0)  # simple spectrum
@@ -152,10 +154,10 @@ def test_oracle_equivalence_and_simplicity_sample():
 def test_cauchy_interlacing():
     seq = lattice_for_sites(dimer_preset(0.8, 0.5), 30, seed=17)
     H = build_hamiltonian(seq)
-    full = dense_oracle(H)[0].eigenvalues
+    full = dense_oracle(H)[0]
     Hm = TridiagonalOperator(diagonal=H.diagonal[:-1], offdiagonal=H.offdiagonal[:-1],
                              num_sites=29)
-    sub = dense_oracle(Hm)[0].eigenvalues
+    sub = dense_oracle(Hm)[0]
     assert np.all(full[:-1] <= sub + 1e-12) and np.all(sub <= full[1:] + 1e-12)
 
 
@@ -170,8 +172,8 @@ def test_random_hoppings_against_oracle():
                                   offdiagonal=np.array([1.0, 0.7, 1e-13, 1.0, 0.7]),
                                   num_sites=6)):
         lo, hi = gershgorin_interval(H)
-        mine = eigenvalues_in_window(H, (lo - 1e-9, hi + 1e-9), tol=1e-12).eigenvalues
-        ref = dense_oracle(H)[0].eigenvalues
+        mine = eigenvalues_in_window(H, (lo - 1e-9, hi + 1e-9), tol=1e-12)
+        ref = dense_oracle(H)[0]
         assert mine.size == H.num_sites
         assert np.abs(mine - ref).max() < 1e-9
 
@@ -201,10 +203,10 @@ def test_window_eigenvalues_match_oracle(case):
     model, L, seed, u = case
     H = build_hamiltonian(lattice_for_sites(model, L, seed))
     a, b = _window(H, u)
-    ref = dense_oracle(H)[0].eigenvalues
+    ref = dense_oracle(H)[0]
     # an eigenvalue on a window edge is inside or outside by rounding alone
     assume(np.abs(ref[:, None] - np.array([a, b])).min() > 1e-9)
-    mine = eigenvalues_in_window(H, (a, b), tol=1e-12).eigenvalues
+    mine = eigenvalues_in_window(H, (a, b), tol=1e-12)
     inside = ref[(ref >= a) & (ref < b)]
     assert mine.size == inside.size
     assert mine.size == 0 or np.abs(mine - inside).max() < 1e-9
@@ -372,7 +374,7 @@ def test_window_eigenvalues_within_tol_of_lapack(case):
     # every eigenvalue the Sturm counts at the window ends place inside it
     model, L, seed, (a, b), tol = case
     H = build_hamiltonian(lattice_for_sites(model, L, seed))
-    mine = eigenvalues_in_window(H, (a, b), tol).eigenvalues
+    mine = eigenvalues_in_window(H, (a, b), tol)
     ref = eigvalsh_tridiagonal(H.diagonal, -H.offdiagonal)
     k0, k1 = sturm_count(H, a), sturm_count(H, b)
     assert mine.size == k1 - k0
@@ -446,7 +448,7 @@ def sturm_batches(draw):
     shifts = np.empty((R, K))
     for r in range(R):
         H = build_hamiltonian(lattice_for_sites(model, L, seed, r))
-        ev = dense_oracle(H)[0].eigenvalues
+        ev = dense_oracle(H)[0]
         lo, hi = gershgorin_interval(H)
         for k in range(K):
             shifts[r, k] = {"eig": ev[int(u[k] * (L - 1))], "v0": v[0, r],
@@ -478,8 +480,8 @@ def test_sturm_batch_rejects_mismatched_shapes():
 
 
 def test_kernel_source_compiles_without_warnings():
-    cmd = ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"]
-    out = subprocess.run(cmd, input=_KERNELS_C, capture_output=True, text=True)
+    cmd = ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_KERNELS_C)]
+    out = subprocess.run(cmd, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
 
@@ -560,7 +562,7 @@ def test_kernels_clean_under_address_sanitizer(tmp_path):
         pytest.skip("no AddressSanitizer runtime for cc")
     lib = tmp_path / "kernels_asan.so"
     subprocess.run(["cc", *_CFLAGS, "-fsanitize=address", "-fno-omit-frame-pointer",
-                    "-x", "c", "-", "-o", str(lib)], input=_KERNELS_C, text=True, check=True)
+                    str(_KERNELS_C), "-o", str(lib)], check=True)
     src = Path(eigensolve.__file__).resolve().parents[1]
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -570,10 +572,11 @@ def test_kernels_clean_under_address_sanitizer(tmp_path):
     assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
 
 
-def test_kernel_builds_into_fresh_cache(tmp_path):
+def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     lib = _build_kernel(tmp_path)
     assert list(tmp_path.iterdir()) == [lib]
-    assert _build_kernel(tmp_path, compiler=str(tmp_path / "no-such-cc")) == lib  # cache hit
+    no_cc = str(tmp_path / "no-such-cc")
+    assert _build_kernel(tmp_path, compiler=no_cc) == lib  # cache hit
     H = build_hamiltonian(lattice_for_sites(dimer_preset(0.6, 0.5), 300, seed=2))
     v, tsq = H.diagonal[:, None], (H.offdiagonal ** 2)[:, None]
     shifts = np.linspace(-2.5, 2.5, 7)[None, :]
@@ -595,3 +598,12 @@ def test_kernel_builds_into_fresh_cache(tmp_path):
     prod, expo = np.eye(2)[None].copy(), np.zeros(1, dtype=np.int64)
     kernels.lyapunov_steps(1, keys, 1, 3, 0.5, tp, tm, prod, expo)
     assert np.array_equal(prod[0], tp @ tm @ tp) and expo[0] == 0
+    # the key is the source's bytes: a copy elsewhere hits, an edited copy misses
+    copy = tmp_path / "copy" / "kernels.c"
+    copy.parent.mkdir()
+    copy.write_bytes(_KERNELS_C.read_bytes())
+    monkeypatch.setattr(eigensolve, "_KERNELS_C", copy)
+    assert _build_kernel(tmp_path, compiler=no_cc) == lib
+    copy.write_bytes(copy.read_bytes() + b"\n")
+    with pytest.raises(RuntimeError, match="requires a C compiler"):
+        _build_kernel(tmp_path, compiler=no_cc)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyspec.model import (PolymerSpec, PolymerModel, sample_configuration,
-                            build_sequences, lattice_for_sites, lattice_for_blocks,
+from polyspec.model import (PolymerSpec, PolymerModel, lattice_for_sites,
                             dimer_preset, anderson_preset, model_from_dict,
                             model_to_dict, substream, potentials_for_sites_batch,
                             _draws_below, _stream_keys)
@@ -55,9 +54,12 @@ def test_polymer_spec_invariants():
 
 
 def test_nodes_dimer():
+    # every dimer block is two sites of one potential, the plus one where the
+    # realization's draw is below p_plus
     m = dimer_preset(0.5, 0.5)
-    cfg = sample_configuration(m, 3, seed=1)
-    assert np.array_equal(cfg.nodes, [0, 2, 4, 6])
+    seq = lattice_for_sites(m, 6, seed=1)
+    signs = substream(1, 0).random(3) < m.p_plus
+    assert np.array_equal(seq.potentials, np.repeat(np.where(signs, 0.5, -0.5), 2))
 
 
 def test_nodes_unequal_lengths():
@@ -66,25 +68,18 @@ def test_nodes_unequal_lengths():
                      minus=PolymerSpec(3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
                      p_plus=0.5)
     for seed in range(50):
-        cfg = sample_configuration(m, 3, seed=seed)
-        if np.array_equal(cfg.signs, [False, True, False]):
-            assert np.array_equal(cfg.nodes, [0, 3, 5, 8])
+        if np.array_equal(substream(seed, 0).random(3) < 0.5, [False, True, False]):
+            seq = lattice_for_sites(m, 8, seed=seed)
+            assert np.array_equal(seq.potentials, [0, 0, 0, 1, 1, 0, 0, 0])
             return
     pytest.fail("sign pattern (-,+,-) never sampled in 50 seeds")
-
-
-def test_sample_configuration_errors():
-    m = dimer_preset(0.5, 0.5)
-    with pytest.raises(ValueError):
-        sample_configuration(m, 0, seed=1)
 
 
 def test_build_sequences_dimer():
     m = dimer_preset(0.5, 0.5)
     for seed in range(50):
-        cfg = sample_configuration(m, 2, seed=seed)
-        if np.array_equal(cfg.signs, [True, False]):
-            seq = build_sequences(m, cfg)
+        if np.array_equal(substream(seed, 0).random(2) < 0.5, [True, False]):
+            seq = lattice_for_sites(m, 4, seed=seed)
             assert np.allclose(seq.potentials, [0.5, 0.5, -0.5, -0.5])
             assert np.allclose(seq.hoppings, [1.0, 1.0, 1.0, 1.0])
             return
@@ -97,60 +92,61 @@ def test_build_sequences_concatenation_order():
                      minus=PolymerSpec(2, [0.0, 2.0], [1.0, 1.0]),
                      p_plus=0.5)
     for seed in range(50):
-        cfg = sample_configuration(m, 2, seed=seed)
-        if np.array_equal(cfg.signs, [False, True]):
-            seq = build_sequences(m, cfg)
+        if np.array_equal(substream(seed, 0).random(2) < 0.5, [False, True]):
+            seq = lattice_for_sites(m, 3, seed=seed)
             assert np.allclose(seq.potentials, [0.0, 2.0, 1.0])
             return
     pytest.fail("sign pattern (-,+) never sampled")
 
 
-def test_build_sequences_length_mismatch():
-    m = dimer_preset(0.5, 0.5)
-    m2 = anderson_preset(0.5, 0.5)
-    cfg = sample_configuration(m, 3, seed=1)
-    with pytest.raises(ValueError):
-        build_sequences(m2, cfg)
-
-
 def test_nodes_strictly_increasing_and_cumulative():
+    # block n starts where blocks 0..n-1 end: the box is the blocks of the
+    # substream's signs joined in order, truncated to num_sites
     rng = np.random.default_rng(0)
     for _ in range(20):
         Lp, Lm = rng.integers(1, 5, size=2)
         m = PolymerModel(plus=PolymerSpec(int(Lp), rng.normal(size=Lp), np.ones(Lp)),
                          minus=PolymerSpec(int(Lm), rng.normal(size=Lm), np.ones(Lm)),
                          p_plus=float(rng.uniform(0.2, 0.8)))
-        cfg = sample_configuration(m, 40, seed=int(rng.integers(1 << 30)))
-        assert np.all(np.diff(cfg.nodes) > 0)
-        lengths = np.where(cfg.signs, m.plus.length, m.minus.length)
-        assert np.array_equal(cfg.nodes[1:], np.cumsum(lengths))
+        seed = int(rng.integers(1 << 30))
+        blocks = [m.plus if s else m.minus for s in substream(seed, 0).random(40) < m.p_plus]
+        v = np.concatenate([b.potentials for b in blocks])
+        t = np.concatenate([b.hoppings for b in blocks])
+        for L in (v.size, v.size - 1, 40):
+            seq = lattice_for_sites(m, L, seed)
+            assert seq.potentials.tobytes() == v[:L].tobytes()
+            assert seq.hoppings.tobytes() == t[:L].tobytes()
 
 
 def test_bernoulli_fraction_within_3_sigma():
     p = 0.3
     n = 10 ** 5
     m = dimer_preset(0.5, p)
-    cfg = sample_configuration(m, n, seed=2024)
-    frac = cfg.signs.mean()
+    v, _ = potentials_for_sites_batch(m, 2 * n, 2024, [0])
+    frac = (v[::2, 0] > 0).mean()  # the first site of each block
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(frac - p) < 3 * sigma
 
 
 def test_sampling_deterministic_and_stream_independent():
     m = dimer_preset(0.6, 0.5)
-    a = sample_configuration(m, 100, seed=7, realization_index=3)
-    b = sample_configuration(m, 100, seed=7, realization_index=3)
-    assert np.array_equal(a.signs, b.signs)
-    c = sample_configuration(m, 100, seed=7, realization_index=4)
-    assert not np.array_equal(a.signs, c.signs)
+    a = lattice_for_sites(m, 200, seed=7, realization_index=3)
+    b = lattice_for_sites(m, 200, seed=7, realization_index=3)
+    assert np.array_equal(a.potentials, b.potentials)
+    c = lattice_for_sites(m, 200, seed=7, realization_index=4)
+    assert not np.array_equal(a.potentials, c.potentials)
 
 
 def test_lattice_for_sites_truncates():
     m = dimer_preset(0.5, 0.5)
     seq = lattice_for_sites(m, 7, seed=1)
     assert seq.num_sites == 7 and seq.potentials.shape == (7,)
-    blocks = lattice_for_blocks(m, 4, seed=1)
-    assert blocks.num_sites == 8
+    whole = lattice_for_sites(m, 8, seed=1)
+    assert whole.num_sites == 8
+    assert np.array_equal(seq.potentials, whole.potentials[:7])
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="num_sites must be >= 1"):
+            lattice_for_sites(m, L, seed=1)
 
 
 @settings(max_examples=60)

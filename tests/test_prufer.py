@@ -1,20 +1,75 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
-                            lattice_for_sites, lattice_for_blocks,
-                            sample_configuration, build_sequences,
-                            potentials_for_sites_batch)
-from polyspec.transfer import (find_critical_energies, diagonalizer,
-                               expansion_coeffs, site_matrix)
-from polyspec.eigensolve import (build_hamiltonian, dense_oracle, gershgorin_interval,
-                                 sturm_count)
+from polyspec.model import (PolymerSpec, PolymerModel, LatticeSequences, dimer_preset,
+                            lattice_for_sites, potentials_for_sites_batch, substream)
+from polyspec.transfer import TWO_PI, find_critical_energies, expansion_coeffs
+from polyspec.eigensolve import build_hamiltonian, dense_oracle
 from polyspec.statistics import psi_errors
-from polyspec.prufer import (angle_map_m, prufer_trace, relative_prufer, phase_shift,
+from polyspec.prufer import (angle_map_m, relative_prufer_batch, phase_shift,
                              free_phase_batch)
 
-from conftest import explicit_models
+from conftest import explicit_models, gershgorin_interval, sturm_count
+
+
+@dataclass(frozen=True)
+class PruferTrace:
+    """Site-by-site phase evolution at one energy.
+
+    Amplitudes are stored in log scale; `amplitudes` exponentiates and may
+    overflow to inf for long boxes away from critical energies.
+    """
+
+    free_angles: np.ndarray
+    modified_angles: np.ndarray
+    log_amplitudes: np.ndarray
+    energy: float
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_amplitudes)
+
+
+def prufer_trace(seq: LatticeSequences, M: np.ndarray, E: float,
+                 theta0: float = 0.0) -> PruferTrace:
+    """Evolve the solution vector through the box, recording both phases.
+
+    The reference for the pivot formula of free_phase_batch.  The vector is
+    renormalized each step so amplitudes never overflow; the free angle uses
+    the (-pi/2, 3pi/2) increment rule and the modified angle is the
+    continuous angle-map image.
+    """
+    if np.linalg.det(M) <= 0:
+        raise ValueError("modified Prufer variables require det M > 0")
+    L = seq.num_sites
+    v, t = seq.potentials, seq.hoppings
+    free = np.empty(L + 1)
+    logamp = np.empty(L + 1)
+    free[0] = theta0
+    x, y = np.cos(theta0), np.sin(theta0)
+    la = 0.0
+    # log of ||M (cos, sin)|| for the modified amplitude
+    def log_r(xx, yy):
+        return 0.5 * np.log((M[0, 0] * xx + M[0, 1] * yy) ** 2
+                            + (M[1, 0] * xx + M[1, 1] * yy) ** 2)
+    logamp[0] = log_r(x, y)
+    th = theta0
+    for n in range(L):
+        xn = ((v[n] - E) * x - t[n] ** 2 * y) / t[n]
+        yn = x / t[n]
+        r = np.hypot(xn, yn)
+        la += np.log(r)
+        x, y = xn / r, yn / r
+        raw = np.arctan2(y, x)
+        th += (raw - th + np.pi / 2) % TWO_PI - np.pi / 2
+        free[n + 1] = th
+        logamp[n + 1] = la + log_r(x, y)
+    return PruferTrace(free_angles=free, modified_angles=angle_map_m(M, free),
+                       log_amplitudes=logamp, energy=float(E))
 
 
 def free_model():
@@ -100,13 +155,12 @@ def test_trace_reconstructs_vector():
 def test_block_increment_is_eta_mod_2pi():
     m = dimer_preset(0.6, 0.5)
     rep = find_critical_energies(m)[-1]
-    seq = lattice_for_blocks(m, 30, seed=9)
-    cfg = sample_configuration(m, 30, seed=9)
+    seq = lattice_for_sites(m, 60, seed=9)  # 30 dimer blocks
+    signs = substream(9, 0).random(30) < m.p_plus
     tr = prufer_trace(seq, rep.diagonalizer, rep.energy, theta0=0.2)
-    nodes = cfg.nodes
     for n in range(30):
-        inc = tr.modified_angles[nodes[n + 1]] - tr.modified_angles[nodes[n]]
-        eta = rep.eta_plus if cfg.signs[n] else rep.eta_minus
+        inc = tr.modified_angles[2 * n + 2] - tr.modified_angles[2 * n]
+        eta = rep.eta_plus if signs[n] else rep.eta_minus
         delta = (inc - eta) % (2 * np.pi)
         assert min(delta, 2 * np.pi - delta) < 1e-9
 
@@ -128,7 +182,7 @@ def _dimer_winding_examples(test):
 def test_winding_count_matches_oracle(case):
     seq, Es = case
     Es = np.sort(Es)
-    ref = dense_oracle(build_hamiltonian(seq))[0].eigenvalues
+    ref = dense_oracle(build_hamiltonian(seq))[0]
     theta = free_phase_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
                              Es[None, :])[0]
     winding = np.floor(theta / np.pi + 0.5).astype(int)
@@ -142,14 +196,15 @@ def test_relative_prufer_basics():
     rep = find_critical_energies(m)[-1]
     coeffs = expansion_coeffs(m, rep)
     n_Ec = m.mean(coeffs.d_plus, coeffs.d_minus) / np.pi / m.mean_length
-    seq = lattice_for_sites(m, 10000, seed=4)
+    v, tsq = potentials_for_sites_batch(m, 10000, 4, [0])
     xs = np.linspace(-5, 5, 21)
-    psi = relative_prufer(seq, rep.diagonalizer, rep.energy, n_Ec, xs)
-    assert abs(relative_prufer(seq, rep.diagonalizer, rep.energy, n_Ec, [0.0])[0]) < 1e-12
+    psi = relative_prufer_batch(v, tsq, rep.diagonalizer, rep.energy, n_Ec, xs)[0]
+    assert abs(relative_prufer_batch(v, tsq, rep.diagonalizer, rep.energy, n_Ec,
+                                     [0.0])[0, 0]) < 1e-12
     assert np.all(np.diff(psi) > 0)  # monotone in x
     assert np.abs(psi - xs).max() < 0.2
     with pytest.raises(ValueError):
-        relative_prufer(seq, rep.diagonalizer, rep.energy, 0.0, xs)
+        relative_prufer_batch(v, tsq, rep.diagonalizer, rep.energy, 0.0, xs)
 
 
 def test_relative_prufer_error_shrinks_with_L():
@@ -213,7 +268,7 @@ def test_free_phase_batch_matches_trace(case):
     """
     seq, Es = case
     H = build_hamiltonian(seq)
-    probes = np.concatenate([dense_oracle(H)[0].eigenvalues[::-(-seq.num_sites // 5)],
+    probes = np.concatenate([dense_oracle(H)[0][::-(-seq.num_sites // 5)],
                              seq.potentials[:1]])
     out = free_phase_batch(seq.potentials[:, None], (seq.hoppings[1:] ** 2)[:, None],
                            np.concatenate([Es, probes])[None, :])[0]

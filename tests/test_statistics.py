@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -184,6 +186,16 @@ def test_library_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "1"
+
+
+def test_library_exports_resolve():
+    # a name left in an __all__ after its definition is deleted fails here by
+    # name; one left in the package's own imports fails `import polyspec`
+    import polyspec
+    for info in pkgutil.iter_modules(polyspec.__path__):
+        module = importlib.import_module(f"polyspec.{info.name}")
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert missing == [], (info.name, missing)
 
 
 def test_ids_symmetry_and_branch_small():

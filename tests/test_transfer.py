@@ -9,14 +9,44 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from polyspec import eigensolve, transfer
 from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_preset,
-                            sample_configuration, _stream_keys)
-from polyspec.transfer import (site_matrix, polymer_matrix, block_product, find_critical_energies, diagonalizer,
+                            substream, _stream_keys)
+from polyspec.transfer import (site_matrix, polymer_matrix, find_critical_energies, diagonalizer,
                                irrationality_check, expansion_coeffs, lyapunov,
                                rotation, _lyapunov_log_norms)
 
 from conftest import explicit_models
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def block_signs(model, num_blocks, seed, realization_index=0):
+    """The realization's block signs, True for a plus block, drawn in numpy."""
+    return substream(seed, realization_index).random(num_blocks) < model.p_plus
+
+
+def block_product(model: PolymerModel, signs: np.ndarray, E: float,
+                  from_block: int = 0, to_block: int | None = None):
+    """Renormalized product of polymer matrices over blocks [from, to).
+
+    The reference for the compiled Lyapunov product.  Returns (matrix,
+    log_scale): the true product equals exp(log_scale) times the returned
+    matrix, which is rescaled to unit max-norm after every block so products
+    over 1e6 blocks never overflow.
+    """
+    if to_block is None:
+        to_block = len(signs)
+    if to_block < from_block:
+        raise ValueError("to_block must be >= from_block")
+    Tp = polymer_matrix(model.plus, E)
+    Tm = polymer_matrix(model.minus, E)
+    prod = np.eye(2)
+    log_scale = 0.0
+    for s in signs[from_block:to_block]:
+        prod = (Tp if s else Tm) @ prod
+        scale = np.abs(prod).max()
+        log_scale += np.log(scale)
+        prod = prod / scale
+    return prod, log_scale
 
 
 def test_site_matrix_values():
@@ -83,18 +113,17 @@ def test_polymer_matrix_array_equals_scalar_calls(model, Es):
 
 def test_block_product_identity_and_single():
     m = dimer_preset(0.5, 0.5)
-    cfg = sample_configuration(m, 10, seed=3)
-    P, logs = block_product(m, cfg, 0.9, 4, 4)
+    signs = block_signs(m, 10, seed=3)
+    P, logs = block_product(m, signs, 0.9, 4, 4)
     assert np.allclose(P, np.eye(2)) and logs == 0.0
-    P1, logs1 = block_product(m, cfg, 0.9, 2, 3)
-    expected = polymer_matrix(m.plus if cfg.signs[2] else m.minus, 0.9)
+    P1, logs1 = block_product(m, signs, 0.9, 2, 3)
+    expected = polymer_matrix(m.plus if signs[2] else m.minus, 0.9)
     assert np.allclose(P1 * np.exp(logs1), expected, atol=1e-12)
 
 
 def test_block_product_det_and_critical_boundedness():
     m = dimer_preset(0.5, 0.5)
-    cfg = sample_configuration(m, 2000, seed=5)
-    P, logs = block_product(m, cfg, 0.5)   # at the critical energy
+    P, logs = block_product(m, block_signs(m, 2000, seed=5), 0.5)   # at the critical energy
     # det of the true product is 1: 2*log(scale) + log(det(P)) = 0
     assert abs(2 * logs + np.log(abs(np.linalg.det(P)))) < 1e-7
     # product of conjugated rotations stays bounded: log-scale per block -> 0
@@ -114,10 +143,9 @@ def test_block_product_det_many_draws():
     for _ in range(400):
         V = float(rng.uniform(0.1, 0.95))
         m = dimer_preset(V, float(rng.uniform(0.2, 0.8)))
-        cfg = sample_configuration(m, int(rng.integers(1, 40)),
-                                   seed=int(rng.integers(1 << 30)))
+        signs = block_signs(m, int(rng.integers(1, 40)), seed=int(rng.integers(1 << 30)))
         E = float(rng.uniform(-2.2, 2.2))
-        P, logs = block_product(m, cfg, E)
+        P, logs = block_product(m, signs, E)
         if logs > 7.0:  # det error scales as e^{2 logs} * eps, unresolvable past this
             continue
         assert abs(2 * logs + np.log(abs(np.linalg.det(P)))) < 1e-9
@@ -280,14 +308,14 @@ def test_lyapunov_free_chain_and_dichotomy():
                             PolymerSpec(1, [2.0], [0.05]), 0.4),
          E=0.3, steps=1500, R=2, seed=7)
 def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed):
-    # the kernel's own sign draws must equal the signs sample_configuration
-    # makes, and its products block_product's up to rounding
+    # the kernel's own sign draws must equal numpy's draws from the same
+    # substream, and its products block_product's up to rounding
     half_at, half, total = _lyapunov_log_norms(model, E, steps, range(R), seed)
     assert 1 <= half_at < steps
     for r in range(R):
-        cfg = sample_configuration(model, steps, seed, r)
+        signs = block_signs(model, steps, seed, r)
         for stop, got in ((half_at, half[r]), (steps, total[r])):
-            P, log_scale = block_product(model, cfg, E, 0, stop)
+            P, log_scale = block_product(model, signs, E, 0, stop)
             want = log_scale + np.log(np.linalg.norm(P, 2))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 

@@ -4,10 +4,12 @@ from scipy.special import jv
 
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec import transport
-from polyspec.eigensolve import build_hamiltonian, dense_oracle, gershgorin_interval
+from polyspec.eigensolve import build_hamiltonian, dense_oracle
 from polyspec.transport import (evolution_setup, moment_curve, transport_exponent,
                                 BoundaryContaminationError, _moment_integrand,
                                 _weighted_modes)
+
+from conftest import gershgorin_interval
 
 
 def evolve_amplitudes(setup, t):
