@@ -15,9 +15,14 @@ MRRR; LAPACK dlar1v) then converge to it in a few sweeps, each of which also
 counts, so the bracket holds throughout; clusters closer than the tolerance
 are bisected.  The pairs run in lockstep in one compiled loop, and the
 operators are split over the CPUs of the process's affinity set
-(`_in_row_ranges`); the eigenvalues do not depend on the split.  A
-LAPACK-backed dense decomposition serves as the independent oracle for small
-instances.  The C source of these loops, `kernels.c` beside this module,
+(`_in_row_ranges`); the eigenvalues do not depend on the split.  The same
+twisted factorizations, at the eigenvalues found, give the eigenvectors
+(`twisted_eigenvectors`): a forward and a backward sweep and a product of
+pivot ratios per vector, repeated once at its Rayleigh quotient, O(L) work
+each instead of the O(L^2) of a whole-box decomposition, with the columns
+split over the CPUs likewise.  A LAPACK-backed dense decomposition serves
+as the independent oracle for small instances, and as transport's
+fallback.  The C source of these loops, `kernels.c` beside this module,
 also holds the package's other compiled loops: the Philox4x64-10 disorder
 stream and box layout that `model` calls, and the Lyapunov product that
 `transfer` calls, so one build and one cached library serve them all.
@@ -44,6 +49,7 @@ __all__ = [
     "build_hamiltonian",
     "sturm_counts_batch",
     "eigenvalues_in_window_batch",
+    "twisted_eigenvectors",
     "dense_oracle",
 ]
 
@@ -182,8 +188,9 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
 
 def _load_kernel(lib: Path) -> ctypes.CDLL:
     """The library with typed entry points: the Sturm sweep, windowed
-    eigenvalues, the Philox stream (`stream_keys`, `stream_below`), the box
-    fill and the Lyapunov product."""
+    eigenvalues, twisted-factorization eigenvectors (`twisted_vectors`), the
+    Philox stream (`stream_keys`, `stream_below`), the box fill and the
+    Lyapunov product."""
     dll = ctypes.CDLL(str(lib))
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -197,9 +204,11 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     dll.lyapunov_steps.argtypes = [n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
     dll.window_eigenvalues.argtypes = [n] * 4 + [i64, f64, f64] + [ctypes.c_double] * 4 + [
         i64, f64, i64]
+    dll.twisted_vectors.argtypes = [n] * 4 + [f64, f64, ctypes.c_double, f64, f64, f64]
     for f in (dll.sturm_counts, dll.stream_keys, dll.stream_below, dll.lyapunov_steps):
         f.restype = None
-    dll.fill_boxes.restype = dll.window_eigenvalues.restype = ctypes.c_int
+    for f in (dll.fill_boxes, dll.window_eigenvalues, dll.twisted_vectors):
+        f.restype = ctypes.c_int
     return dll
 
 
@@ -282,6 +291,38 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     return [np.sort(x) for x in np.split(eig, off[1:-1])]
 
 
+def twisted_eigenvectors(H: TridiagonalOperator,
+                         eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors of H at the given eigenvalues, by twisted factorization.
+
+    Returns (Z, rayleigh): Z is (L, K) with the vector of eigenvalues[k] in
+    column k, and rayleigh[k] that vector's Rayleigh quotient.  Each column
+    takes one forward and one backward LDL^T sweep of H - x, picks the
+    twist index r where the twist pivot gamma_r is smallest and solves the
+    twisted factorization with z_r = 1, so its entry at r is positive
+    (Fernando 1997; Dhillon and Parlett 2004, the MRRR vector of LAPACK
+    dlar1v).  It does so at x = eigenvalues[k], then once more at that
+    vector's Rayleigh quotient x + gamma_r / |z|^2, since z's error is the
+    error of x over the gap.  Column k then deviates from the true
+    eigenvector by about eps |H| / gap_k; nothing here reorthogonalizes, so
+    a caller with close eigenvalues must check Z^T Z itself.  The columns
+    are split over the CPUs in contiguous ranges (`_in_row_ranges`); every
+    column is computed on its own, so the result is the same for any split.
+    """
+    lam = np.ascontiguousarray(eigenvalues, float)
+    L, K = H.num_sites, lam.size
+    Z, rayleigh = np.empty((L, K)), np.empty(K)
+    v, t = H.diagonal, H.offdiagonal
+    solve, pivmin = _kernel().twisted_vectors, _pivmin(v, t ** 2)
+
+    def vectors(c0: int, c1: int) -> None:
+        if solve(L, K, c0, c1, v, t, pivmin, lam, Z, rayleigh):
+            raise MemoryError("twisted_vectors could not allocate its scratch")
+
+    _in_row_ranges(vectors, np.ones(K), L)
+    return Z, rayleigh
+
+
 def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):
     """Full eigendecomposition via LAPACK, for cross-checking small instances.
 
@@ -295,5 +336,5 @@ def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):
         return H.diagonal.copy(), np.ones((1, 1))
     w, Phi = eigh_tridiagonal(H.diagonal, -H.offdiagonal)
     flip = Phi[np.argmax(np.abs(Phi), axis=0), np.arange(H.num_sites)] < 0
-    Phi[:, flip] = -Phi[:, flip]
+    Phi *= np.where(flip, -1.0, 1.0)  # in place: an exact sign flip, no column copies
     return w, Phi

@@ -660,6 +660,125 @@ int window_eigenvalues(int64_t L, int64_t R, int64_t r0, int64_t r1,
     return 0;
 }
 
+/* Eigenvectors of one operator (v (L), hoppings t (L-1), t[n] coupling
+   sites n and n+1) at its eigenvalues lam (K), by twisted factorization
+   (Fernando 1997; Dhillon and Parlett 2004; LAPACK dlar1v), for columns
+   c0 .. c1 - 1.  Column k runs the LDL^T recursion of H - lam[k] forward
+   (pivots d+) and backward (pivots d-), picks the twist index
+   r = argmin_r |gamma_r| (the largest r on ties, as twist_pass) and solves
+   N_r D_r N_r^T z = gamma_r e_r with z_r = 1:
+   z_n = (t[n] / d+_n) z_{n+1} for n < r and z_n = (t[n-1] / d-_n) z_{n-1}
+   for n > r.  The Rayleigh quotient x + gamma_r / |z|^2 of z then replaces
+   x = lam[k] for a second such pass (one step of Rayleigh quotient
+   iteration: a bracket midpoint can sit 1e-13 off, and z's error is that
+   over the gap).  Z (L, K), row-major, gets the second pass's z / |z| in
+   column k, whose entry at r is positive, and rq[k] its Rayleigh quotient.
+   Pivots are clamped as in sturm_counts, so no division is by zero.  The
+   columns run in blocks of B, in lockstep with sites outermost, over about
+   1 MB of inverse pivots.  Returns -1 if the scratch cannot be allocated,
+   else 0. */
+int twisted_vectors(int64_t L, int64_t K, int64_t c0, int64_t c1, const double *restrict v,
+                    const double *restrict t, double pivmin, const double *restrict lam,
+                    double *restrict Z, double *restrict rq)
+{
+    if (c1 <= c0)
+        return 0;
+    const int64_t want = L < 65536 / VEC ? 65536 / L / VEC * VEC : VEC;
+    const int64_t B = want < c1 - c0 ? want : c1 - c0;
+    const size_t d8 = sizeof(double);
+    struct scratch sc;
+    if (scratch_open(&sc, 64 * 8 + 2 * B * L * d8 + B * (5 * d8 + sizeof(int64_t))))
+        return -1;
+    /* ip, im (L, B): inverse forward and backward pivots */
+    double *ip = carve(&sc, B * L * d8), *im = carve(&sc, B * L * d8);
+    double *x = carve(&sc, B * d8), *g = carve(&sc, B * d8), *zl = carve(&sc, B * d8);
+    double *zr = carve(&sc, B * d8), *nrm = carve(&sc, B * d8);
+    int64_t *tw = carve(&sc, B * sizeof(int64_t));
+    for (int64_t k0 = c0; k0 < c1; k0 += B) {
+        const int64_t nb = c1 - k0 < B ? c1 - k0 : B;
+        double *zk = Z + k0;
+        for (int64_t b = 0; b < nb; ++b)
+            x[b] = lam[k0 + b];
+        for (int pass = 0; pass < 2; ++pass) {
+            for (int64_t b = 0; b < nb; ++b)
+                ip[b] = 1.0 / pivot(v[0] - x[b], pivmin);
+            for (int64_t n = 1; n < L; ++n) {
+                const double vn = v[n], tq = t[n - 1] * t[n - 1];
+                const double *pp = ip + (n - 1) * B;
+                double *pn = ip + n * B;
+                for (int64_t b = 0; b < nb; ++b)
+                    pn[b] = 1.0 / pivot((vn - x[b]) - tq * pp[b], pivmin);
+            }
+            /* backward, with gamma_n = (v_n - x) - t[n-1]^2 / d+_{n-1} - t[n]^2 / d-_{n+1} */
+            {
+                const double vl = v[L - 1], tq = L > 1 ? t[L - 2] * t[L - 2] : 0.0;
+                const double *pp = ip + (L > 1 ? L - 2 : 0) * B;
+                for (int64_t b = 0; b < nb; ++b) {
+                    tw[b] = L - 1;
+                    g[b] = (vl - x[b]) - tq * pp[b];
+                    im[(L - 1) * B + b] = 1.0 / pivot(vl - x[b], pivmin);
+                }
+            }
+            for (int64_t n = L - 2; n >= 0; --n) {
+                const double vn = v[n], tq = t[n] * t[n], tl = n > 0 ? t[n - 1] * t[n - 1] : 0.0;
+                const double *pp = ip + (n > 0 ? n - 1 : 0) * B, *mn = im + (n + 1) * B;
+                double *mc = im + n * B;
+                for (int64_t b = 0; b < nb; ++b) {
+                    const double q = tq * mn[b], y = ((vn - x[b]) - tl * pp[b]) - q;
+                    const int better = fabs(y) < fabs(g[b]);
+                    tw[b] = better ? n : tw[b];
+                    g[b] = better ? y : g[b];
+                    mc[b] = 1.0 / pivot((vn - x[b]) - q, pivmin);
+                }
+            }
+            int64_t rmin = L - 1, rmax = 0;
+            for (int64_t b = 0; b < nb; ++b) {
+                rmin = tw[b] < rmin ? tw[b] : rmin;
+                rmax = tw[b] > rmax ? tw[b] : rmax;
+                zl[b] = 0.0;
+                zr[b] = 0.0;
+                nrm[b] = 0.0;
+            }
+            /* leftward from the largest twist index: sites n <= r of each column */
+            for (int64_t n = rmax; n >= 0; --n) {
+                const double tn = n < L - 1 ? t[n] : 0.0, *pn = ip + n * B;
+                double *zn = zk + n * K;
+                for (int64_t b = 0; b < nb; ++b) {
+                    const double z = n == tw[b] ? 1.0 : n < tw[b] ? (tn * pn[b]) * zl[b] : 0.0;
+                    zl[b] = z;
+                    nrm[b] += z * z;
+                    zn[b] = z;
+                }
+            }
+            /* rightward from the smallest: sites n > r */
+            for (int64_t n = rmin; n < L; ++n) {
+                const double tn = n > 0 ? t[n - 1] : 0.0, *mn = im + n * B;
+                double *zn = zk + n * K;
+                for (int64_t b = 0; b < nb; ++b) {
+                    const int right = n > tw[b];
+                    const double z = n == tw[b] ? 1.0 : right ? (tn * mn[b]) * zr[b] : 0.0;
+                    zr[b] = z;
+                    nrm[b] += right ? z * z : 0.0;
+                    zn[b] = right ? z : zn[b];
+                }
+            }
+            for (int64_t b = 0; b < nb; ++b)
+                x[b] += g[b] / nrm[b];  /* the Rayleigh quotient of z */
+        }
+        for (int64_t b = 0; b < nb; ++b) {
+            rq[k0 + b] = x[b];
+            zl[b] = 1.0 / sqrt(nrm[b]);
+        }
+        for (int64_t n = 0; n < L; ++n) {
+            double *zn = zk + n * K;
+            for (int64_t b = 0; b < nb; ++b)
+                zn[b] *= zl[b];
+        }
+    }
+    scratch_close(&sc);
+    return 0;
+}
+
 /* Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: x gets
    the block with counter (c, 0, 0, 0) under key k. */
 static void philox_block(uint64_t c, const uint64_t *k, uint64_t *x)

@@ -16,8 +16,9 @@ from polyspec import eigensolve
 from polyspec.model import (LatticeSequences, PolymerModel, PolymerSpec, dimer_preset,
                             lattice_for_sites, potentials_for_sites_batch, substream)
 from polyspec.eigensolve import (TridiagonalOperator, build_hamiltonian, sturm_counts_batch,
-                                 eigenvalues_in_window_batch, dense_oracle, _pivmin,
-                                 _build_kernel, _load_kernel, _CFLAGS, _KERNELS_C)
+                                 eigenvalues_in_window_batch, dense_oracle,
+                                 twisted_eigenvectors, _pivmin, _build_kernel, _load_kernel,
+                                 _CFLAGS, _KERNELS_C)
 
 from conftest import explicit_models, eigenvalues_in_window, gershgorin_interval, sturm_count
 
@@ -387,6 +388,56 @@ def test_anderson_example_has_clusters_below_tol():
     assert np.diff(ref[(ref > 2.9) & (ref < 3.1)]).min() < 1e-11
 
 
+@given(explicit_models(), st.integers(1, 60), st.integers(0, 2**16))
+def test_twisted_eigenvectors_match_dense_oracle(model, L, seed):
+    # At the oracle's eigenvalues, with s the spectral radius bound and g_k
+    # column k's gap to its nearest neighbour over s: |H z_k - rq_k z_k| <=
+    # 1e3 eps s for every column, 1 - |<z_k, phi_k>| <= 1e2 eps +
+    # (1e3 eps / g_k)^2 and |z_k^T z_l - delta_kl| <= 1e3 eps (1/g_k + 1/g_l).
+    # (Measured on such models: at most 62 eps s, 0.1 and 147 times the bounds'
+    # eps terms.)  Degenerate clusters (g_k = 0) are bound by the residual only.
+    H = build_hamiltonian(lattice_for_sites(model, L, seed))
+    w, Phi = dense_oracle(H)
+    Z, rq = twisted_eigenvectors(H, w)
+    eps = np.finfo(float).eps
+    s = max(float(np.abs(H.diagonal).max() + 2 * H.offdiagonal.max(initial=0.0)), 1e-300)
+    HZ = H.diagonal[:, None] * Z
+    HZ[:-1] -= H.offdiagonal[:, None] * Z[1:]
+    HZ[1:] -= H.offdiagonal[:, None] * Z[:-1]
+    assert np.linalg.norm(HZ - rq * Z, axis=0).max() <= 1e3 * eps * s
+    assert np.allclose(np.linalg.norm(Z, axis=0), 1.0, rtol=0, atol=1e2 * eps)
+    with np.errstate(divide="ignore"):
+        inv_gap = s / np.minimum(np.r_[np.inf, np.diff(w)], np.r_[np.diff(w), np.inf])
+    align = 1.0 - np.abs(np.einsum("ij,ij->j", Z, Phi))
+    assert np.all(align <= 1e2 * eps + (1e3 * eps * inv_gap) ** 2)
+    ortho = np.abs(Z.T @ Z - np.eye(L))
+    assert np.all(ortho <= 1e3 * eps * (inv_gap[:, None] + inv_gap[None, :]))
+
+
+def test_twisted_eigenvectors_refine_inexact_eigenvalues():
+    # eigenvalues 1e-12 off, as a window bracket's midpoint may be: the
+    # second pass at the first vector's Rayleigh quotient keeps the vectors
+    # orthonormal to 1e-11 (one pass alone measured 1.1e-9 here)
+    H = build_hamiltonian(lattice_for_sites(dimer_preset(0.5, 0.5), 801, seed=4))
+    w, _ = dense_oracle(H)
+    w = w[(w >= -0.6) & (w <= 0.6)]
+    Z, rq = twisted_eigenvectors(H, w + 1e-12 * (-1.0) ** np.arange(w.size))
+    assert np.abs(Z.T @ Z - np.eye(w.size)).max() <= 1e-11
+    assert np.abs(rq - w).max() <= 1e-14
+
+
+def test_twisted_eigenvectors_split_bit_identical(monkeypatch):
+    # every column is computed on its own: the vectors of a call split over
+    # four column ranges equal those of one unsplit call, bit for bit
+    H = build_hamiltonian(lattice_for_sites(dimer_preset(0.5, 0.5), 801, seed=4))
+    lam = eigenvalues_in_window(H, (-0.6, 0.6), 1e-13)
+    Z1, rq1 = twisted_eigenvectors(H, lam)
+    monkeypatch.setattr(eigensolve, "_cpus", lambda: 4)
+    monkeypatch.setattr(eigensolve, "_SPLIT_FLOOR", 0)
+    Z4, rq4 = twisted_eigenvectors(H, lam)
+    assert np.array_equal(Z1, Z4) and np.array_equal(rq1, rq4)
+
+
 def _window_sweeps(monkeypatch) -> list:
     """The sweep-count output of every window kernel call made from here on."""
     kernel, outputs = eigensolve._kernel(), []
@@ -537,6 +588,14 @@ for L in (1, 2, 9):
     for r0, r1 in ((0, R), (2, 4), (1, 2), (3, 5), (4, 5)):
         assert k.window_eigenvalues(L, R, r0, r1, off, v, tsq, pivmin, -3.0, 3.0, 1e-11,
                                     na, eig, sweeps) == 0
+    # the vectors of realization 0's window: all columns, a range from mid-batch, none
+    v0, t0, lam = v[:, 0].copy(), np.sqrt(tsq[:, 0]), eig[off[0]:off[1]].copy()
+    K = lam.size
+    Z, rq = np.empty((L, K)), np.empty(K)
+    for c0, c1 in ((0, K), (K // 2, K), (K, K)):
+        assert k.twisted_vectors(L, K, c0, c1, v0, t0, pivmin, lam, Z, rq) == 0
+    assert k.twisted_vectors(L, 0, 0, 0, v0, t0, pivmin, np.empty(0), np.empty((L, 0)),
+                             np.empty(0)) == 0
     counts, piv = np.empty((R, 3), dtype=np.int64), np.empty((R, 3))
     k.sturm_counts(L, R, 3, v, tsq, np.tile([-1.0, 0.0, 11.0], (R, 1)), pivmin, counts, piv)
     keys = np.empty((R, 2), dtype=np.uint64)

@@ -1,21 +1,36 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import jv
 
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec import transport
-from polyspec.eigensolve import build_hamiltonian, dense_oracle
-from polyspec.transport import (evolution_setup, moment_curve, transport_exponent,
-                                BoundaryContaminationError, _moment_integrand,
-                                _weighted_modes)
+from polyspec.eigensolve import TridiagonalOperator, build_hamiltonian, dense_oracle
+from polyspec.transport import (EvolutionSetup, evolution_setup, moment_curve,
+                                transport_exponent, BoundaryContaminationError,
+                                _moment_integrand)
 
-from conftest import gershgorin_interval
+from conftest import explicit_models, gershgorin_interval
 
 
 def evolve_amplitudes(setup, t):
-    """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the modes with nonzero weight."""
-    modes, energies, w = _weighted_modes(setup)
+    """psi_t = sum_j e^{-i E_j t} phi_j(x) w_j over the setup's modes."""
+    modes, energies, w = setup.modes, setup.energies, setup.weights
     return modes @ (np.cos(energies * t) * w) - 1j * (modes @ (np.sin(energies * t) * w))
+
+
+def dense_window_setup(H, window):
+    """The projected setup on the dense decomposition's eigenpairs in the
+    closed window: the oracle of the twisted-vector setups, and what a
+    window that falls back takes."""
+    j = H.num_sites // 2
+    w, Phi = dense_oracle(H, cap=H.num_sites)
+    inside = (w >= window[0]) & (w <= window[1])
+    return EvolutionSetup(hamiltonian=H, energies=w[inside], modes=Phi[:, inside],
+                          initial_site=j, projection_window=tuple(window),
+                          weights=Phi[j, inside].copy())
 
 
 def moment(setup, q, T, averaging="cesaro", quadrature_points=256):
@@ -73,6 +88,11 @@ def test_projection_full_range_equals_none():
     lo, hi = gershgorin_interval(H)
     full = evolution_setup(H, projection_window=(lo - 0.1, hi + 0.1))
     none = evolution_setup(H)
+    # the same eigenpairs from different columns: twisted factorizations, LAPACK
+    assert not full.fallback and full.energies.size == none.energies.size == 201
+    # infinite window ends clip to the spectrum's bound
+    unbounded = evolution_setup(H, projection_window=(-np.inf, np.inf))
+    assert np.allclose(unbounded.energies, full.energies, rtol=0, atol=1e-12)
     m1 = moment(full, 2.0, 10.0)
     m2 = moment(none, 2.0, 10.0)
     assert abs(m1 - m2) <= 1e-8 * max(m2, 1.0)
@@ -85,12 +105,13 @@ def test_projection_triangle_bound():
     lo, hi = gershgorin_interval(H)
     inner = evolution_setup(H, projection_window=window)
     full = evolution_setup(H)
-    # complement: union of the two outer windows, realized by weight subtraction
+    # complement: union of the two outer windows, realized by zeroing the
+    # inner window's weights on the full-range window's twisted vectors, so
+    # that the three setups stand on three different sets of columns
     comp = evolution_setup(H, projection_window=(lo - 0.1, hi + 0.1))
-    comp = type(comp)(hamiltonian=comp.hamiltonian, energies=comp.energies,
-                      modes=comp.modes, initial_site=comp.initial_site,
-                      projection_window=None,
-                      weights=full.weights - inner.weights)
+    inside = (comp.energies >= window[0]) & (comp.energies <= window[1])
+    assert inside.sum() == inner.energies.size
+    comp = replace(comp, projection_window=None, weights=np.where(inside, 0.0, comp.weights))
     for T in (5.0, 20.0):
         mf = moment(full, 2.0, T)
         mi = moment(inner, 2.0, T)
@@ -180,7 +201,7 @@ def test_projected_window_trips_guard():
         moment(setup, 2.0, 400.0)
 
 
-def test_windows_share_one_diagonalization(monkeypatch):
+def test_dense_oracle_only_for_unprojected_setups_and_fallbacks(monkeypatch):
     calls = []
 
     def counting_oracle(H, cap):
@@ -192,8 +213,63 @@ def test_windows_share_one_diagonalization(monkeypatch):
     kwargs = {"realizations": 3, "seed": 7, "quadrature_points": 128}
     windows = [(-0.6, 0.6), (1.0, 1.6)]
     both = transport_exponent(*args, windows=windows, **kwargs)
-    assert calls == [201] * 3
+    assert calls == [] and [res["fallbacks"] for res in both] == [0, 0]
     for window, res in zip(windows, both):
         single, = transport_exponent(*args, windows=[window], **kwargs)
         assert res["window"] == single["window"] == window
         assert np.array_equal(res["per_realization"], single["per_realization"])
+        for c, c1 in zip(res["curves"], single["curves"]):
+            assert np.array_equal(c.values, c1.values)
+    free, = transport_exponent(*args, **kwargs)
+    assert calls == [201] * 3 and free["fallbacks"] == 0
+
+
+def mirror_box(m=30, central_hopping=1e-12):
+    """2m sites, mirror-symmetric about the central bond, whose hopping is
+    tiny: every eigenvalue comes in a pair split by about that hopping."""
+    rng = np.random.default_rng(11)
+    v, t = rng.uniform(-1.0, 1.0, m), rng.uniform(0.5, 1.5, m - 1)
+    return TridiagonalOperator(diagonal=np.r_[v, v[::-1]],
+                               offdiagonal=np.r_[t, central_hopping, t[::-1]],
+                               num_sites=2 * m)
+
+
+def test_close_pair_falls_back_to_dense(monkeypatch):
+    H = mirror_box()
+    window = (-1.0, 1.0)
+    gaps = np.diff(dense_window_setup(H, window).energies)
+    assert gaps.min() < transport._GAP_FLOOR  # a pair closer than the gap floor
+    setup = evolution_setup(H, projection_window=window)
+    assert setup.fallback
+    ref = dense_window_setup(H, window)
+    assert np.array_equal(setup.energies, ref.energies)
+    assert np.array_equal(setup.modes, ref.modes)
+    # transport_exponent counts the fallback, and its moments are the eigh path's
+    monkeypatch.setattr(transport, "build_hamiltonian", lambda seq: H)
+    Ts = [1.0, 2.0, 3.0]
+    res, = transport_exponent(dimer_preset(0.5, 0.5), 2.0, Ts, box_radius=10,
+                              windows=[window], realizations=1, quadrature_points=64)
+    assert res["fallbacks"] == 1
+    want = moment_curve(ref, 2.0, Ts, quadrature_points=64).values
+    assert np.array_equal(res["curves"][0].values, want)
+
+
+@given(explicit_models(), st.integers(8, 60), st.integers(0, 2**16),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_window_integrand_matches_dense_oracle(model, L, seed, f0, f1):
+    # the twisted-vector setup against the dense decomposition's on random
+    # boxes and windows whose ends sit halfway between eigenvalues
+    H = build_hamiltonian(lattice_for_sites(model, L, seed))
+    w, _ = dense_oracle(H)
+    i0, i1 = sorted((int(f0 * L), int(f1 * L)))
+    ends = np.r_[w[0] - 1.0, 0.5 * (w[1:] + w[:-1]), w[-1] + 1.0]
+    window = (float(ends[i0]), float(ends[i1 + 1 if i1 < L else L]))
+    setup = evolution_setup(H, projection_window=window)
+    ref = dense_window_setup(H, window)
+    assert setup.energies.size == ref.energies.size
+    times = np.linspace(0.0, 20.0, 41)
+    m = _moment_integrand(setup, 2.0, times, check_guard=False)
+    m_ref = _moment_integrand(ref, 2.0, times, check_guard=False)
+    # the twisted vectors deviate by ~eps |H| / gap; below the gap floor the
+    # window falls back and takes the oracle's own columns
+    assert np.abs(m - m_ref).max() <= 1e-8 * max(m_ref.max(), 1.0)
