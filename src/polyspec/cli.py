@@ -224,6 +224,9 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("params.q: q must be positive")
         if p.get("averaging", "cesaro") not in ("cesaro", "abel"):
             diags.append("params.averaging: must be 'cesaro' or 'abel'")
+        for key in ("critical_window", "localized_window"):
+            if key in p and not _interval(p[key]):
+                diags.append(f"params.{key}: must be [lo, hi] with lo < hi")
         for key in ("T_grid", "free_T_grid"):
             if key in p and not _time_grid(p[key]):
                 diags.append(f"params.{key}: must hold at least two distinct times, "

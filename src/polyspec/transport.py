@@ -6,10 +6,13 @@ the initial state delta_j to an energy window, and then only the window's
 eigenpairs enter: the window kernel places its eigenvalues
 (`eigenvalues_in_window_batch`) and twisted factorizations give their
 vectors (`twisted_eigenvectors`), O(L) work per eigenpair instead of the
-O(L^2) of the whole box.  A window whose eigenvalues come closer than
-_GAP_FLOOR (relative to a bound on |H|) or whose adjacent
-vectors overlap by more than _OVERLAP_MAX takes its modes from the dense
-LAPACK decomposition instead, as does the unprojected delta_j.  Moments are
+O(L^2) of the whole box.  The unprojected delta_j takes the same path on
+the window (-inf, inf), whose ends clip to a bound on |H|.  A window whose
+eigenvalues come closer than _GAP_FLOOR (relative to that bound) or whose
+adjacent vectors overlap by more than _OVERLAP_MAX takes its modes from the
+dense LAPACK decomposition instead.  Either way a setup keeps only the
+modes whose weight |phi_k(j)| exceeds _WEIGHT_FLOOR times the largest, the
+ones the moments read.  Moments are
 M_q(T) time-averages of sum_x |x - center|^q |psi_t(x)|^2 in either the
 Cesaro form (1/T) int_0^T or the Abel form (1/T) int_0^inf e^{-t/T}
 (truncated at 10T).
@@ -41,9 +44,16 @@ _WINDOW_TOL = 1e-13          # bracket width of the window's eigenvalues
 # a window falls back to the dense decomposition when two adjacent
 # eigenvalues lie closer than _GAP_FLOOR times a bound on |H|, or two
 # adjacent vectors overlap by more than _OVERLAP_MAX: a vector's error is
-# about eps |H| / gap
+# about eps |H| / gap.  The checks take in the nearest eigenpair outside each
+# end within _MARGIN times the bound; one farther off costs a vector at most
+# eps / _MARGIN
 _GAP_FLOOR = 1e-9
 _OVERLAP_MAX = 1e-10
+_MARGIN = 1e-4
+# a setup drops the modes whose weight |phi_k(j)| is at most _WEIGHT_FLOOR
+# times the largest: each carries at most 1e-24 of the largest mode's share
+# of |P(I) delta_j|^2
+_WEIGHT_FLOOR = 1e-12
 # the moment integrand's time chunks hold at most this many entries (16 MB)
 # per (sites x times) array; 8 MB chunks took 20% longer on 4001 sites
 _CHUNK_ENTRIES = 1 << 21
@@ -58,12 +68,12 @@ class EvolutionSetup:
     """The eigenpairs that carry a (possibly projected) point initial state."""
 
     hamiltonian: TridiagonalOperator
-    energies: np.ndarray
+    energies: np.ndarray         # the kept modes' eigenvalues, nondecreasing
     modes: np.ndarray            # orthonormal eigenvector columns, one per energy
     initial_site: int
     projection_window: tuple[float, float] | None
-    weights: np.ndarray          # mode amplitudes of P(I) delta_j
-    fallback: bool = False       # a window's modes came from the dense decomposition
+    weights: np.ndarray          # mode amplitudes of P(I) delta_j, each above the floor
+    fallback: bool = False       # the modes came from the dense decomposition
 
     @property
     def num_sites(self) -> int:
@@ -79,46 +89,56 @@ def evolution_setup(H: TridiagonalOperator, initial_site: int | None = None,
     """Eigenpairs of the box that carry delta_j projected onto the energy window.
 
     The initial state is P(I) delta_j, unnormalized, with I the closed
-    window [lo, hi]; `modes` and `energies` hold the window's eigenpairs
-    only.  With no window it is delta_j itself, on every eigenpair of the
-    dense decomposition.  Defaults to the box center.
+    window [lo, hi]; with no window it is delta_j itself, I the whole line.
+    `modes` and `energies` hold the eigenpairs in I whose weight
+    |phi_k(j)| exceeds _WEIGHT_FLOOR times the largest.  Defaults to the
+    box center.
     """
     if initial_site is None:
         initial_site = H.num_sites // 2
     if not 0 <= initial_site < H.num_sites:
         raise ValueError("initial_site outside the box")
-    window, fallback = None, False
-    if projection_window is None:
-        energies, modes = dense_oracle(H, cap=H.num_sites)
-    else:
-        window = (float(projection_window[0]), float(projection_window[1]))
-        energies, modes, fallback = _window_modes(H, *window)
+    window = (None if projection_window is None
+              else (float(projection_window[0]), float(projection_window[1])))
+    energies, modes, fallback = _window_modes(H, *(window or (-np.inf, np.inf)))
+    weights = modes[initial_site, :]
+    keep = np.abs(weights) > _WEIGHT_FLOOR * np.abs(weights).max(initial=0.0)
+    if not keep.all():
+        energies, modes = energies[keep], modes[:, keep]
     return EvolutionSetup(hamiltonian=H, energies=energies, modes=modes,
                           initial_site=int(initial_site), projection_window=window,
-                          weights=modes[initial_site, :].copy(), fallback=fallback)
+                          weights=weights[keep], fallback=fallback)
 
 
 def _window_modes(H: TridiagonalOperator, lo: float, hi: float):
     """(energies, modes, fallback): the eigenpairs of H in [lo, hi], none
-    if hi < lo.
+    if hi < lo; infinite ends clip to a bound on |H|.
 
     The eigenvalues come from the window kernel at tol _WINDOW_TOL on
-    [lo, nextafter(hi, +inf)), the vectors and Rayleigh-corrected energies
-    from twisted factorizations.  If two adjacent energies are closer than
-    _GAP_FLOOR times the bound norm >= |H|, or two adjacent vectors
-    overlap by more than _OVERLAP_MAX, the window takes the dense
-    decomposition's eigenpairs in [lo, hi] instead (fallback True).
+    [lo, nextafter(hi, +inf)), widened by _MARGIN times the bound
+    norm >= |H| on each side; the vectors and Rayleigh-corrected energies
+    of the window's eigenvalues and of the nearest one outside each end
+    come from twisted factorizations.  If two adjacent energies among them
+    are closer than _GAP_FLOOR * norm, or two adjacent vectors overlap by
+    more than _OVERLAP_MAX, the window takes the dense decomposition's
+    eigenpairs in [lo, hi] instead (fallback True).
     """
     # |H| <= norm bounds every eigenvalue, so infinite window ends clip to it
     norm = float(np.abs(H.diagonal).max()) + 2.0 * float(H.offdiagonal.max(initial=0.0))
     a, b = max(lo, -norm - 1.0), min(np.nextafter(hi, np.inf), norm + 1.0)
+    margin = _MARGIN * norm
     lam = (eigenvalues_in_window_batch(H.diagonal[:, None], (H.offdiagonal ** 2)[:, None],
-                                       a, b, _WINDOW_TOL)[0] if b > a else np.empty(0))
-    modes, energies = twisted_eigenvectors(H, lam)
+                                       a - margin, b + margin, _WINDOW_TOL)[0]
+           if b > a else np.empty(0))
+    i0, i1 = np.searchsorted(lam, [a, b])
+    if i1 == i0:
+        return np.empty(0), np.empty((H.num_sites, 0)), False
+    c0, c1 = max(i0 - 1, 0), min(i1 + 1, lam.size)  # and the nearest neighbors
+    modes, energies = twisted_eigenvectors(H, lam[c0:c1])
     overlaps = np.einsum("ij,ij->j", modes[:, 1:], modes[:, :-1])
     if (np.all(np.diff(energies) >= _GAP_FLOOR * norm)
             and np.all(np.abs(overlaps) <= _OVERLAP_MAX)):
-        return energies, modes, False
+        return energies[i0 - c0:i1 - c0], modes[:, i0 - c0:i1 - c0], False
     w, Phi = dense_oracle(H, cap=H.num_sites)
     inside = (w >= lo) & (w <= hi)
     return w[inside], Phi[:, inside], True
@@ -216,7 +236,8 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
     Each window of a realization takes its own eigenpairs (evolution_setup);
     "fallbacks" counts the realizations whose window took the dense
     decomposition after failing the gap or overlap check.  Returns one
-    result dict per window, in the order of `windows`.  Raises
+    result dict per window, in the order of `windows`.  Raises ValueError
+    if a window keeps no mode in some realization, and
     BoundaryContaminationError if any realization's wavefront reaches the
     guard zone.
     """
@@ -228,6 +249,9 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
         H = build_hamiltonian(lattice_for_sites(model, num_sites, seed, r))
         for i, window in enumerate(windows):
             setup = evolution_setup(H, projection_window=window)
+            if not setup.energies.size:
+                raise ValueError(f"window {setup.projection_window} holds no eigenvalue "
+                                 f"of realization {r} ({num_sites} sites)")
             fallbacks[i] += setup.fallback
             curves[i].append(moment_curve(setup, q, Ts, averaging, quadrature_points))
     results = []

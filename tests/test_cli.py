@@ -63,6 +63,10 @@ def test_validate_bad_model_and_param():
             ("transport", "T_grid", [5.0]), ("transport", "T_grid", [5.0, 5.0]),
             ("transport", "T_grid", [-5.0, 5.0]), ("transport", "free_T_grid", [20.0]),
             ("transport", "q", 0.0), ("transport", "q", -1.0),
+            ("transport", "critical_window", [0.6, -0.6]),
+            ("transport", "localized_window", [1.0, 1.0]),
+            ("transport", "critical_window", [0.6]),
+            ("transport", "localized_window", "wide"),
             ("minami-probe", "beta", "x"), ("minami-probe", "gamma", [1.0]),
             ("sharpness", "delta", "big"),
             # each of these used to pass validation and then exit 1 in the run
@@ -217,6 +221,19 @@ def test_unserializable_summary_writes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._EXPERIMENTS, "lyapunov", nan_experiment)
     assert main(["lyapunov", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_transport_window_without_eigenvalues_fails(tmp_path, capsys):
+    # a valid window above the whole spectrum keeps no mode: the run names
+    # the window and the realization instead of writing a NaN slope
+    code = main(["transport", "--out", str(tmp_path), "--param", "box_radius=50",
+                 "--param", "localized_window=[5.0, 6.0]", "--param", "realizations=1",
+                 "--param", "T_grid=[2.0, 4.0]", "--param", "quadrature_points=20",
+                 "--param", "free_box_radius=50", "--param", "free_T_grid=[2.0, 4.0]"])
+    assert code == 1
+    assert ("error [transport]: ValueError: window (5.0, 6.0) holds no eigenvalue "
+            "of realization 0") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.special import jv
 
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
-from polyspec import transport
+from polyspec import eigensolve, transport
 from polyspec.eigensolve import TridiagonalOperator, build_hamiltonian, dense_oracle
 from polyspec.transport import (EvolutionSetup, evolution_setup, moment_curve,
                                 transport_exponent, BoundaryContaminationError,
@@ -88,11 +89,13 @@ def test_projection_full_range_equals_none():
     lo, hi = gershgorin_interval(H)
     full = evolution_setup(H, projection_window=(lo - 0.1, hi + 0.1))
     none = evolution_setup(H)
-    # the same eigenpairs from different columns: twisted factorizations, LAPACK
-    assert not full.fallback and full.energies.size == none.energies.size == 201
-    # infinite window ends clip to the spectrum's bound
+    assert not full.fallback and not none.fallback
+    # no window is the window (-inf, inf), whose infinite ends clip to the
+    # spectrum's bound: the same eigenpairs, from brackets with other ends
     unbounded = evolution_setup(H, projection_window=(-np.inf, np.inf))
-    assert np.allclose(unbounded.energies, full.energies, rtol=0, atol=1e-12)
+    assert np.array_equal(none.energies, unbounded.energies)
+    assert np.array_equal(none.modes, unbounded.modes)
+    assert np.allclose(none.energies, full.energies, rtol=0, atol=1e-12)
     m1 = moment(full, 2.0, 10.0)
     m2 = moment(none, 2.0, 10.0)
     assert abs(m1 - m2) <= 1e-8 * max(m2, 1.0)
@@ -201,7 +204,7 @@ def test_projected_window_trips_guard():
         moment(setup, 2.0, 400.0)
 
 
-def test_dense_oracle_only_for_unprojected_setups_and_fallbacks(monkeypatch):
+def test_dense_oracle_only_for_fallbacks(monkeypatch):
     calls = []
 
     def counting_oracle(H, cap):
@@ -220,8 +223,9 @@ def test_dense_oracle_only_for_unprojected_setups_and_fallbacks(monkeypatch):
         assert np.array_equal(res["per_realization"], single["per_realization"])
         for c, c1 in zip(res["curves"], single["curves"]):
             assert np.array_equal(c.values, c1.values)
+    # the unprojected state takes the window path too
     free, = transport_exponent(*args, **kwargs)
-    assert calls == [201] * 3 and free["fallbacks"] == 0
+    assert calls == [] and free["fallbacks"] == 0
 
 
 def mirror_box(m=30, central_hopping=1e-12):
@@ -254,6 +258,21 @@ def test_close_pair_falls_back_to_dense(monkeypatch):
     assert np.array_equal(res["curves"][0].values, want)
 
 
+def test_pair_split_by_window_end_falls_back():
+    # a window end between the two members of a close pair: the vector inside
+    # errs by about eps |H| / gap although the window holds no close pair
+    H = mirror_box(central_hopping=1e-6)
+    w, _ = dense_oracle(H)
+    k = int(np.argmin(np.abs(w)))
+    k -= int(w[k + 1] - w[k] > w[k] - w[k - 1])  # the pair is (w[k], w[k + 1])
+    assert w[k + 1] - w[k] < 1e-8 < w[k] - w[k - 1]
+    window = (0.5 * (w[k - 1] + w[k]), 0.5 * (w[k] + w[k + 1]))
+    setup = evolution_setup(H, projection_window=window)
+    ref = dense_window_setup(H, window)
+    assert setup.fallback and setup.energies.size == 1
+    assert np.array_equal(setup.modes, ref.modes)
+
+
 @given(explicit_models(), st.integers(8, 60), st.integers(0, 2**16),
        st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_window_integrand_matches_dense_oracle(model, L, seed, f0, f1):
@@ -266,10 +285,77 @@ def test_window_integrand_matches_dense_oracle(model, L, seed, f0, f1):
     window = (float(ends[i0]), float(ends[i1 + 1 if i1 < L else L]))
     setup = evolution_setup(H, projection_window=window)
     ref = dense_window_setup(H, window)
-    assert setup.energies.size == ref.energies.size
+    # before the weight floor the window holds the oracle's eigenpairs; the
+    # floor drops only modes of weight at most _WEIGHT_FLOOR times the largest
+    energies, modes, _ = transport._window_modes(H, *window)
+    assert energies.size == ref.energies.size
+    weights = np.abs(modes[setup.initial_site])
+    kept = weights > transport._WEIGHT_FLOOR * weights.max(initial=0.0)
+    assert np.array_equal(setup.energies, energies[kept])
+    assert np.array_equal(setup.modes, modes[:, kept])
     times = np.linspace(0.0, 20.0, 41)
     m = _moment_integrand(setup, 2.0, times, check_guard=False)
     m_ref = _moment_integrand(ref, 2.0, times, check_guard=False)
     # the twisted vectors deviate by ~eps |H| / gap; below the gap floor the
     # window falls back and takes the oracle's own columns
     assert np.abs(m - m_ref).max() <= 1e-8 * max(m_ref.max(), 1.0)
+
+
+@pytest.mark.parametrize("window", [(-0.6, 0.6), (1.0, 1.6)], ids=["critical", "localized"])
+def test_weight_floor_keeps_the_integrand(window):
+    # the benchmark's transport box: dimer V = 0.5 on 2001 sites
+    H = build_hamiltonian(lattice_for_sites(dimer_preset(0.5, 0.5), 2001, seed=3))
+    setup = evolution_setup(H, projection_window=window)
+    energies, modes, fallback = transport._window_modes(H, *window)
+    assert not setup.fallback and not fallback
+    unfloored = replace(setup, energies=energies, modes=modes,
+                        weights=modes[setup.initial_site].copy())
+    if window == (1.0, 1.6):  # modes localized far from the center drop
+        assert setup.energies.size < energies.size
+    times = np.linspace(0.0, 160.0, 200)
+    m = _moment_integrand(setup, 2.0, times, check_guard=False)
+    m_ref = _moment_integrand(unfloored, 2.0, times, check_guard=False)
+    assert np.allclose(m, m_ref, rtol=1e-12, atol=0)
+
+
+def test_free_chain_keeps_every_weighted_mode():
+    # free chain on 1001 sites: E_k = -2 cos(pi k / 1002), and at the center
+    # (site 501 counted from 1) the weight sqrt(2/1002) |sin(pi k 501 / 1002)|
+    # vanishes for every even k
+    setup = free_setup(1001)
+    k = np.arange(1, 1002)
+    analytic = np.sqrt(2 / 1002) * np.abs(np.sin(np.pi * k * 501 / 1002))
+    weighted = analytic > 1e-6
+    assert weighted.sum() == 501 and not setup.fallback
+    # the even modes drop, up to a few near the band edges, whose tiny gaps
+    # leave their computed weights above the floor
+    assert 501 <= setup.energies.size <= 520
+    E = -2 * np.cos(np.pi * k[weighted] / 1002)
+    nearest = np.abs(setup.energies[:, None] - E[None, :]).argmin(axis=0)
+    assert np.abs(setup.energies[nearest] - E).max() <= 1e-12
+    assert np.abs(np.abs(setup.weights[nearest]) - analytic[weighted]).max() <= 1e-12
+
+
+def test_transport_exponent_independent_of_cpus():
+    # the twisted vectors split their columns over the CPUs; any split gives
+    # the same bytes, on both windows and on the free chain
+    runs = []
+    for cpus in (1, 3):
+        with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
+                mock.patch.object(eigensolve, "_SPLIT_FLOOR", 0):
+            runs.append(transport_exponent(dimer_preset(0.5, 0.5), 2.0, [5.0, 8.0, 12.0],
+                                           box_radius=150, windows=[(-0.6, 0.6), (1.0, 1.6)],
+                                           realizations=2, seed=5, quadrature_points=128)
+                        + transport_exponent(anderson_preset(0.0, 0.5), 2.0, [4.0, 8.0],
+                                             box_radius=100, quadrature_points=128))
+    for one, three in zip(*runs):
+        assert one["per_realization"].tobytes() == three["per_realization"].tobytes()
+        for c1, c3 in zip(one["curves"], three["curves"]):
+            assert c1.values.tobytes() == c3.values.tobytes()
+
+
+def test_window_without_modes_raises():
+    with pytest.raises(ValueError, match=r"window \(5\.0, 6\.0\) holds no eigenvalue "
+                                         r"of realization 0 \(101 sites\)"):
+        transport_exponent(dimer_preset(0.5, 0.5), 2.0, [2.0, 4.0], box_radius=50,
+                           windows=[(-0.6, 0.6), (5.0, 6.0)], quadrature_points=32)
