@@ -183,11 +183,14 @@ def build_config(kind: str, raw: dict) -> ExperimentConfig:
     defaults = _KIND_DEFAULTS[kind]
     params = dict(defaults["params"])
     params.update(raw.get("params", {}))
+    seed = raw.get("seed", _COMMON_DEFAULTS["seed"])
+    if not _integral(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     return ExperimentConfig(
         kind=kind,
         model=raw.get("model", defaults["model"]),
         params=params,
-        seed=int(raw.get("seed", _COMMON_DEFAULTS["seed"])),
+        seed=int(seed),
         out=str(raw.get("out", _COMMON_DEFAULTS["out"])),
     )
 
@@ -294,11 +297,14 @@ def _time_grid(x) -> bool:
             and len({float(T) for T in x}) >= 2)
 
 
+def _integral(x) -> bool:
+    """An int that is no bool, or a float with an integral value (JSON 1e3)."""
+    return (isinstance(x, int) and not isinstance(x, bool)) or \
+        (isinstance(x, float) and x.is_integer())
+
+
 def _positive_int(x) -> bool:
-    try:
-        return int(x) >= 1
-    except (TypeError, ValueError):
-        return False
+    return _integral(x) and x >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +679,11 @@ def _json_default(o):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="polyspec",
                                      description="Random polymer model experiments")
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS + ("validate",):
-        sp = sub.add_parser(kind)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--param", action="append", default=[],
+    parser.add_argument("kind", choices=[*KINDS, "validate"])
+    parser.add_argument("--config", type=str, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="override one params entry "
                         "(VALUE parsed as JSON, falling back to string)")
     args = parser.parse_args(argv)

@@ -8,10 +8,10 @@ polymer with probability p_plus, the minus polymer otherwise.
 Realization r of seed s draws its block signs from its own Philox4x64-10
 stream, `substream(s, r)`.  The library draws them in the compiled kernels
 of `eigensolve`, which derive each stream's key as numpy's SeedSequence does
-and reproduce `substream(s, r).random(n) < p_plus` bit for bit.
-`potentials_for_sites_batch` lays a whole batch of boxes out there, one
-column per realization; `lattice_for_sites` lays one box in numpy, with the
-same values.
+and reproduce `substream(s, r).random(n) < p_plus` bit for bit.  Every box
+is laid out there too, by one compiled routine: `potentials_for_sites_batch`
+gives a batch of boxes, one column per realization, and `lattice_for_sites`
+one box with the same values.
 """
 from __future__ import annotations
 
@@ -40,9 +40,8 @@ def substream(seed: int, realization_index: int) -> np.random.Generator:
 
     Streams derived from the same master seed but different realization
     indices are statistically independent and reproducible under any
-    parallel schedule.  The library draws the same streams in compiled code
-    (`_stream_keys`, `_draws_below`); this Generator is their public numpy
-    form.
+    parallel schedule.  The library draws the same streams in compiled code,
+    keyed by `_stream_keys`; this Generator is their public numpy form.
     """
     ss = np.random.SeedSequence(entropy=int(seed) % 2**64,
                                 spawn_key=(int(realization_index),))
@@ -60,18 +59,6 @@ def _stream_keys(seed: int, realization_indices) -> np.ndarray:
     keys = np.empty((idx.size, 2), dtype=np.uint64)
     _kernel().stream_keys(idx.size, int(seed) % 2**64, idx, keys)
     return keys
-
-
-def _draws_below(seed: int, realization_indices, p: float, count: int,
-                 start: int = 0) -> np.ndarray:
-    """(R, count) bool: whether draws start .. start + count - 1 of each
-    realization's substream are below p, bit for bit
-    substream(seed, r).random(start + count)[start:] < p."""
-    from .eigensolve import _kernel
-    keys = _stream_keys(seed, realization_indices)
-    below = np.empty((len(keys), count), dtype=bool)
-    _kernel().stream_below(len(keys), keys, start, count, p, below)
-    return below
 
 
 def _freeze(a):
@@ -160,25 +147,39 @@ class LatticeSequences:
             raise ValueError("all hoppings must be strictly positive")
 
 
+def _lay_boxes(model: PolymerModel, num_sites: int, seed: int, realization_indices,
+                first, rest) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes laid out from two per-polymer tables in one compiled call, one
+    column per realization: the (num_sites, R) entries of `first` and the
+    (num_sites - 1, R) entries of `rest` at sites 1 .. num_sites - 1.  Each
+    table holds the plus polymer's site values, then the minus polymer's;
+    the kernel only copies them."""
+    if num_sites < 1:
+        raise ValueError("num_sites must be >= 1")
+    from .eigensolve import _kernel  # eigensolve imports this module
+    keys = _stream_keys(seed, realization_indices)
+    R = len(keys)
+    a, b = np.empty((num_sites, R)), np.empty((num_sites - 1, R))
+    if _kernel().fill_boxes(num_sites, R, keys, model.p_plus, model.plus.length,
+                            model.minus.length, first, rest, a, b):
+        raise MemoryError("no memory for the box sampler's signs and per-box state")
+    return a, b
+
+
 def lattice_for_sites(model: PolymerModel, num_sites: int, seed: int,
                       realization_index: int = 0) -> LatticeSequences:
     """Finite box of exactly `num_sites` sites (last block truncated).
 
     Block n is the plus polymer where draw n of the realization's substream
-    is below p_plus; the blocks are laid from the origin.
+    is below p_plus; the blocks are laid from the origin.  The compiled
+    layout of potentials_for_sites_batch runs twice, once with the
+    potentials first and once with the hoppings first (t(0) included), so
+    the values are bit for bit that batch's column.
     """
-    if num_sites < 1:
-        raise ValueError("num_sites must be >= 1")
-    # enough blocks to cover num_sites were every block the shorter polymer
-    num_blocks = num_sites // min(model.plus.length, model.minus.length) + 1
-    signs = _draws_below(seed, [realization_index], model.p_plus, num_blocks)[0]
-    lengths = np.where(signs, model.plus.length, model.minus.length)
-    starts = np.cumsum(lengths) - lengths
-    # site i of block n is entry first[n] + i of the polymers' joined tables
-    first = np.where(signs, 0, model.plus.length)
-    at = (np.arange(lengths.sum()) + np.repeat(first - starts, lengths))[:num_sites]
-    v = np.concatenate([model.plus.potentials, model.minus.potentials])[at]
-    t = np.concatenate([model.plus.hoppings, model.minus.hoppings])[at]
+    pv = np.concatenate([model.plus.potentials, model.minus.potentials])
+    pt = np.concatenate([model.plus.hoppings, model.minus.hoppings])
+    v = _lay_boxes(model, num_sites, seed, [realization_index], pv, pt)[0][:, 0]
+    t = _lay_boxes(model, num_sites, seed, [realization_index], pt, pv)[0][:, 0]
     return LatticeSequences(potentials=v, hoppings=t, num_sites=num_sites)
 
 
@@ -187,23 +188,14 @@ def potentials_for_sites_batch(model: PolymerModel, num_sites: int, seed: int,
     """Potentials and squared hoppings of boxes, one column per realization.
 
     Returns (v, tsq) with shapes (num_sites, R) and (num_sites - 1, R), the
-    two arrays every sweep reads: column r is bit for bit the potentials and
-    squared hoppings t(1)^2 .. t(L-1)^2 of lattice_for_sites(model,
-    num_sites, seed, indices[r]).  One compiled call draws every
-    realization's signs and lays its blocks.
+    two arrays every sweep reads: column r holds the potentials and the
+    squared hoppings t(1)^2 .. t(L-1)^2 of box indices[r], the values of
+    lattice_for_sites(model, num_sites, seed, indices[r]).  One compiled call
+    draws every realization's signs and lays its blocks.
     """
-    if num_sites < 1:
-        raise ValueError("num_sites must be >= 1")
-    from .eigensolve import _kernel
-    keys = _stream_keys(seed, realization_indices)
-    R = len(keys)
-    v, tsq = np.empty((num_sites, R)), np.empty((num_sites - 1, R))
     pv = np.concatenate([model.plus.potentials, model.minus.potentials])
     ptsq = np.concatenate([model.plus.hoppings, model.minus.hoppings]) ** 2
-    if _kernel().fill_boxes(num_sites, R, keys, model.p_plus, model.plus.length,
-                            model.minus.length, pv, ptsq, v, tsq):
-        raise MemoryError("no memory for the box sampler's signs and per-box state")
-    return v, tsq
+    return _lay_boxes(model, num_sites, seed, realization_indices, pv, ptsq)
 
 
 def dimer_preset(V: float, p: float) -> PolymerModel:

@@ -117,15 +117,9 @@ def _eta_of(B: np.ndarray) -> float:
     return float(np.arctan2(B[1, 0], B[0, 0]) % TWO_PI)
 
 
-def diagonalizer(T_plus: np.ndarray, T_minus: np.ndarray, tol: float = 1e-8):
-    """Simultaneous rotation frame for a commuting elliptic pair.
-
-    Returns (M, eta_plus, eta_minus) with det M = 1 and
-    M T_pm M^{-1} = R(eta_pm) within `tol` (Frobenius).  M is built from a
-    complex eigenvector of whichever input is not +-identity, with the
-    orientation fixed so det M > 0; that normalization makes the angle map
-    theta -> arg(M e_theta) strictly increasing, which pins the eta branch.
-    """
+def _certificate(T_plus: np.ndarray, T_minus: np.ndarray, tol: float):
+    """(kind_plus, kind_minus, M, eta_plus, eta_minus, residual) of a commuting
+    elliptic pair; see `diagonalizer`, which returns the middle three."""
     ident_tol = 1e-6
     kinds = [_classify(T_plus, ident_tol), _classify(T_minus, ident_tol)]
     if kinds[0] is None or kinds[1] is None:
@@ -154,7 +148,19 @@ def diagonalizer(T_plus: np.ndarray, T_minus: np.ndarray, tol: float = 1e-8):
                 np.linalg.norm(Bm - rotation(eta_m)))
     if resid > tol:
         raise ValueError(f"diagonalizer residual {resid:.2e} exceeds tol {tol:.2e}")
-    return M, eta_p, eta_m
+    return *kinds, M, eta_p, eta_m, float(resid)
+
+
+def diagonalizer(T_plus: np.ndarray, T_minus: np.ndarray, tol: float = 1e-8):
+    """Simultaneous rotation frame for a commuting elliptic pair.
+
+    Returns (M, eta_plus, eta_minus) with det M = 1 and
+    M T_pm M^{-1} = R(eta_pm) within `tol` (Frobenius).  M is built from a
+    complex eigenvector of whichever input is not +-identity, with the
+    orientation fixed so det M > 0; that normalization makes the angle map
+    theta -> arg(M e_theta) strictly increasing, which pins the eta branch.
+    """
+    return _certificate(T_plus, T_minus, tol)[2:5]
 
 
 def irrationality_check(eta_plus: float, eta_minus: float, p: float,
@@ -225,23 +231,9 @@ def _commutator_norms(model: PolymerModel, energies: np.ndarray) -> np.ndarray:
     return np.sqrt((C ** 2).sum(axis=(-2, -1)))
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, width: float) -> float:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# points per round, narrowing per round and relative stopping half-width of
+# the refinement in find_critical_energies
+_ZOOM_POINTS, _ZOOM_FACTOR, _ZOOM_STOP = 65, 32.0, 1e-14
 
 
 def find_critical_energies(model: PolymerModel, search=None,
@@ -252,8 +244,12 @@ def find_critical_energies(model: PolymerModel, search=None,
     The default search is the model's spectrum_bracket, which holds the
     spectrum of every configuration and so every critical energy.
     Local minima of the commutator Frobenius norm on the grid are refined
-    by golden-section; a refined energy is kept only if the commutator norm
-    is <= tol there and both polymer matrices are elliptic or +-identity.
+    together, in one norm evaluation per round: each round lays 65 points
+    across every candidate's interval, first [E_{i-1}, E_{i+1}] around grid
+    point i, and keeps the smallest norm with an interval 32 times narrower,
+    until the half-width is below 1e-14 max(|lo|, |hi|, 1).  A refined
+    energy is kept only if the last round's norm is <= tol and both polymer
+    matrices are elliptic or +-identity.
     An empty list is a valid result (e.g. the single-site Bernoulli model).
     Polymers whose commutator norm is <= tol at every grid energy commute
     at every energy, and raise ValueError.
@@ -277,48 +273,39 @@ def find_critical_energies(model: PolymerModel, search=None,
                         np.abs(norms[candidates] - norms[candidates - 1])) / h
     candidates = candidates[norms[candidates] <= np.maximum(2 * h * slopes, 1e-6)]
 
-    def f(E):
-        return _commutator_norms(model, np.array([E]))[0]
+    E_stars, best, half = Es[candidates], norms[candidates], h
+    rows, offsets = np.arange(candidates.size), np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    while half > _ZOOM_STOP * max(abs(lo), abs(hi), 1.0):
+        points = E_stars[:, None] + half * offsets
+        zoom = _commutator_norms(model, points)
+        at = zoom.argmin(axis=1)
+        E_stars, best = points[rows, at], zoom[rows, at]
+        half /= _ZOOM_FACTOR
 
     reports = []
-    seen = []
-    for i in candidates:
-        E_star = _golden_min(f, Es[i - 1], Es[i + 1], 1e-13)
-        if f(E_star) > tol:
-            continue
-        if any(abs(E_star - e) < 1e-8 for e in seen):
+    for E_star, norm in zip(E_stars, best):
+        if norm > tol or any(abs(E_star - r.energy) < 1e-8 for r in reports):
             continue
         Tp = polymer_matrix(model.plus, E_star)
         Tm = polymer_matrix(model.minus, E_star)
-        kp, km = _classify(Tp, 1e-6), _classify(Tm, 1e-6)
-        if kp is None or km is None:
-            continue
         try:
-            M, eta_p, eta_m = diagonalizer(Tp, Tm, tol=max(tol, 1e-8))
+            kp, km, M, eta_p, eta_m, resid = _certificate(Tp, Tm, max(tol, 1e-8))
         except ValueError:
             continue
-        resid = max(np.linalg.norm(M @ Tp @ np.linalg.inv(M) - rotation(eta_p)),
-                    np.linalg.norm(M @ Tm @ np.linalg.inv(M) - rotation(eta_m)))
         viol = irrationality_check(eta_p, eta_m, model.p_plus, irr_k_max)
-        reports.append(CriticalEnergyReport(
+        rep = CriticalEnergyReport(
             energy=float(E_star), kind_plus=kp, kind_minus=km,
             eta_plus=eta_p, eta_minus=eta_m, diagonalizer=M,
-            commutator_norm=float(f(E_star)), residual=float(resid),
-            irrationality_violations=viol))
-        seen.append(E_star)
-    reports.sort(key=lambda r: r.energy)
-    _validate_branch(model, reports)
-    return reports
-
-
-def _validate_branch(model: PolymerModel, reports) -> None:
-    # det M > 0 makes the eta branch increase with energy; probe defensively
-    for rep in reports:
+            commutator_norm=float(norm), residual=resid, irrationality_violations=viol)
+        # det M > 0 makes the eta branch increase with energy; probe defensively
         coeffs = expansion_coeffs(model, rep)
         if coeffs.d_plus < -1e-6 or coeffs.d_minus < -1e-6:
             warnings.warn(f"eta branch at E_c={rep.energy:.6f} has negative "
                           f"energy derivative (d+={coeffs.d_plus:.3g}, "
                           f"d-={coeffs.d_minus:.3g})")
+        reports.append(rep)
+    reports.sort(key=lambda r: r.energy)
+    return reports
 
 
 def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,

@@ -72,9 +72,19 @@ def test_validate_bad_model_and_param():
             # each of these used to pass validation and then exit 1 in the run
             ("transport", "averaging", "laplace"), ("transport", "averaging", "both"),
             ("critical", "grid", 1), ("lyapunov", "steps", 1),
-            ("lyapunov", "realizations", 1), ("les-poisson", "realizations", 100)]:
+            ("lyapunov", "realizations", 1), ("les-poisson", "realizations", 100),
+            # a count that is not an integer used to be truncated silently
+            ("lyapunov", "realizations", 2.5), ("lyapunov", "realizations", "7"),
+            ("lyapunov", "realizations", True), ("clock-spacing", "L_list", [2.5, 2000]),
+            ("clock-spacing", "L_list", [True, 2000])]:
         diags = validate(cfg(kind, "x", params={key: value}))
         assert any(d.startswith(f"params.{key}:") for d in diags), (kind, key, diags)
+    # an integral float (JSON 1e3) is an integer; the seed must be one too
+    assert validate(cfg("lyapunov", "x", params={"realizations": 1e3},
+                        seed=7.0)) == []
+    for seed in (2.5, "7", True):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            build_config("lyapunov", {"seed": seed})
     # Abel averages to 10 max T, where the free chain's wavefront passes the
     # guard zone at the defaults: this too used to pass and then exit 1
     diags = validate(cfg("transport", "x", params={"averaging": "abel"}))

@@ -2,12 +2,50 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyspec.eigensolve import _kernel
 from polyspec.model import (PolymerSpec, PolymerModel, lattice_for_sites,
                             dimer_preset, anderson_preset, model_from_dict,
                             model_to_dict, substream, potentials_for_sites_batch,
-                            _draws_below, _stream_keys)
+                            _stream_keys)
 
 from conftest import explicit_models
+
+
+def draws_below(seed, realization_indices, p, count, start=0):
+    """(R, count) bool from the compiled stream: whether draws start ..
+    start + count - 1 of each realization's substream are below p."""
+    keys = _stream_keys(seed, realization_indices)
+    below = np.empty((len(keys), count), dtype=bool)
+    _kernel().stream_below(len(keys), keys, start, count, p, below)
+    return below
+
+
+def box_oracle(model, num_sites, seed, realization_index):
+    """(potentials, hoppings) of one box laid in numpy from the signs of
+    `substream`: the reference for the compiled layout, sharing no code with it."""
+    # enough blocks to cover num_sites were every block the shorter polymer
+    num_blocks = num_sites // min(model.plus.length, model.minus.length) + 1
+    signs = substream(seed, realization_index).random(num_blocks) < model.p_plus
+    lengths = np.where(signs, model.plus.length, model.minus.length)
+    starts = np.cumsum(lengths) - lengths
+    # site i of block n is entry first[n] + i of the polymers' joined tables
+    first = np.where(signs, 0, model.plus.length)
+    at = (np.arange(lengths.sum()) + np.repeat(first - starts, lengths))[:num_sites]
+    return (np.concatenate([model.plus.potentials, model.minus.potentials])[at],
+            np.concatenate([model.plus.hoppings, model.minus.hoppings])[at])
+
+
+def assert_matches_oracle(model, L, seed, indices):
+    """Every column of the batch and every single box, bit for bit the oracle's."""
+    v, tsq = potentials_for_sites_batch(model, L, seed, indices)
+    assert v.shape == (L, len(indices)) and tsq.shape == (L - 1, len(indices))
+    for j, r in enumerate(indices):
+        want_v, want_t = box_oracle(model, L, seed, r)
+        seq = lattice_for_sites(model, L, seed, r)
+        assert seq.potentials.tobytes() == want_v.tobytes()
+        assert seq.hoppings.tobytes() == want_t.tobytes()
+        assert v[:, j].tobytes() == want_v.tobytes()
+        assert tsq[:, j].tobytes() == (want_t[1:] ** 2).tobytes()
 
 
 def test_dimer_preset_values():
@@ -154,26 +192,16 @@ def test_lattice_for_sites_truncates():
        first=st.sampled_from([0, 10 ** 6 + 3, 2 ** 32 + 5]), R=st.integers(1, 5))
 @example(model=dimer_preset(0.6, 0.4), L=31, seed=99, first=2, R=4)
 def test_batch_matches_single(model, L, seed, first, R):
-    # every column, equal polymer lengths or not, is the single box's
-    # potentials and squared hoppings bit for bit
-    indices = range(first, first + R)
-    v, tsq = potentials_for_sites_batch(model, L, seed, indices)
-    assert v.shape == (L, R) and tsq.shape == (L - 1, R)
-    for j, r in enumerate(indices):
-        seq = lattice_for_sites(model, L, seed, r)
-        assert v[:, j].tobytes() == seq.potentials.tobytes()
-        assert tsq[:, j].tobytes() == (seq.hoppings[1:] ** 2).tobytes()
+    # equal polymer lengths or not, the batch and the single box are the
+    # numpy oracle's values
+    assert_matches_oracle(model, L, seed, range(first, first + R))
 
 
 def test_batch_matches_single_unequal_lengths():
     m = PolymerModel(plus=PolymerSpec(1, [0.3], [1.0]),
                      minus=PolymerSpec(3, [-0.1, 0.0, 0.1], [1.0, 2.0, 1.0]),
                      p_plus=0.5)
-    v, tsq = potentials_for_sites_batch(m, 17, 5, range(3))
-    for j in range(3):
-        seq = lattice_for_sites(m, 17, 5, j)
-        assert np.array_equal(v[:, j], seq.potentials)
-        assert np.array_equal(tsq[:, j], seq.hoppings[1:] ** 2)
+    assert_matches_oracle(m, 17, 5, range(3))
 
 
 def test_batch_validates_num_sites_and_indices():
@@ -206,7 +234,7 @@ def test_compiled_stream_matches_substream():
             assert key.tobytes() == ss.generate_state(2, np.uint64).tobytes()
         for count in (0, 1, 3, 4, 5, 2001):
             for start in (0, 1, 6, 4099):
-                got = _draws_below(seed, _INDICES, 0.3, count, start)
+                got = draws_below(seed, _INDICES, 0.3, count, start)
                 for row, index in zip(got, _INDICES):
                     want = substream(seed, index).random(start + count)[start:] < 0.3
                     assert row.tobytes() == want.tobytes()
@@ -217,7 +245,7 @@ def test_compiled_stream_matches_substream():
        count=st.integers(0, 300), start=st.integers(0, 4099), model=explicit_models())
 def test_compiled_draws_match_substream(seed, index, count, start, model):
     want = substream(seed, index).random(start + count)[start:] < model.p_plus
-    got = _draws_below(seed, [index], model.p_plus, count, start)[0]
+    got = draws_below(seed, [index], model.p_plus, count, start)[0]
     assert got.tobytes() == want.tobytes()
 
 

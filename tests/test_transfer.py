@@ -458,3 +458,85 @@ def test_critical_energies_scale_with_H(case, c):
     scaled_energies = np.array([r.energy for r in find_critical_energies(scaled)])
     assert scaled_energies.shape == energies.shape
     assert np.abs(scaled_energies - c * energies).max() <= 1e-8 * max(1.0, c)
+
+
+def test_critical_search_dimer_calls_and_accuracy():
+    # the refinement evaluates every candidate in one norm call per round, and
+    # its last round resolves the dimer's critical energies +-V to the last bits
+    calls, norms = [], transfer._commutator_norms
+
+    def counted(model, energies):
+        calls.append(np.shape(energies))
+        return norms(model, energies)
+
+    with mock.patch.object(transfer, "_commutator_norms", counted):
+        for V in np.linspace(0.05, 0.99, 48):
+            calls.clear()
+            reports = find_critical_energies(dimer_preset(float(V), 0.5))
+            assert len(calls) <= 10
+            assert [r.energy for r in reports] == pytest.approx([-V, V], rel=0, abs=1e-14)
+            assert max(r.commutator_norm for r in reports) <= 1e-13
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, a, b, width):
+    """Golden-section minimum of f on [a, b], to a bracket of `width`."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > width:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def golden_critical_energies(model, grid=20001, tol=1e-9):
+    """[(energy, kind_plus, kind_minus)] of each grid minimum refined one at a
+    time by golden-section search: the reference for the vectorized zoom."""
+    lo, hi = model.spectrum_bracket
+    Es = np.linspace(lo, hi, grid)
+    h = (hi - lo) / (grid - 1)
+    norms = transfer._commutator_norms(model, Es)
+    interior = (norms[1:-1] <= norms[:-2]) & (norms[1:-1] <= norms[2:])
+    candidates = np.nonzero(interior)[0] + 1
+    slopes = np.maximum(np.abs(norms[candidates + 1] - norms[candidates]),
+                        np.abs(norms[candidates] - norms[candidates - 1])) / h
+    candidates = candidates[norms[candidates] <= np.maximum(2 * h * slopes, 1e-6)]
+
+    def f(E):
+        return transfer._commutator_norms(model, np.array([E]))[0]
+
+    found = []
+    for i in candidates:
+        E = golden_min(f, Es[i - 1], Es[i + 1], 1e-13)
+        if f(E) > tol or any(abs(E - e) < 1e-8 for e, _, _ in found):
+            continue
+        Tp, Tm = polymer_matrix(model.plus, E), polymer_matrix(model.minus, E)
+        try:
+            diagonalizer(Tp, Tm, tol=max(tol, 1e-8))
+        except ValueError:
+            continue
+        found.append((E, transfer._classify(Tp, 1e-6), transfer._classify(Tm, 1e-6)))
+    return sorted(found)
+
+
+@settings(max_examples=40)
+@given(model=st.one_of(explicit_models(), critical_models().map(lambda case: case[0])))
+def test_critical_search_matches_golden_section(model):
+    try:
+        reports = find_critical_energies(model)
+    except ValueError as e:  # polymers that commute at every energy
+        assert "commute at every energy" in str(e)
+        return
+    want = golden_critical_energies(model)
+    assert [(r.kind_plus, r.kind_minus) for r in reports] == [(kp, km) for _, kp, km in want]
+    for rep, (E, _, _) in zip(reports, want):
+        assert abs(rep.energy - E) <= 1e-12
