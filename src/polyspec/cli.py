@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401 - argparse's first parser loads it; at import, not in a run
 import math
 import sys
 import time
@@ -222,6 +223,15 @@ def validate(config: ExperimentConfig) -> list[str]:
     for key, least in _LEAST.get(config.kind, {}).items():
         if _positive_int(p.get(key)) and int(p[key]) < least:
             diags.append(f"params.{key}: must be at least {least}")
+    if config.kind == "les-poisson" and "count_intervals" in p:
+        ivs = p["count_intervals"]
+        if not (isinstance(ivs, list) and ivs and all(_interval(iv) for iv in ivs)):
+            diags.append("params.count_intervals: must be a nonempty list of "
+                         "[lo, hi] pairs with lo < hi")
+        else:
+            ivs = sorted((float(lo), float(hi)) for lo, hi in ivs)
+            if any(hi > next_lo for (_, hi), (next_lo, _) in zip(ivs, ivs[1:])):
+                diags.append("params.count_intervals: the intervals must be disjoint")
     if config.kind == "transport":
         if not _positive(p.get("q", 2.0)):
             diags.append("params.q: q must be positive")
@@ -498,6 +508,13 @@ def _exp_uniformity(model, params, seed):
     return stats, passes, {"phis": (["realization", "phi_over_pi"], rows)}
 
 
+def _median(x) -> float:
+    """np.median of a nonempty 1-D array, without np.median's import of numpy.ma."""
+    x = np.sort(x)
+    mid = x.size // 2
+    return float(x[mid] if x.size % 2 else np.mean(x[mid - 1:mid + 1]))
+
+
 def _exp_psi_convergence(model, params, seed):
     report = _single_report(model)
     n_Ec = dos_at_critical(expansion_coeffs(model, report), model)
@@ -509,7 +526,7 @@ def _exp_psi_convergence(model, params, seed):
     for L in params["L_list"]:
         L = int(L)
         errs = psi_errors(model, report, L, xs, R, seed)
-        medians[str(L)] = float(np.median(errs))
+        medians[str(L)] = _median(errs)
         rows.extend((L, r, float(e)) for r, e in enumerate(errs))
     med_list = [medians[str(int(L))] for L in params["L_list"]]
     passes = {"monotone_decreasing": all(a > b for a, b in zip(med_list, med_list[1:]))}

@@ -33,14 +33,13 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.ctypeslib import ndpointer  # at import, not in the first kernel call
 
 from .model import LatticeSequences, _freeze
 
@@ -119,8 +118,8 @@ def _in_row_ranges(run, weights, work_per_weight: float) -> None:
     cum = np.concatenate([[0], np.cumsum(weights)])  # weight of the rows before each
     parts = _cpus() if cum[-1] * work_per_weight >= _SPLIT_FLOOR else 1
     # range j ends at the first row boundary with j/parts of the total weight before it
-    bounds = np.unique(np.r_[0, np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts),
-                             cum.size - 1]).tolist()
+    bounds = sorted({0, *np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts).tolist(),
+                     cum.size - 1})
     ranges = [(r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:]) if cum[r1] > cum[r0]]
     if len(ranges) <= 1:
         for rows in ranges:
@@ -164,6 +163,8 @@ def _build_kernel(cache_dir: Path, compiler: str = "cc") -> Path:
     lib = cache_dir / f"kernels_{key.hexdigest()[:16]}.so"
     if lib.is_file():
         return lib
+    import subprocess  # a cache hit, every run but the first, needs none
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=lib.stem + ".", suffix=".tmp", dir=cache_dir)
     os.close(fd)
@@ -192,10 +193,10 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     Philox stream (`stream_keys`, `stream_below`), the box fill and the
     Lyapunov product."""
     dll = ctypes.CDLL(str(lib))
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u64 = ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    u8 = ndpointer(np.bool_, flags="C_CONTIGUOUS")
     n, j = ctypes.c_int64, ctypes.c_uint64
     dll.sturm_counts.argtypes = [n] * 3 + [f64, f64, f64, ctypes.c_double, i64, f64]
     dll.stream_keys.argtypes = [n, j, u64, u64]
@@ -328,12 +329,14 @@ def dense_oracle(H: TridiagonalOperator, cap: int = DENSE_ORACLE_CAP):
 
     Returns (eigenvalues, eigenvector matrix): the eigenvalues nondecreasing,
     the columns orthonormal, and in each column the largest-magnitude entry
-    positive.
+    positive.  scipy.linalg loads on the first call, so importing the
+    package, and every run that takes no dense fallback, loads no scipy.
     """
     if H.num_sites > cap:
         raise ValueError(f"dense oracle capped at {cap} sites, got {H.num_sites}")
     if H.num_sites == 1:
         return H.diagonal.copy(), np.ones((1, 1))
+    from scipy.linalg import eigh_tridiagonal
     w, Phi = eigh_tridiagonal(H.diagonal, -H.offdiagonal)
     flip = Phi[np.argmax(np.abs(Phi), axis=0), np.arange(H.num_sites)] < 0
     Phi *= np.where(flip, -1.0, 1.0)  # in place: an exact sign flip, no column copies

@@ -247,6 +247,22 @@ def test_transport_window_without_eigenvalues_fails(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_les_poisson_rejects_bad_count_intervals(tmp_path, capsys):
+    # an empty list used to exit 1 with a raw IndexError, a reversed or
+    # overlapping pair with a ValueError from the run; validate names the key
+    for intervals in ("[]", "[[0.5, -0.5]]", "[[0.5, 0.5]]", "[[-0.5, 0.5], [0.25, 1.0]]",
+                      "[0.5, 1.0]"):
+        code = main(["les-poisson", "--out", str(tmp_path), "--param",
+                     f"count_intervals={intervals}"])
+        assert code == 1, intervals
+        err = capsys.readouterr().err
+        assert "config error: params.count_intervals: " in err, (intervals, err)
+        assert list(tmp_path.iterdir()) == []
+    # intervals that only touch, in any order, are disjoint
+    assert validate(cfg("les-poisson", "x", params={"count_intervals": [[1.0, 2.0],
+                                                                        [0.0, 1.0]]})) == []
+
+
 def test_les_poisson_window_outside_ids_fails(tmp_path, capsys):
     # at E0 = 10 the unfolding window lies above the whole pooled IDS
     code = main(["les-poisson", "--out", str(tmp_path), "--param", "E0=10",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import chdtrc, expm1
+from scipy.special import chdtrc, expm1 as scipy_expm1
 from scipy.stats import chi2, kstest
 
 from polyspec import statistics
@@ -23,7 +23,8 @@ from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingS
                                  dos_at_critical, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
-                                 InsufficientDataError, _ks_distance)
+                                 InsufficientDataError, _ks_distance, _exp1_cdf,
+                                 _chi2_sf)
 
 from conftest import explicit_models
 
@@ -165,18 +166,74 @@ def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
        s=st.floats(0.0, 200.0), dof=st.integers(1, 40))
 def test_ks_and_chi2_match_scipy_stats(x, s, dof):
     x = np.array(x)
-    assert _ks_distance(x, lambda y: -expm1(-y)) == kstest(x, "expon").statistic
+    # kstest takes the library's own Exp(1) cdf, so the distances agree exactly
+    assert _ks_distance(x, _exp1_cdf) == kstest(x, _exp1_cdf).statistic
     u = x / 20.0
     assert (_ks_distance(u, lambda y: np.clip(y, 0.0, 1.0))
             == kstest(u, "uniform").statistic)
-    assert chdtrc(dof, s) == chi2.sf(s, dof)
+    assert _chi2_sf(dof, s) == pytest.approx(chi2.sf(s, dof), rel=1e-12, abs=0.0)
 
 
-def test_library_import_leaves_out_scipy_stats():
-    code = "import sys, polyspec.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+def test_exp1_cdf_matches_scipy_expon():
+    # numpy's expm1 against scipy's (behind stats.expon.cdf): a few ulp at
+    # most (3 on this grid with glibc's expm1; the bound leaves room for others)
+    y = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-20, 700.0, 20001)])
+    theirs = -scipy_expm1(-y)
+    assert np.all(np.abs(_exp1_cdf(y) - theirs) <= 8 * np.spacing(theirs))
+
+
+def test_chi2_sf_matches_chdtrc():
+    # the closed form against cephes' incomplete gamma (scipy.special.chdtrc)
+    # for dof 1-40 and x in [0, 400], x = 0 included
+    xs = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.0, 400.0, 4001),
+                         np.geomspace(1e-9, 400.0, 400)])
+    for dof in range(1, 41):
+        ref = chdtrc(dof, xs)
+        got = np.array([_chi2_sf(dof, x) for x in xs])
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), dof
+    assert _chi2_sf(1, 0.0) == _chi2_sf(40, 0.0) == 1.0
+
+
+# tiny configs of the kinds whose code paths used to import scipy or numpy.ma
+# (the chi-square tail, the median, window splitting, transport's window path)
+_TINY_RUNS = r"""
+import json, sys, tempfile
+import polyspec.cli
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+assert loaded("scipy") == [], loaded("scipy")
+dimer = {"preset": "dimer", "V": 0.6, "p": 0.5}
+runs = {
+    "clock-spacing": {"L_list": [100, 200, 400], "realizations": 4},
+    "psi-convergence": {"L_list": [100, 200, 400], "realizations": 2},
+    "les-poisson": {"L": 200, "realizations": 500, "ids_L": 200, "ids_realizations": 8},
+    "lyapunov": {"steps": 4096, "realizations": 4},
+    "transport": {"box_radius": 150, "realizations": 2, "T_grid": [5.0, 8.0, 12.0, 18.0, 25.0],
+                  "quadrature_points": 200, "free_box_radius": 100,
+                  "free_T_grid": [4.0, 6.0, 8.0, 10.0, 12.0]},
+}
+with tempfile.TemporaryDirectory() as out:
+    for kind, params in runs.items():
+        model = dict(dimer, V=0.5) if kind in ("lyapunov", "transport") else dimer
+        path = f"{out}/{kind}.json"
+        with open(path, "w") as f:
+            json.dump({"model": model, "params": params}, f)
+        code = polyspec.cli.main([kind, "--config", path, "--out", out])
+        assert code in (0, 2), (kind, code)
+        assert loaded("scipy") == loaded("numpy.ma") == [], (kind, loaded("scipy"),
+                                                              loaded("numpy.ma"))
+"""
+
+
+def test_import_and_runs_load_no_scipy():
+    # importing polyspec.cli loads no scipy module (scipy.stats included), and
+    # neither do runs that take no dense fallback: none of them pays for a
+    # deferred import inside the run, numpy.ma included (np.median, np.unique)
+    out = subprocess.run([sys.executable, "-c", _TINY_RUNS], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_library_import_starts_no_thread():
