@@ -20,12 +20,13 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .model import PolymerModel, model_from_dict, anderson_preset
-from .transfer import find_critical_energies, expansion_coeffs, lyapunov
+from .transfer import critical_tol_floor, find_critical_energies, expansion_coeffs, lyapunov
 from .statistics import (empirical_ids, windowed_ids, ids_at_critical, dos_at_critical,
                          les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
@@ -86,225 +87,129 @@ def _write_csv(path: Path, header, rows, config_hash: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# defaults and validation
+# the parameter table and validation
 
 _COMMON_DEFAULTS = {"seed": 20240801, "out": "polyspec-out"}
 _CONFIG_KEYS = {"kind", "model", "params", *_COMMON_DEFAULTS}
 
-_KIND_DEFAULTS = {
-    "critical": {
-        "model": {"preset": "dimer", "V": 0.5, "p": 0.5},
-        # search null: both polymers' padded Gershgorin bound
-        "params": {"search": None, "grid": 20001, "tol": 1e-9,
-                   "irr_k_max": 64},
-    },
-    "lyapunov": {
-        "model": {"preset": "dimer", "V": 0.5, "p": 0.5},
-        "params": {"energies": [0.5, 0.8], "steps": 1000000, "realizations": 32},
-    },
-    "ids": {
-        "model": {"preset": "dimer", "V": 0.7071067811865476, "p": 0.5},
-        "params": {"L_ids": 2000, "realizations": 500, "probe_energies": None,
-                   "branch_tolerance": 0.01, "symmetry_tolerance": 0.01},
-    },
-    "les-poisson": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        # the IDS pool must use the same box size as the LES boxes: finite-size
-        # IDS corrections are O(1/L) and shift unfolded atoms by O(1) otherwise
-        "params": {"E0": 1.2, "L": 4000, "realizations": 1000, "window_atoms": 12,
-                   "ids_L": 4000, "ids_realizations": 1200, "ks_threshold": 0.05,
-                   "count_intervals": [[-0.5, 0.5], [1.5, 2.5]],
-                   "chi2_pvalue_min": 0.01, "covariance_tolerance": 0.05},
-    },
-    "les-clock": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"L": 20000, "realizations": 200, "window_atoms": 24,
-                   "mean_band": [0.95, 1.05]},
-    },
-    "clock-spacing": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"L_list": [5000, 10000, 20000], "realizations": 200,
-                   "j_max": 20, "mean_band": [0.95, 1.05]},
-    },
-    "uniformity": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"L": 10000, "realizations": 2000, "ks_threshold": 0.05},
-    },
-    "psi-convergence": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"L_list": [1000, 10000, 100000], "realizations": 20,
-                   "x_range": [-5.0, 5.0], "x_points": 51},
-    },
-    "sharpness": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"delta": 0.6, "L": 20000, "realizations": 200, "j_max": 20,
-                   "mean_band": [0.9, 1.1], "control_E0": 1.2,
-                   "control_L": 4000, "control_realizations": 500,
-                   "control_window_atoms": 10, "ids_L": 4000,
-                   "ids_realizations": 1200, "ks_threshold": 0.05},
-    },
-    "minami-probe": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"L": 10000, "beta": 0.7, "gamma": 1.0, "c2": 1.0,
-                   "realizations": 2000, "E0": 1.2},
-    },
-    "holder-probe": {
-        "model": {"preset": "dimer", "V": 0.6, "p": 0.5},
-        "params": {"E0": 1.2, "scales": [2.0 ** -k for k in range(4, 10)],
-                   "ids_L": 2000, "ids_realizations": 200},
-    },
-    "transport": {
-        "model": {"preset": "dimer", "V": 0.5, "p": 0.5},
-        "params": {"q": 2.0, "box_radius": 2000,
-                   "T_grid": [50.0, 80.0, 125.0, 200.0, 300.0, 400.0],
-                   "critical_window": [-0.6, 0.6], "localized_window": [1.0, 1.6],
-                   "realizations": 6, "quadrature_points": 800,
-                   "averaging": "cesaro", "critical_slope_min": 1.0,
-                   "localized_slope_max": 0.2, "free_slope_tolerance": 0.1,
-                   "free_box_radius": 1000, "free_T_grid": [20.0, 40.0, 60.0, 80.0, 100.0]},
-    },
+
+class Param(NamedTuple):
+    """A parameter's default and the values it accepts.  shape "int": an integer
+    >= low (JSON 1e3 counts, a bool does not); "real": a finite number from low
+    to high, each end open or closed as `ends` says; "pair": finite [lo, hi],
+    lo < hi; "choice": one of `choices`.  With `items` set, a list of at least
+    that many entries, all different if `distinct`.  A null default allows null."""
+    default: object
+    shape: str
+    low: float = -math.inf
+    high: float = math.inf
+    ends: str = "()"
+    choices: tuple = ()
+    items: int | None = None
+    distinct: bool = False
+
+    def entry_ok(self, x) -> bool:
+        if self.shape == "int":
+            return _integral(x) and x >= self.low
+        if self.shape == "real":
+            return _finite(x) and (self.low < x if self.ends[0] == "(" else self.low <= x) \
+                and (x < self.high if self.ends[1] == ")" else x <= self.high)
+        if self.shape == "pair":
+            return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_finite, x)) \
+                and x[0] < x[1]
+        return x in self.choices
+
+    def accepts(self, x) -> bool:
+        if x is None or self.items is None:
+            return (x is None and self.default is None) or self.entry_ok(x)
+        return (isinstance(x, list) and len(x) >= self.items and all(map(self.entry_ok, x))
+                and not (self.distinct and len(set(map(float, x))) < len(x)))
+
+    def wants(self) -> str:
+        """What the parameter accepts, in words."""
+        lo, hi = f"{self.ends[0]}{self.low!r}", f"{self.high!r}{self.ends[1]}"
+        want = {"int": f"an integer >= {self.low}", "real": f"a finite number in {lo}, {hi}",
+                "pair": "[lo, hi] with finite lo < hi",
+                "choice": f"one of {self.choices}"}[self.shape]
+        if self.items is not None:
+            want = f"a list of {self.items}+ {'distinct ' * self.distinct}entries, each {want}"
+        return "null or " + want if self.default is None else want
+
+
+def _int(default, low=1, **listing) -> Param:
+    return Param(default, "int", low, **listing)
+
+
+def _real(default, low=-math.inf, high=math.inf, ends="()", **listing) -> Param:
+    return Param(default, "real", low, high, ends, **listing)
+
+
+_SLOPE_GRID = {"low": 0.0, "items": 2, "distinct": True}  # a slope needs two points
+_KS = {"low": 0.0, "high": 1.0, "ends": "(]"}
+_TOL = {"low": 0.0, "ends": "[)"}
+# each kind's model is the dimer at p = 1/2, with V = 0.6 unless listed here
+_DIMER_V = {"critical": 0.5, "lyapunov": 0.5, "ids": 0.7071067811865476, "transport": 0.5}
+
+_KIND_TABLE = {
+    # search null: both polymers' padded Gershgorin bound; a scan needs two points
+    "critical": {"search": Param(None, "pair"), "grid": _int(20001, 2),
+                 "tol": _real(1e-9, 0.0), "irr_k_max": _int(64)},
+    # the estimate drops the first half of the steps, and its stderr needs
+    # two realizations; the statistics are keyed by energy
+    "lyapunov": {"energies": _real([0.5, 0.8], items=1, distinct=True),
+                 "steps": _int(1000000, 2), "realizations": _int(32, 2)},
+    "ids": {"L_ids": _int(2000), "realizations": _int(500),
+            "probe_energies": _real(None, items=0), "branch_tolerance": _real(0.01, **_TOL),
+            "symmetry_tolerance": _real(0.01, **_TOL)},
+    # the IDS pool must use the same box size as the LES boxes: finite-size
+    # IDS corrections are O(1/L) and shift unfolded atoms by O(1) otherwise;
+    # the counting test needs its least number of samples
+    "les-poisson": {"E0": _real(1.2), "L": _int(4000), "window_atoms": _int(12),
+                    "realizations": _int(1000, COUNTING_MIN_SAMPLES), "ids_L": _int(4000),
+                    "ids_realizations": _int(1200), "ks_threshold": _real(0.05, **_KS),
+                    "count_intervals": Param([[-0.5, 0.5], [1.5, 2.5]], "pair", items=1),
+                    "chi2_pvalue_min": _real(0.01, 0.0, 1.0, "[)"),
+                    "covariance_tolerance": _real(0.05, **_TOL)},
+    "les-clock": {"L": _int(20000), "realizations": _int(200), "window_atoms": _int(24),
+                  "mean_band": Param([0.95, 1.05], "pair")},
+    # a trend in L needs two sizes
+    "clock-spacing": {"L_list": _int([5000, 10000, 20000], items=2, distinct=True),
+                      "realizations": _int(200), "j_max": _int(20),
+                      "mean_band": Param([0.95, 1.05], "pair")},
+    "uniformity": {"L": _int(10000), "realizations": _int(2000),
+                   "ks_threshold": _real(0.05, **_KS)},
+    # and the x grid reaches both ends of x_range
+    "psi-convergence": {"L_list": _int([1000, 10000, 100000], items=2, distinct=True),
+                        "realizations": _int(20), "x_range": Param([-5.0, 5.0], "pair"),
+                        "x_points": _int(51, 2)},
+    "sharpness": {"delta": _real(0.6, 0.5), "L": _int(20000), "realizations": _int(200),
+                  "j_max": _int(20), "mean_band": Param([0.9, 1.1], "pair"),
+                  "control_E0": _real(1.2), "control_L": _int(4000),
+                  "control_realizations": _int(500), "control_window_atoms": _int(10),
+                  "ids_L": _int(4000), "ids_realizations": _int(1200),
+                  "ks_threshold": _real(0.05, **_KS)},
+    "minami-probe": {"L": _int(10000), "beta": _real(0.7, 0.0, 1.0),
+                     "gamma": _real(1.0, 0.0, 1.0, "(]"), "c2": _real(1.0, 0.0),
+                     "realizations": _int(2000), "E0": _real(1.2)},
+    # each slope is a regression on two scales or more
+    "holder-probe": {"E0": _real(1.2), "ids_L": _int(2000), "ids_realizations": _int(200),
+                     "scales": _real([2.0 ** -k for k in range(4, 10)], **_SLOPE_GRID)},
+    "transport": {"q": _real(2.0, 0.0), "box_radius": _int(2000), "realizations": _int(6),
+                  "T_grid": _real([50.0, 80.0, 125.0, 200.0, 300.0, 400.0], **_SLOPE_GRID),
+                  "critical_window": Param([-0.6, 0.6], "pair"),
+                  "localized_window": Param([1.0, 1.6], "pair"), "free_box_radius": _int(1000),
+                  "averaging": Param("cesaro", "choice", choices=("cesaro", "abel")),
+                  "critical_slope_min": _real(1.0), "localized_slope_max": _real(0.2),
+                  "free_slope_tolerance": _real(0.1, **_TOL), "quadrature_points": _int(800, 2),
+                  "free_T_grid": _real([20.0, 40.0, 60.0, 80.0, 100.0], **_SLOPE_GRID)},
 }
 
-KINDS = tuple(sorted(_KIND_DEFAULTS))
-
-# counts below which a run always fails: the critical scan needs two grid
-# points; the Lyapunov estimate drops the first half of the steps and its
-# stderr needs two realizations; les-poisson's counting test needs its minimum
-_LEAST = {"critical": {"grid": 2}, "lyapunov": {"steps": 2, "realizations": 2},
-          "les-poisson": {"realizations": COUNTING_MIN_SAMPLES}}
+KINDS = tuple(sorted(_KIND_TABLE))
 
 
-def build_config(kind: str, raw: dict) -> ExperimentConfig:
-    if kind not in _KIND_DEFAULTS:
-        raise ConfigError(f"unknown kind {kind!r}; available: {list(KINDS)}")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}; "
-                          f"allowed: {sorted(_CONFIG_KEYS)}")
-    defaults = _KIND_DEFAULTS[kind]
-    params = dict(defaults["params"])
-    params.update(raw.get("params", {}))
-    seed = raw.get("seed", _COMMON_DEFAULTS["seed"])
-    if not _integral(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return ExperimentConfig(
-        kind=kind,
-        model=raw.get("model", defaults["model"]),
-        params=params,
-        seed=int(seed),
-        out=str(raw.get("out", _COMMON_DEFAULTS["out"])),
-    )
-
-
-def validate(config: ExperimentConfig) -> list[str]:
-    """Schema and cross-field diagnostics; an empty list means valid."""
-    diags = []
-    if config.kind not in _KIND_DEFAULTS:
-        diags.append(f"kind: unknown {config.kind!r}; available: {list(KINDS)}")
-        return diags
-    try:
-        model_from_dict(config.model)
-    except (ValueError, TypeError) as e:
-        diags.append(f"model: {e}")
-    known = set(_KIND_DEFAULTS[config.kind]["params"])
-    for key in config.params:
-        if key not in known:
-            diags.append(f"params.{key}: unknown parameter for kind {config.kind!r}")
-    p = config.params
-    if config.kind == "sharpness" and not _float(p.get("delta", 1.0)) > 0.5:
-        diags.append("params.delta: delta must exceed 1/2")
-    if config.kind == "minami-probe":
-        if not (0.0 < _float(p.get("beta", 0.5)) < 1.0):
-            diags.append("params.beta: beta must lie in (0, 1)")
-        if not (0.0 < _float(p.get("gamma", 1.0)) <= 1.0):
-            diags.append("params.gamma: gamma must lie in (0, 1]")
-        if not _positive(p.get("c2", 1.0)):
-            diags.append("params.c2: c2 must be positive")
-    for key, least in _LEAST.get(config.kind, {}).items():
-        if _positive_int(p.get(key)) and int(p[key]) < least:
-            diags.append(f"params.{key}: must be at least {least}")
-    if config.kind == "les-poisson" and "count_intervals" in p:
-        ivs = p["count_intervals"]
-        if not (isinstance(ivs, list) and ivs and all(_interval(iv) for iv in ivs)):
-            diags.append("params.count_intervals: must be a nonempty list of "
-                         "[lo, hi] pairs with lo < hi")
-        else:
-            ivs = sorted((float(lo), float(hi)) for lo, hi in ivs)
-            if any(hi > next_lo for (_, hi), (next_lo, _) in zip(ivs, ivs[1:])):
-                diags.append("params.count_intervals: the intervals must be disjoint")
-    if config.kind == "transport":
-        if not _positive(p.get("q", 2.0)):
-            diags.append("params.q: q must be positive")
-        if p.get("averaging", "cesaro") not in ("cesaro", "abel"):
-            diags.append("params.averaging: must be 'cesaro' or 'abel'")
-        for key in ("critical_window", "localized_window"):
-            if key in p and not _interval(p[key]):
-                diags.append(f"params.{key}: must be [lo, hi] with lo < hi")
-        for key in ("T_grid", "free_T_grid"):
-            if key in p and not _time_grid(p[key]):
-                diags.append(f"params.{key}: must hold at least two distinct times, "
-                             "all positive")
-        quad = p.get("quadrature_points")
-        if _positive_int(quad) and int(quad) < 2:
-            diags.append("params.quadrature_points: must be at least 2")
-        elif _positive_int(quad) and p.get("averaging") != "abel":
-            # Cesàro values share the grid of quadrature_points times on
-            # [0, max T]; a T below its second point would average nothing
-            for key in ("T_grid", "free_T_grid"):
-                if _time_grid(p.get(key)):
-                    Ts = [float(T) for T in p[key]]
-                    if min(Ts) < max(Ts) / (int(quad) - 1):
-                        diags.append(
-                            f"params.{key}: every time must be at least max T / "
-                            f"(quadrature_points - 1) = {max(Ts) / (int(quad) - 1)!r}, "
-                            "so that [0, T] holds two quadrature points")
-        # the free chain (t = 1) spreads at most 2 sites per unit time
-        radius = p.get("free_box_radius")
-        if _time_grid(p.get("free_T_grid")) and _positive_int(radius):
-            horizon = max(float(T) for T in p["free_T_grid"])
-            if p.get("averaging") == "abel":
-                horizon *= ABEL_TRUNCATION
-            if 2 * horizon > _GUARD_FRACTION * int(radius):
-                diags.append(
-                    f"params.free_T_grid: {p.get('averaging', 'cesaro')} averaging reaches "
-                    f"t = {horizon:g}, by which the free chain's wavefront (2 sites per "
-                    f"unit time) passes {_GUARD_FRACTION:.0%} of free_box_radius = "
-                    f"{int(radius)}; need 2 * t <= {_GUARD_FRACTION * int(radius):g}")
-    # every integer size or count, the parameters with int defaults, must be positive
-    for key, default in _KIND_DEFAULTS[config.kind]["params"].items():
-        if type(default) is int and key in p and p[key] is not None \
-                and not _positive_int(p[key]):
-            diags.append(f"params.{key}: must be a positive integer")
-    if p.get("search") is not None and not _interval(p["search"]):
-        diags.append("params.search: must be null or [lo, hi] with lo < hi")
-    if "L_list" in p and not (isinstance(p["L_list"], list) and p["L_list"]
-                              and all(_positive_int(L) for L in p["L_list"])):
-        diags.append("params.L_list: must be a nonempty list of positive integers")
-    return diags
-
-
-def _interval(x) -> bool:
-    try:
-        return len(x) == 2 and float(x[0]) < float(x[1])
-    except (TypeError, ValueError):
-        return False
-
-
-def _float(x) -> float:
-    """x as a float; NaN, which fails every range check, if it is no number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _positive(x) -> bool:
-    return _float(x) > 0.0
-
-
-def _time_grid(x) -> bool:
-    return (isinstance(x, list) and all(_positive(T) for T in x)
-            and len({float(T) for T in x}) >= 2)
+def _finite(x) -> bool:
+    """A real number that is no bool, NaN or infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _integral(x) -> bool:
@@ -313,8 +218,106 @@ def _integral(x) -> bool:
         (isinstance(x, float) and x.is_integer())
 
 
-def _positive_int(x) -> bool:
-    return _integral(x) and x >= 1
+# Cross-field rules: (the keys it reads, a predicate that returns what is wrong
+# or None).  It runs only when each key it reads ("model": the model was built)
+# passed its own check, and reports under its first key.
+
+def _disjoint_intervals(p, model, key):
+    ivs = sorted((float(lo), float(hi)) for lo, hi in p[key])
+    if any(hi > next_lo for (_, hi), (next_lo, _) in zip(ivs, ivs[1:])):
+        return "the intervals must be disjoint"
+
+
+def _window_in_box(p, model, key):
+    if not 2 * int(p["window_atoms"]) < int(p["L"]):
+        return f"2 * window_atoms must be below L = {int(p['L'])}: a box holds L eigenvalues"
+
+
+def _in_gershgorin_bound(p, model, key):
+    lo, hi = model.gershgorin_bound
+    if not lo <= p[key] <= hi:
+        return f"must lie in [{lo!r}, {hi!r}], the model's bound on every eigenvalue"
+
+
+def _above_tol_floor(p, model, key):
+    if not p[key] >= critical_tol_floor(model):
+        return (f"tol={p[key]!r} is below {critical_tol_floor(model):.3g}, the roundoff of "
+                "the commutator norm at a critical energy of this model")
+
+
+def _quadrature_reaches_T(p, model, key):
+    # Cesàro values share the grid of quadrature_points times on
+    # [0, max T]; a T below its second point would average nothing
+    Ts, quad = [float(T) for T in p[key]], int(p["quadrature_points"])
+    if p["averaging"] != "abel" and min(Ts) < max(Ts) / (quad - 1):
+        return (f"every time must be at least max T / (quadrature_points - 1) = "
+                f"{max(Ts) / (quad - 1)!r}, so that [0, T] holds two quadrature points")
+
+
+def _free_chain_inside_guard(p, model, key):
+    # the free chain (t = 1) spreads at most 2 sites per unit time
+    radius, horizon = int(p["free_box_radius"]), max(float(T) for T in p[key])
+    horizon *= ABEL_TRUNCATION if p["averaging"] == "abel" else 1
+    if 2 * horizon > _GUARD_FRACTION * radius:
+        return (f"{p['averaging']} averaging reaches t = {horizon:g}, by which the free "
+                f"chain's wavefront (2 sites per unit time) passes {_GUARD_FRACTION:.0%} "
+                f"of free_box_radius = {radius}; need 2 * t <= {_GUARD_FRACTION * radius:g}")
+
+
+_RULES = {
+    "critical": [(("tol", "model"), _above_tol_floor)],
+    "les-poisson": [(("count_intervals",), _disjoint_intervals)],
+    "les-clock": [(("window_atoms", "L"), _window_in_box)],
+    "minami-probe": [(("E0", "model"), _in_gershgorin_bound)],
+    "transport": [(("T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
+                  (("free_T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
+                  (("free_T_grid", "free_box_radius", "averaging"), _free_chain_inside_guard)],
+}
+
+
+def build_config(kind: str, raw: dict) -> ExperimentConfig:
+    if kind not in KINDS:
+        raise ConfigError(f"unknown kind {kind!r}; available: {list(KINDS)}")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; "
+                          f"allowed: {sorted(_CONFIG_KEYS)}")
+    params = {key: p.default for key, p in _KIND_TABLE[kind].items()}
+    params.update(raw.get("params", {}))
+    seed = raw.get("seed", _COMMON_DEFAULTS["seed"])
+    if not _integral(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return ExperimentConfig(
+        kind=kind,
+        model=raw.get("model", {"preset": "dimer", "V": _DIMER_V.get(kind, 0.6), "p": 0.5}),
+        params=params,
+        seed=int(seed),
+        out=str(raw.get("out", _COMMON_DEFAULTS["out"])),
+    )
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """Schema and cross-field diagnostics; an empty list means valid."""
+    if config.kind not in KINDS:
+        return [f"kind: unknown {config.kind!r}; available: {list(KINDS)}"]
+    diags = []
+    try:
+        model, passed = model_from_dict(config.model), {"model"}
+    except (ValueError, TypeError) as e:
+        model, passed = None, set()
+        diags.append(f"model: {e}")
+    table = _KIND_TABLE[config.kind]
+    for key, value in config.params.items():
+        if key not in table:
+            diags.append(f"params.{key}: unknown parameter for kind {config.kind!r}")
+        elif table[key].accepts(value):
+            passed.add(key)
+        else:
+            diags.append(f"params.{key}: must be {table[key].wants()}, got {value!r}")
+    for keys, rule in _RULES.get(config.kind, ()):
+        if passed.issuperset(keys) and (wrong := rule(config.params, model, keys[0])):
+            diags.append(f"params.{keys[0]}: {wrong}")
+    return diags
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +332,7 @@ def _single_report(model: PolymerModel):
 
 
 def _exp_critical(model, params, seed):
-    search = None if params["search"] is None else tuple(params["search"])
-    reports = find_critical_energies(model, search=search,
+    reports = find_critical_energies(model, search=params["search"],
                                      grid=int(params["grid"]), tol=params["tol"],
                                      irr_k_max=int(params["irr_k_max"]))
     rows, irr_rows, stats = [], [], []
@@ -485,9 +487,8 @@ def _exp_clock_spacing(model, params, seed):
         rows.extend((int(L), int(r), float(g)) for r, g in
                     zip(summary["realization_ids"], sample.rescaled_gaps))
     lo, hi = params["mean_band"]
-    sizes = [str(int(L)) for L in params["L_list"]]
-    variances = [per_size[s]["variance"] for s in sizes]
-    largest = per_size[sizes[-1]]
+    variances = [size["variance"] for size in per_size.values()]
+    largest = per_size[str(int(params["L_list"][-1]))]
     passes = {"mean_in_band": largest["mean"] is not None and lo <= largest["mean"] <= hi,
               "variance_decreasing": None not in variances
               and all(a > b for a, b in zip(variances, variances[1:]))}
@@ -518,17 +519,15 @@ def _median(x) -> float:
 def _exp_psi_convergence(model, params, seed):
     report = _single_report(model)
     n_Ec = dos_at_critical(expansion_coeffs(model, report), model)
-    xs = np.linspace(params["x_range"][0], params["x_range"][1],
-                     int(params["x_points"]))
+    xs = np.linspace(*params["x_range"], int(params["x_points"]))
     R = int(params["realizations"])
     rows = []
     medians = {}
-    for L in params["L_list"]:
-        L = int(L)
+    for L in map(int, params["L_list"]):
         errs = psi_errors(model, report, L, xs, R, seed)
         medians[str(L)] = _median(errs)
         rows.extend((L, r, float(e)) for r, e in enumerate(errs))
-    med_list = [medians[str(int(L))] for L in params["L_list"]]
+    med_list = list(medians.values())
     passes = {"monotone_decreasing": all(a > b for a, b in zip(med_list, med_list[1:]))}
     stats = {"critical_energy": report.energy, "dos_critical": n_Ec, "medians": medians}
     return stats, passes, {"psi_errors": (["L_sites", "realization", "sup_abs_err"],
@@ -705,13 +704,14 @@ def main(argv=None) -> int:
                         "(VALUE parsed as JSON, falling back to string)")
     args = parser.parse_args(argv)
 
-    raw = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read config: {e}", file=sys.stderr)
-            return 1
+    try:
+        raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"error: cannot read config: {e}", file=sys.stderr)
+        return 1
+    if not (isinstance(raw, dict) and isinstance(raw.get("params", {}), dict)):
+        print("config error: the config and its params must be JSON objects", file=sys.stderr)
+        return 1
     kind = args.kind if args.kind != "validate" else raw.get("kind")
     if kind is None:
         print("error: validate requires a config file with a 'kind' field",

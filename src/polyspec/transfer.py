@@ -23,6 +23,7 @@ __all__ = [
     "CriticalEnergyReport",
     "ExpansionCoeffs",
     "find_critical_energies",
+    "critical_tol_floor",
     "diagonalizer",
     "irrationality_check",
     "expansion_coeffs",
@@ -235,6 +236,21 @@ def _commutator_norms(model: PolymerModel, energies: np.ndarray) -> np.ndarray:
 # the refinement in find_critical_energies
 _ZOOM_POINTS, _ZOOM_FACTOR, _ZOOM_STOP = 65, 32.0, 1e-14
 
+# the refined commutator norm at a critical energy is roundoff: up to 75 eps
+# times max(|v|, t, 1) on the dimers V = 0.05..1 scaled by s = 1..1e5
+_TOL_FLOOR_EPS = 256
+
+
+def critical_tol_floor(model: PolymerModel) -> float:
+    """The least tol at which find_critical_energies can keep a critical
+    energy: 256 eps times the model's scale max(|v|, t, 1).  Below it the
+    roundoff of the refined commutator norm exceeds tol, and every critical
+    energy would be dropped."""
+    v = np.concatenate([model.plus.potentials, model.minus.potentials])
+    t = max(model.plus.hoppings.max(), model.minus.hoppings.max())
+    scale = max(float(np.abs(v).max()), float(t), 1.0)
+    return _TOL_FLOOR_EPS * float(np.finfo(float).eps) * scale
+
 
 def find_critical_energies(model: PolymerModel, search=None,
                            grid: int = 20001, tol: float = 1e-9,
@@ -252,10 +268,16 @@ def find_critical_energies(model: PolymerModel, search=None,
     matrices are elliptic or +-identity.
     An empty list is a valid result (e.g. the single-site Bernoulli model).
     Polymers whose commutator norm is <= tol at every grid energy commute
-    at every energy, and raise ValueError.
+    at every energy, and raise ValueError, as does a tol below
+    critical_tol_floor(model).
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    floor = critical_tol_floor(model)
+    if not tol >= floor:
+        raise ValueError(f"tol={tol!r} is below {floor:.3g}, the roundoff of the commutator "
+                         "norm at a critical energy of this model (256 eps max(|v|, t, 1)), "
+                         "so no critical energy would be kept")
     lo, hi = (float(x) for x in (model.spectrum_bracket if search is None else search))
     Es = np.linspace(lo, hi, grid)
     h = (hi - lo) / (grid - 1)

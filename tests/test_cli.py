@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyspec import cli
 from polyspec.cli import build_config, validate, run, main, ConfigError, KINDS
@@ -36,7 +41,7 @@ def test_all_kinds_have_defaults():
 def test_validate_sharpness_delta():
     c = cfg("sharpness", "x", params={"delta": 0.4})
     diags = validate(c)
-    assert any("delta must exceed 1/2" in d for d in diags)
+    assert any("delta: must be a finite number in (0.5, inf)" in d for d in diags)
 
 
 def test_validate_bad_model_and_param():
@@ -123,6 +128,63 @@ def test_validate_rejects_transport_quadrature_that_misses_a_time(tmp_path, caps
     assert validate(cfg("transport", "x", params={"quadrature_points": 2,
                                                   "averaging": "abel",
                                                   "free_T_grid": [4.0, 8.0]})) == []
+
+
+# each of these passed validate and then exited 0 with nonsense, always
+# exited 2, or exited 1 with a raw TypeError, ValueError or LinAlgError
+@pytest.mark.parametrize("kind, params, key", [
+    ("critical", {"tol": -1.0}, "tol"), ("lyapunov", {"energies": []}, "energies"),
+    ("lyapunov", {"energies": 0.5}, "energies"),
+    ("lyapunov", {"energies": [math.nan]}, "energies"), ("minami-probe", {"E0": 50}, "E0"),
+    ("minami-probe", {"E0": math.nan}, "E0"),
+    ("psi-convergence", {"L_list": [100], "x_points": 1}, "L_list"),
+    ("les-clock", {"window_atoms": 100000, "L": 500}, "window_atoms"),
+    ("les-clock", {"mean_band": [1.05, 0.95]}, "mean_band"),
+    ("les-clock", {"mean_band": 5}, "mean_band"),
+    ("uniformity", {"ks_threshold": -1}, "ks_threshold"),
+    ("uniformity", {"ks_threshold": "abc"}, "ks_threshold"),
+    ("uniformity", {"ks_threshold": math.nan}, "ks_threshold"),
+    ("ids", {"branch_tolerance": -1}, "branch_tolerance"),
+    ("ids", {"probe_energies": "abc"}, "probe_energies"),
+    ("holder-probe", {"scales": []}, "scales"), ("les-poisson", {"E0": "abc"}, "E0"),
+    ("psi-convergence", {"x_range": [5, -5]}, "x_range")])
+def test_validate_names_the_key_of_a_config_that_went_wrong(tmp_path, capsys, kind, params,
+                                                            key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path)}))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert f"params.{key}: " in capsys.readouterr().out
+    assert main([kind, "--config", str(path)]) == 1
+    assert f"config error: params.{key}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("critical", '[{"kind": "critical"}]'), ("validate", '[{"kind": "critical"}]'),
+    ("critical", '{"params": 5}'), ("critical", '{"params": [1]}'),
+    ("validate", '{"kind": "critical", "params": [1]}'), ("validate", '{"kind": ["x"]}')])
+def test_config_file_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, kind, text):
+    # each of these used to escape main as a traceback
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_critical_tol_below_roundoff_is_a_config_error(tmp_path, capsys):
+    # the refined commutator norm at E_c is 1.0-1.6e-14 x s on the V = 0.875
+    # dimer scaled by s: tol 1e-14 at s = 1 and the default 1e-9 at s = 1e5
+    # used to give count 0 and exit 0
+    for s, tol in ((1.0, 1e-14), (1e5, 1e-9)):
+        model = {side: {"potentials": [sign * 0.875 * s] * 2, "hoppings": [s, s]}
+                 for side, sign in (("plus", 1.0), ("minus", -1.0))}
+        path = tmp_path / "critical.json"
+        path.write_text(json.dumps({"model": dict(model, p_plus=0.5),
+                                    "params": {"tol": tol}, "out": str(tmp_path)}))
+        assert main(["critical", "--config", str(path)]) == 1
+        assert f"config error: params.tol: tol={tol!r} is below " in capsys.readouterr().err
+        assert validate(cfg("critical", "x", model=dict(model, p_plus=0.5),
+                            params={"tol": 1e-7})) == []
 
 
 @pytest.mark.parametrize("entry", ["potentials", "hoppings", "p_plus"])
@@ -353,3 +415,148 @@ def test_critical_search_covers_rescaled_dimer(tmp_path):
     run_report = run(cfg("critical", tmp_path, model=RESCALED_DIMER))
     energies = [r["energy"] for r in run_report.statistics["reports"]]
     assert energies == pytest.approx([-3.5, 3.5], abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# every config the table accepts ends in an answer or a named error
+
+# sizes at which each kind runs in milliseconds; a drawn value overrides them
+TINY = {
+    "critical": {"grid": 201},
+    "lyapunov": {"steps": 64, "realizations": 2},
+    "ids": {"L_ids": 40, "realizations": 4},
+    "les-poisson": {"L": 40, "realizations": 500, "window_atoms": 4, "ids_L": 40,
+                    "ids_realizations": 4},
+    "les-clock": {"L": 60, "realizations": 20, "window_atoms": 4},
+    "clock-spacing": {"L_list": [40, 80], "realizations": 4, "j_max": 3},
+    "uniformity": {"L": 40, "realizations": 20},
+    "psi-convergence": {"L_list": [40, 80], "realizations": 2, "x_points": 11},
+    "sharpness": {"L": 200, "realizations": 10, "j_max": 4, "control_L": 100,
+                  "control_realizations": 20, "control_window_atoms": 4, "ids_L": 100,
+                  "ids_realizations": 4},
+    "minami-probe": {"L": 100, "realizations": 20},
+    "holder-probe": {"ids_L": 40, "ids_realizations": 4},
+    "transport": {"box_radius": 40, "realizations": 1, "T_grid": [2.0, 4.0],
+                  "quadrature_points": 20, "free_box_radius": 40, "free_T_grid": [2.0, 4.0]},
+}
+
+# (exception name, message part) of the runtime errors the library raises on purpose
+NAMED_ERRORS = [("InsufficientDataError", ""), ("ValueError", "leaves the pooled IDS"),
+                ("ValueError", "holds no eigenvalue"), ("BoundaryContaminationError", "")]
+
+GOLDEN_PASSES = {kind: set(entry["passes"]) for kind, entry in json.loads(
+    (Path(__file__).parent / "golden_kinds.json").read_text()).items()}
+
+
+# the values whose edges are drawn for the parameters that default to null
+NULL_STAND_INS = {"search": [-3.0, 3.0], "probe_energies": [0.1]}
+
+
+def base_value(kind, key):
+    default = build_config(kind, {}).params[key]
+    return TINY[kind].get(key, NULL_STAND_INS[key] if default is None else default)
+
+
+def entry_values(p, base):
+    """(accepted, rejected) single entries at the edges of a declaration."""
+    if p.shape == "int":
+        return [p.low, float(p.low)], [p.low - 1, p.low + 0.5, True, "7"]
+    if p.shape == "choice":
+        return list(p.choices), ["x", 1]
+    if p.shape == "pair":
+        lo, hi = base
+        return ([[lo, hi], [lo, math.nextafter(lo, math.inf)]],
+                [[lo, lo], [hi, lo], [lo], [lo, math.nan], [-math.inf, hi], "wide"])
+    accepted, rejected = [], [math.nan, math.inf, -math.inf, "abc", True]
+    for end, inward, is_open in ((p.low, math.inf, p.ends[0] == "("),
+                                 (p.high, -math.inf, p.ends[1] == ")")):
+        if math.isfinite(end):
+            inside, outside = ((math.nextafter(end, inward), end) if is_open else
+                               (end, math.nextafter(end, -inward)))
+            accepted.append(inside)
+            rejected.append(outside)
+    return accepted or [0.0], rejected
+
+
+def declared_values(p, base):
+    """(accepted, rejected) values at the edges of a declaration, from the
+    table alone: the least count, the range ends, a pair with lo = hi, lists
+    of the least length, and NaN, infinities, strings, scalars for lists."""
+    if p.items is None:
+        accepted, rejected = entry_values(p, base)
+    else:
+        entries, wrong = entry_values(p, base[0])
+        accepted = [base[:p.items]] if p.items == 0 else [
+            [e, *base[1:p.items]] for e in entries
+            if not (p.distinct and float(e) in map(float, base[1:p.items]))]
+        rejected = [[w, *base[1:p.items]] for w in wrong] + [base[0], "abc"]
+        if p.items:
+            rejected.append(base[:p.items - 1])
+        if p.distinct:
+            rejected.append([base[0]] * p.items)
+    if p.default is None:
+        return accepted + [None], rejected
+    return accepted, rejected + [None]
+
+
+def single_overrides():
+    for kind in KINDS:
+        for key, p in cli._KIND_TABLE[kind].items():
+            for value in sum(declared_values(p, base_value(kind, key)), []):
+                yield kind, {key: value}
+
+
+@st.composite
+def overrides(draw):
+    """A kind and 1-3 of its parameters, each set to an edge or a wrong value."""
+    kind = draw(st.sampled_from(KINDS))
+    table = cli._KIND_TABLE[kind]
+    keys = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=3,
+                         unique=True))
+    return kind, {key: draw(st.sampled_from(sum(declared_values(
+        table[key], base_value(kind, key)), []))) for key in keys}
+
+
+def ends_in_an_answer_or_a_named_error(kind, drawn):
+    """Run the kind at TINY sizes under the drawn values through main; it must
+    exit 0 or 2 with its flags in strict JSON, or 1 naming a drawn key (or a
+    key a cross-field rule reads with one) or an error the library raises on
+    purpose."""
+    reported = set(drawn)
+    for keys, _ in cli._RULES.get(kind, ()):
+        if reported & set(keys):
+            reported.add(keys[0])
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "config.json"
+        path.write_text(json.dumps({"params": {**TINY[kind], **drawn}, "seed": 5,
+                                    "out": out}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([kind, "--config", str(path)])
+        err = stderr.getvalue()
+        if code in (0, 2):
+            prefix = kind.replace("-", "_")
+            summary = strict_summary(Path(out) / f"{prefix}_summary.json")
+            assert set(summary["passes"]) == GOLDEN_PASSES[kind], (kind, drawn, summary)
+            return
+    assert code == 1, (kind, drawn, code, err)
+    if err.startswith("config error: "):
+        named = re.findall(r"(?:^config error: |; )(\w+(?:\.\w+)?):", err)
+        assert err == "config error: model has no critical energy\n" or named and all(
+            name in {f"params.{k}" for k in reported} for name in named), (kind, drawn, err)
+        return
+    assert any(err.startswith(f"error [{kind}]: {name}: ") and part in err
+               for name, part in NAMED_ERRORS), (kind, drawn, err)
+
+
+def _with_every_single_override(test):
+    for kind, drawn in single_overrides():
+        test = example(case=(kind, drawn))(test)
+    return test
+
+
+@settings(max_examples=40)
+@given(case=overrides())
+@_with_every_single_override
+def test_every_accepted_config_ends_in_an_answer_or_a_named_error(case):
+    ends_in_an_answer_or_a_named_error(*case)

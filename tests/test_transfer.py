@@ -12,7 +12,7 @@ from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, anderson_pr
                             substream, _stream_keys)
 from polyspec.transfer import (site_matrix, polymer_matrix, find_critical_energies, diagonalizer,
                                irrationality_check, expansion_coeffs, lyapunov,
-                               rotation, _lyapunov_log_norms)
+                               rotation, critical_tol_floor, _lyapunov_log_norms)
 
 from conftest import explicit_models
 
@@ -476,6 +476,22 @@ def test_critical_search_dimer_calls_and_accuracy():
             assert len(calls) <= 10
             assert [r.energy for r in reports] == pytest.approx([-V, V], rel=0, abs=1e-14)
             assert max(r.commutator_norm for r in reports) <= 1e-13
+
+
+def test_tol_below_the_roundoff_floor_raises():
+    # the refined norm at E_c = +-0.875 s is 1.0-1.6e-14 s on the V = 0.875
+    # dimer scaled by s; a tol below it used to drop both energies silently
+    for s, tol in ((1.0, 1e-14), (1e5, 1e-9)):
+        dimer = dimer_preset(0.875, 0.5)
+        model = PolymerModel(*(PolymerSpec(2, s * p.potentials, s * p.hoppings)
+                               for p in (dimer.plus, dimer.minus)), 0.5)
+        floor = critical_tol_floor(model)
+        assert tol < floor < 1e-13 * s
+        with pytest.raises(ValueError, match=f"tol={tol!r} is below {floor:.3g}"):
+            find_critical_energies(model, tol=tol)
+        reports = find_critical_energies(model, tol=floor)
+        assert [r.energy for r in reports] == pytest.approx([-0.875 * s, 0.875 * s],
+                                                            rel=1e-13)
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
