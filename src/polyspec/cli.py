@@ -264,6 +264,20 @@ def _free_chain_inside_guard(p, model, key):
                 f"of free_box_radius = {radius}; need 2 * t <= {_GUARD_FRACTION * radius:g}")
 
 
+def _moments_finite(p, model, key):
+    # a moment sums, over the pairs of up to 2 radius + 1 modes whose weights
+    # have unit norm, Gram entries up to radius^q times trapezoid kernels up
+    # to quadrature_points: that product must stay below the largest double
+    radius = max(int(p["box_radius"]), int(p["free_box_radius"]))
+    points = int(p["quadrature_points"])
+    bound = math.log(sys.float_info.max) - math.log((2 * radius + 1) * points)
+    if p[key] * math.log(radius) >= bound:
+        return (f"q * ln(max(box_radius, free_box_radius)) = {p[key] * math.log(radius):.6g} "
+                f"must be below ln(1.8e308 / ((2 * {radius} + 1) * {points})) = {bound:.6g}: "
+                "each moment sums Gram entries up to radius^q over 2 * radius + 1 modes "
+                "and quadrature_points times")
+
+
 _RULES = {
     "critical": [(("tol", "model"), _above_tol_floor)],
     "les-poisson": [(("count_intervals",), _disjoint_intervals)],
@@ -271,7 +285,8 @@ _RULES = {
     "minami-probe": [(("E0", "model"), _in_gershgorin_bound)],
     "transport": [(("T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
                   (("free_T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
-                  (("free_T_grid", "free_box_radius", "averaging"), _free_chain_inside_guard)],
+                  (("free_T_grid", "free_box_radius", "averaging"), _free_chain_inside_guard),
+                  (("q", "box_radius", "free_box_radius", "quadrature_points"), _moments_finite)],
 }
 
 

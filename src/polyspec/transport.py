@@ -15,7 +15,51 @@ modes whose weight |phi_k(j)| exceeds _WEIGHT_FLOOR times the largest, the
 ones the moments read.  Moments are
 M_q(T) time-averages of sum_x |x - center|^q |psi_t(x)|^2 in either the
 Cesaro form (1/T) int_0^T or the Abel form (1/T) int_0^inf e^{-t/T}
-(truncated at 10T).
+(truncated at 10T), each by the trapezoid rule on grid points t_i = i delta.
+
+The trapezoid sums are summed in closed form over the kept modes, with
+psi_t never formed on the whole box.  With B = modes |x - center|^{q/2},
+A = B^T B (one symmetric product, m^2 L work for m modes on L sites) and
+theta = delta (E_k - E_l), every value is
+
+    M_q(T) = (delta / T) sum_kl w_k w_l A_kl K(theta_kl),
+
+    Cesaro:  K = sum_{i=0..n}' cos(i theta) = sin(n theta) cot(theta/2) / 2,
+             n at theta = 0, with t_n the last grid point <= T;
+    Abel:    K = Re sum_{i=0..N}' r^i,  r = e^{-a + i theta},  a = delta / T,
+             = [(1 - rho cos N theta) sinh a + rho sin N theta sin theta]
+               / [4 (sinh^2(a/2) + sin^2(theta/2))],  rho = e^{-N a},
+
+where ' halves the end terms and N + 1 is the number of points of T's own
+grid on [0, 10T].  Each T costs one pass over the m(m - 1)/2 pairs.
+
+Conditioning: (delta / T) |K| is at most 1 (Cesaro) or about
+peak = (a/2) coth(a/2) (Abel: 1 unless the grid is coarser than T), and
+a phase rounded by eps |theta| moves it by eps |omega| t_n, so each term
+G_kl (delta / T) K, G_kl = w_k w_l A_kl, carries a rounding error of about
+eps |G_kl| peak (1 + |omega| t), t up to the largest grid time.  Such
+errors add like a random walk, and the Frobenius norm of the positive
+semidefinite G is at most its trace, so every value's absolute error is
+about
+
+    MomentCurve.rounding = eps trace(G) peak (1 + width horizon),
+
+with width = max E - min E over the kept modes and horizon the largest grid
+time, max(T) or 10 max(T).  Added coherently the same errors reach at
+most about eps m max|x - center|^q sum w^2 times those factors.  On free
+chains of 1001 sites (q = 2 to 10) and a dimer window of 2001 sites the
+estimate exceeded the measured error 90 to 400 times.  The terms have
+both signs, so relative to the moment the error grows where the moment is
+much smaller than trace(G), the limit of M_q at long times: large q on a
+box much wider than the wavefront.  transport_exponent raises where a
+moment is below 1 / _ROUNDING_SHARE times the estimate.  The sums are
+exact to rounding while delta times the width stays below pi.  Beyond it
+a Cesaro pair can alias, theta near a nonzero multiple of 2 pi, where the
+phases are first reduced to [-pi, pi]; the Abel kernel has no such pole.
+
+The guard reads psi_t at every grid time on the guard rows only,
+|x - center| > _GUARD_FRACTION * radius, and raises
+BoundaryContaminationError before any moment is formed.
 """
 from __future__ import annotations
 
@@ -54,9 +98,15 @@ _MARGIN = 1e-4
 # times the largest: each carries at most 1e-24 of the largest mode's share
 # of |P(I) delta_j|^2
 _WEIGHT_FLOOR = 1e-12
-# the moment integrand's time chunks hold at most this many entries (16 MB)
-# per (sites x times) array; 8 MB chunks took 20% longer on 4001 sites
+# the guard's time chunks hold at most this many entries (16 MB) per array,
+# (guard rows x times) products and (modes x times) phases
 _CHUNK_ENTRIES = 1 << 21
+# transport_exponent needs every moment above 1 / _ROUNDING_SHARE times its
+# rounding estimate (module docstring).  The 1001-site free chain's T = 10
+# Cesaro moment is 1.8e10 times it at q = 2 and 2.1e7 times at q = 4, but
+# only 2.8e4 times at q = 6, which is refused (its moments are right to
+# 1.3e-7, and at q = 8 to 1.3e-4)
+_ROUNDING_SHARE = 1e-6
 
 
 class BoundaryContaminationError(RuntimeError):
@@ -144,48 +194,95 @@ def _window_modes(H: TridiagonalOperator, lo: float, hi: float):
     return w[inside], Phi[:, inside], True
 
 
-def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
-                      check_guard: bool = True) -> np.ndarray:
-    """sum_x |x - center|^q |psi_t(x)|^2 on a time grid, batched over times.
+def _check_guard(setup: EvolutionSetup, grids) -> None:
+    """Raise BoundaryContaminationError at the first time, grid by grid, at
+    which the guard zone's mass exceeds its t = 0 value by more than
+    max(_GUARD_MASS, that value).
 
-    psi_t is formed as two real products, Re = modes @ (cos(E t) w) and
-    -Im = modes @ (sin(E t) w), over equal chunks of times that keep each
-    (sites x times) array within _CHUNK_ENTRIES entries; |psi_t|^2 is
-    formed in place.  The guard triggers on the boundary mass in excess of
-    its t = 0 value: a sharp spectral projection already carries an
-    O(1/radius) static tail, so only transported mass counts as
-    contamination.
+    The guard zone is the rows |x - center| > _GUARD_FRACTION * radius; psi_t
+    is formed on those rows only, as two real products Re = rows @ (cos(E t)
+    w) and -Im = rows @ (sin(E t) w), over equal chunks of times that keep
+    each array within _CHUNK_ENTRIES entries.  A sharp spectral projection
+    already carries an O(1/radius) static tail, so only transported mass
+    counts as contamination.
     """
-    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site).astype(float)
-    wq = xs ** q
-    guard = xs > _GUARD_FRACTION * setup.radius
-    modes, energies, w = setup.modes, setup.energies, setup.weights[:, None]
-    psi0 = modes @ setup.weights
-    baseline = float((psi0 ** 2)[guard].sum())
+    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site)
+    rows = setup.modes[xs > _GUARD_FRACTION * setup.radius]
+    energies, w = setup.energies, setup.weights[:, None]
+    baseline = float(np.square(rows @ setup.weights).sum())
     threshold = max(_GUARD_MASS, baseline)  # trip when the static tail doubles
-    out = np.empty(times.size)
-    chunks = -(-times.size * setup.num_sites // _CHUNK_ENTRIES)
-    chunk = max(1, -(-times.size // max(chunks, 1)))
-    for i0 in range(0, times.size, chunk):
-        ts = times[i0:i0 + chunk]
-        phase = np.outer(energies, ts)
-        cos = np.cos(phase)
-        cos *= w
-        sin = np.sin(phase, out=phase)
-        sin *= w
-        prob, im = modes @ cos, modes @ sin
-        np.square(prob, out=prob)
-        np.square(im, out=im)
-        prob += im
-        if check_guard:
-            leaked = prob[guard, :].sum(axis=0) - baseline
-            if np.any(leaked > threshold):
-                t_bad = ts[int(np.argmax(leaked > threshold))]
-                raise BoundaryContaminationError(
-                    f"wavefront mass {leaked.max():.2e} beyond "
-                    f"{_GUARD_FRACTION:.0%} of the box radius at t={t_bad:g}")
-        out[i0:i0 + chunk] = wq @ prob
-    return out
+    for times in grids:
+        leaked = np.empty(times.size)
+        chunks = -(-times.size * max(rows.shape[0], energies.size, 1) // _CHUNK_ENTRIES)
+        chunk = max(1, -(-times.size // max(chunks, 1)))
+        for i0 in range(0, times.size, chunk):
+            phase = np.outer(energies, times[i0:i0 + chunk])
+            cos = np.cos(phase)
+            cos *= w
+            sin = np.sin(phase, out=phase)
+            sin *= w
+            re, im = rows @ cos, rows @ sin
+            leaked[i0:i0 + chunk] = (np.einsum("ij,ij->j", re, re)
+                                     + np.einsum("ij,ij->j", im, im) - baseline)
+        tripped = leaked > threshold
+        if tripped.any():
+            raise BoundaryContaminationError(
+                f"wavefront mass {leaked.max():.2e} beyond {_GUARD_FRACTION:.0%} of "
+                f"the box radius at t={times[int(np.argmax(tripped))]:g}")
+
+
+def _gram_pairs(setup: EvolutionSetup, q: float):
+    """(omega, G, trace): E_k - E_l and G_kl = w_k w_l A_kl over the kept
+    modes' pairs k < l, and the trace of G, for the Gram matrix A = B^T B of
+    B = modes |x - center|^{q/2} (one symmetric product)."""
+    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site).astype(float)
+    B = setup.modes * np.sqrt(xs ** q)[:, None]  # 0 at the center for any q > 0
+    B *= setup.weights
+    G = B.T @ B
+    k, l = np.triu_indices(G.shape[0], 1)
+    return setup.energies[k] - setup.energies[l], G[k, l], float(np.trace(G))
+
+
+def _cesaro(omega, G, trace, times, Ts) -> np.ndarray:
+    """Cesaro values on the shared grid `times`: the module docstring's
+    closed form, with t_n the last grid point <= T."""
+    delta = times[1] if times.size > 1 else 0.0
+    steps = np.searchsorted(times, Ts, side="right") - 1
+    theta = omega * delta
+    # K_n has period 2 pi; reduced phases keep sin(n theta) accurate where a
+    # pair aliases, theta near a nonzero multiple of 2 pi
+    theta -= 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
+    Q = np.divide(0.5, np.tan(0.5 * theta), out=np.zeros_like(theta), where=theta != 0)
+    Q *= G
+    level = trace + 2.0 * float(G[theta == 0].sum())  # the pairs with K_n = n
+    values, buf = np.empty(Ts.size), np.empty_like(theta)
+    for i, (n, T) in enumerate(zip(steps, Ts)):
+        np.multiply(theta, n, out=buf)
+        np.sin(buf, out=buf)
+        buf *= Q
+        values[i] = delta * (2.0 * float(buf.sum()) + n * level) / T
+    return values
+
+
+def _abel(omega, G, trace, Ts, quadrature_points: int) -> np.ndarray:
+    """Abel values, each on its own grid of quadrature_points on [0, 10T]:
+    the module docstring's closed form."""
+    values = np.zeros(Ts.size)
+    N = quadrature_points - 1
+    if N < 1:
+        return values
+    for i, T in enumerate(Ts):
+        delta = ABEL_TRUNCATION * T / N  # np.linspace's step
+        a = delta / T
+        rho, sinh_a, floor = np.exp(-N * a), np.sinh(a), np.sinh(0.5 * a) ** 2
+        theta = omega * delta
+        phase = N * theta
+        kernel = ((1.0 - rho * np.cos(phase)) * sinh_a + rho * np.sin(phase) * np.sin(theta)) \
+            / (4.0 * (floor + np.sin(0.5 * theta) ** 2))
+        kernel *= G
+        values[i] = delta * (2.0 * float(kernel.sum())
+                             + trace * (1.0 - rho) * sinh_a / (4.0 * floor)) / T
+    return values
 
 
 @dataclass(frozen=True)
@@ -195,15 +292,17 @@ class MomentCurve:
     times: np.ndarray
     values: np.ndarray
     q: float
+    rounding: float              # about the absolute rounding error of every value
 
 
 def moment_curve(setup: EvolutionSetup, q: float, Ts, averaging: str = "cesaro",
                  quadrature_points: int = DEFAULT_QUAD_POINTS) -> MomentCurve:
-    """Moment curve over a grid of averaging times, each by the trapezoid rule.
+    """Moment curve over a grid of averaging times, each the trapezoid rule
+    summed in closed form over the kept modes' pairs (module docstring).
 
-    Cesaro values share one integrand evaluation on [0, max(T)]; each Abel
-    value integrates on its own truncated horizon [0, 10T], which costs one
-    evaluation per grid point.
+    Cesaro values share the grid of quadrature_points times on [0, max(T)];
+    each Abel value has its own grid on the truncated horizon [0, 10T].  The
+    guard reads psi_t at every grid time before any moment is formed.
     """
     Ts = np.sort(np.asarray(Ts, float))
     if q <= 0:
@@ -212,17 +311,22 @@ def moment_curve(setup: EvolutionSetup, q: float, Ts, averaging: str = "cesaro",
         raise ValueError("averaging times must be positive")
     if averaging == "cesaro":
         times = np.linspace(0.0, Ts[-1], quadrature_points)
-        m = _moment_integrand(setup, q, times)
-        values = [np.trapezoid(m[times <= T], times[times <= T]) / T for T in Ts]
+        grids = [times]
     elif averaging == "abel":
-        values = []
-        for T in Ts:
-            times = np.linspace(0.0, ABEL_TRUNCATION * T, quadrature_points)
-            m = _moment_integrand(setup, q, times)
-            values.append(np.trapezoid(m * np.exp(-times / T), times) / T)
+        grids = (np.linspace(0.0, ABEL_TRUNCATION * T, quadrature_points) for T in Ts)
     else:
         raise ValueError("averaging must be 'cesaro' or 'abel'")
-    return MomentCurve(times=Ts, values=np.array(values), q=q)
+    _check_guard(setup, grids)
+    omega, G, trace = _gram_pairs(setup, q)
+    if averaging == "cesaro":
+        values, horizon, peak = _cesaro(omega, G, trace, times, Ts), Ts[-1], 1.0
+    else:
+        values, horizon = _abel(omega, G, trace, Ts, quadrature_points), ABEL_TRUNCATION * Ts[-1]
+        a = ABEL_TRUNCATION / max(quadrature_points - 1, 1)
+        peak = 0.5 * a / np.tanh(0.5 * a)
+    width = setup.energies[-1] - setup.energies[0] if setup.energies.size else 0.0
+    rounding = float(np.finfo(float).eps * trace * peak * (1.0 + width * horizon))
+    return MomentCurve(times=Ts, values=values, q=q, rounding=rounding)
 
 
 def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
@@ -237,7 +341,10 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
     "fallbacks" counts the realizations whose window took the dense
     decomposition after failing the gap or overlap check.  Returns one
     result dict per window, in the order of `windows`.  Raises ValueError
-    if a window keeps no mode in some realization, and
+    if a window keeps no mode in some realization or has a moment below
+    1 / _ROUNDING_SHARE times its rounding estimate (a time below the
+    grid's second point, where the moment is 0, or large q on a wide box,
+    see the module docstring), and
     BoundaryContaminationError if any realization's wavefront reaches the
     guard zone.
     """
@@ -253,7 +360,14 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
                 raise ValueError(f"window {setup.projection_window} holds no eigenvalue "
                                  f"of realization {r} ({num_sites} sites)")
             fallbacks[i] += setup.fallback
-            curves[i].append(moment_curve(setup, q, Ts, averaging, quadrature_points))
+            curve = moment_curve(setup, q, Ts, averaging, quadrature_points)
+            if not np.all(curve.values * _ROUNDING_SHARE > curve.rounding):
+                raise ValueError(f"window {setup.projection_window} of realization {r} has "
+                                 f"a moment {curve.values.min():.3g} below "
+                                 f"{1 / _ROUNDING_SHARE:g} times its rounding error, about "
+                                 f"{curve.rounding:.3g}: an averaging time below the grid's "
+                                 f"second point, or q = {q:g} too large for {num_sites} sites")
+            curves[i].append(curve)
     results = []
     for window, wcurves, nfall in zip(windows, curves, fallbacks):
         slopes = np.array([np.polyfit(np.log(Ts), np.log(c.values), 1)[0]

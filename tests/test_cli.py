@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -128,6 +129,35 @@ def test_validate_rejects_transport_quadrature_that_misses_a_time(tmp_path, caps
     assert validate(cfg("transport", "x", params={"quadrature_points": 2,
                                                   "averaging": "abel",
                                                   "free_T_grid": [4.0, 8.0]})) == []
+
+
+def test_transport_q_whose_moments_overflow_is_a_config_error(tmp_path, capsys):
+    # 40^1000 overflowed, and the run exited 1 with a NaN slope that JSON
+    # cannot hold
+    params = {"box_radius": 40, "realizations": 1, "T_grid": [2.0, 4.0],
+              "quadrature_points": 20, "free_box_radius": 40, "free_T_grid": [2.0, 4.0]}
+
+    def run_with(q, out):
+        path = tmp_path / "transport.json"
+        path.write_text(json.dumps({"kind": "transport", "params": {**params, "q": q},
+                                    "out": str(out)}))
+        return main(["transport", "--config", str(path)])
+
+    diags = validate(cfg("transport", "x", params={**params, "q": 1000.0}))
+    assert [d.split(":")[0] for d in diags] == ["params.q"], diags
+    assert "must be below ln(1.8e308 / ((2 * 40 + 1) * 20)) = 702.3" in diags[0]
+    assert run_with(1000.0, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("config error: params.q: ")
+    # below the bound the moments are finite: at q = 8 the run answers, and
+    # just below the bound, where the free chain's moment at T = 2 drowns in
+    # its closed form's rounding, it names that
+    assert run_with(8.0, tmp_path) in (0, 2)
+    strict_summary(tmp_path / "transport_summary.json")
+    q_max = 0.999 * (math.log(sys.float_info.max) - math.log(81 * 20)) / math.log(40)
+    assert validate(cfg("transport", "x", params={**params, "q": q_max})) == []
+    assert run_with(q_max, tmp_path / "edge") == 1
+    assert re.match(r"error \[transport\]: ValueError: window None of realization 0 has a "
+                    r"moment \S+ below 1e\+06 times its rounding error", capsys.readouterr().err)
 
 
 # each of these passed validate and then exited 0 with nonsense, always

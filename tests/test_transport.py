@@ -1,19 +1,59 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import jv
 
 from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec import eigensolve, transport
 from polyspec.eigensolve import TridiagonalOperator, build_hamiltonian, dense_oracle
 from polyspec.transport import (EvolutionSetup, evolution_setup, moment_curve,
-                                transport_exponent, BoundaryContaminationError,
-                                _moment_integrand)
+                                transport_exponent, BoundaryContaminationError)
 
 from conftest import explicit_models, gershgorin_interval
+
+
+def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
+                      check_guard: bool = True) -> np.ndarray:
+    """sum_x |x - center|^q |psi_t(x)|^2 on a time grid, psi_t formed on every
+    site at every time: the per-time oracle of the closed-form moments.
+
+    The guard trips at the first time whose guard-zone mass exceeds its
+    t = 0 value by more than max(_GUARD_MASS, that value).
+    """
+    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site).astype(float)
+    guard = xs > transport._GUARD_FRACTION * setup.radius
+    phase = np.outer(setup.energies, times)
+    w = setup.weights[:, None]
+    prob = (setup.modes @ (np.cos(phase) * w)) ** 2 + (setup.modes @ (np.sin(phase) * w)) ** 2
+    if check_guard:
+        baseline = float(((setup.modes @ setup.weights) ** 2)[guard].sum())
+        leaked = prob[guard].sum(axis=0) - baseline
+        tripped = leaked > max(transport._GUARD_MASS, baseline)
+        if tripped.any():
+            raise BoundaryContaminationError(
+                f"wavefront mass {leaked.max():.2e} beyond "
+                f"{transport._GUARD_FRACTION:.0%} of the box radius "
+                f"at t={times[int(np.argmax(tripped))]:g}")
+    return xs ** q @ prob
+
+
+def oracle_curve(setup, q, Ts, averaging, quadrature_points):
+    """moment_curve's values by the trapezoid rule on the oracle's integrand."""
+    Ts = np.sort(np.asarray(Ts, float))
+    if averaging == "cesaro":
+        times = np.linspace(0.0, Ts[-1], quadrature_points)
+        m = _moment_integrand(setup, q, times)
+        return np.array([np.trapezoid(m[times <= T], times[times <= T]) / T for T in Ts])
+    values = []
+    for T in Ts:
+        times = np.linspace(0.0, transport.ABEL_TRUNCATION * T, quadrature_points)
+        m = _moment_integrand(setup, q, times)
+        values.append(np.trapezoid(m * np.exp(-times / T), times) / T)
+    return np.array(values)
 
 
 def evolve_amplitudes(setup, t):
@@ -359,3 +399,102 @@ def test_window_without_modes_raises():
                                          r"of realization 0 \(101 sites\)"):
         transport_exponent(dimer_preset(0.5, 0.5), 2.0, [2.0, 4.0], box_radius=50,
                            windows=[(-0.6, 0.6), (5.0, 6.0)], quadrature_points=32)
+
+
+def test_moments_that_rounding_swamps_raise():
+    # on the 1001-site free chain the T = 10 moment is 2e7 times its rounding
+    # estimate at q = 4, and right to 3e-11; at q = 8 only 40 times, and
+    # about 1e-4 off, so the run names the moment instead of giving a slope
+    Ts = [10.0, 20.0, 30.0, 40.0, 50.0]
+    kwargs = dict(box_radius=500, quadrature_points=400)
+    res, = transport_exponent(anderson_preset(0.0, 0.5), 4.0, Ts, **kwargs)
+    want = oracle_curve(free_setup(1001), 4.0, Ts, "cesaro", 400)
+    assert np.allclose(res["curves"][0].values, want, rtol=1e-9, atol=0)
+    with pytest.raises(ValueError, match=r"^window None of realization 0 has a moment "
+                                         r"\S+ below 1e\+06 times its rounding error"):
+        transport_exponent(anderson_preset(0.0, 0.5), 8.0, Ts, **kwargs)
+
+
+def test_free_chain_moments_follow_the_exact_ballistic_law():
+    # unit hopping: sum_x x^2 J_x(2t)^2 = 2 t^2 until the front (2 sites per
+    # unit time) nears the guard zone at 900 sites; every value is the
+    # trapezoid rule of 2 t^2 on the same grid, in closed form
+    setup = free_setup(2001)
+    Ts = np.array([20.0, 40.0, 60.0, 80.0, 100.0])
+    times = np.linspace(0.0, Ts[-1], 500)
+    want = [np.trapezoid(2 * times[times <= T] ** 2, times[times <= T]) / T for T in Ts]
+    got = moment_curve(setup, 2.0, Ts, quadrature_points=500).values
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    Ts = np.array([5.0, 10.0, 20.0, 40.0])
+    want = []
+    for T in Ts:
+        times = np.linspace(0.0, transport.ABEL_TRUNCATION * T, 500)
+        want.append(np.trapezoid(2 * times ** 2 * np.exp(-times / T), times) / T)
+    got = moment_curve(setup, 2.0, Ts, "abel", quadrature_points=500).values
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def lone_bond(L=41):
+    """Sites L // 2 - 1 and L // 2 joined by a unit hopping, every other bond
+    1e-20 and every other site at its own potential: delta_{L // 2} stays on
+    the bond, with the two energies -1 and 1, far from the guard zone."""
+    v = 3.0 + np.arange(L) / L
+    v[L // 2 - 1:L // 2 + 1] = 0.0
+    t = np.full(L - 1, 1e-20)
+    t[L // 2 - 1] = 1.0
+    return TridiagonalOperator(diagonal=v, offdiagonal=t, num_sites=L)
+
+
+@st.composite
+def boxes(draw):
+    """A random explicit-model box of 8-60 sites, or a mirror_box, whose
+    pairs closer than the gap floor take the dense fallback (its pairs'
+    energy differences come down to 1e-16, or to 0 in rounding)."""
+    if draw(st.booleans()):
+        return mirror_box(draw(st.integers(4, 30)), 10.0 ** draw(st.floats(-16.0, -8.0)))
+    H = lattice_for_sites(draw(explicit_models()), draw(st.integers(8, 60)),
+                          draw(st.integers(0, 2**16)))
+    return build_hamiltonian(H)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200)
+@example(mirror_box(), None, 0.5, 2.0, "cesaro", 2, [3.0])
+# a step of pi aliases the bond's beat 2: the trapezoid sums 40 cosines of 1
+@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * np.pi])
+@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * np.pi * (1 + 1e-12), 7.0])
+# a step of 1000 pi + 0.15 rounds the beat's phase by 1e-12: the rounding
+# estimate must grow with the phase
+@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * (1000 * np.pi + 0.15)])
+# on an Abel grid coarser than T, (delta / T) K reaches 5, and so must the estimate
+@example(TridiagonalOperator(diagonal=np.zeros(9), offdiagonal=np.full(8, 0.01), num_sites=9),
+         None, 0.5, 0.5, "abel", 2, [1.0])
+# the least positive q still weighs the initial site by 0
+@example(lone_bond(), None, 0.5, 5e-324, "abel", 41, [0.7])
+@example(mirror_box(), (0.0, 1.0), 0.3, 4.0, "abel", 3, [0.5, 2.0])
+@given(boxes(), st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       st.floats(0.3, 0.7), st.floats(0.5, 4.0), st.sampled_from(["cesaro", "abel"]),
+       st.integers(2, 40), st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
+def test_moment_curve_matches_oracle(H, fractions, site, q, averaging, points, Ts):
+    # the closed-form sums against the trapezoid rule of the per-time
+    # oracle, on random boxes, windows, initial sites and grids; a guard
+    # that trips for one trips for the other, at the same time
+    L = H.num_sites
+    w, _ = dense_oracle(H)
+    window = None
+    if fractions is not None:
+        i0, i1 = sorted(int(f * L) for f in fractions)
+        ends = np.r_[w[0] - 1.0, 0.5 * (w[1:] + w[:-1]), w[-1] + 1.0]
+        window = (float(ends[i0]), float(ends[min(i1 + 1, L)]))
+    setup = evolution_setup(H, initial_site=int(site * L), projection_window=window)
+    try:
+        want = oracle_curve(setup, q, Ts, averaging, points)
+    except BoundaryContaminationError as e:
+        at = re.escape(str(e).rsplit(" ", 1)[1])
+        with pytest.raises(BoundaryContaminationError, match=f" {at}$"):
+            moment_curve(setup, q, Ts, averaging, points)
+        return
+    curve = moment_curve(setup, q, Ts, averaging, points)
+    # the closed form errs by about its rounding estimate (at most 2.6 times
+    # it over 10,000 random examples), the oracle by a relative eps |E| t
+    assert np.all(np.abs(curve.values - want) <= 4 * curve.rounding + 1e-12 * np.abs(want))
