@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .model import PolymerModel, model_from_dict, anderson_preset
 from .transfer import critical_tol_floor, find_critical_energies, expansion_coeffs, lyapunov
-from .statistics import (empirical_ids, windowed_ids, ids_at_critical, dos_at_critical,
-                         les_ensemble, gap_statistics, counting_statistics,
+from .statistics import (empirical_ids, windowed_ids, pointwise_ids, ids_at_critical,
+                         dos_at_critical, les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
                          holder_probe, minami_probe, COUNTING_MIN_SAMPLES)
 from .transport import ABEL_TRUNCATION, _GUARD_FRACTION, transport_exponent
@@ -80,9 +80,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fields(column) -> list[str]:
+    """_fmt of every value of one table column.  A column of only floats,
+    only integers or only str/bool is formatted by one str map: .tolist()
+    makes numpy float64/int64 values Python ones, whose str is _fmt's."""
+    kinds = set(map(type, column))
+    if not any(kinds <= same for same in ({float, np.float64}, {int, np.int64}, {str, bool})):
+        return list(map(_fmt, column))
+    if kinds & {np.float64, np.int64}:
+        column = np.array(column).tolist()
+    return list(map(str, column))
+
+
 def _write_csv(path: Path, header, rows, config_hash: str) -> None:
-    lines = [f"# config_hash={config_hash}", ",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    columns = [_fields(c) for c in zip(*rows)]
+    lines = [f"# config_hash={config_hash}", ",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -384,15 +396,26 @@ def _exp_lyapunov(model, params, seed):
                                      "realizations"], rows)}
 
 
+def _ids_grids(bottom: float, top: float):
+    """The energies `ids` reads N at: the curve grid over the pool's range and
+    the nonnegative half of the symmetry grid."""
+    return np.linspace(bottom, top, 513), np.linspace(0.0, max(abs(bottom), abs(top)), 129)
+
+
 def _exp_ids(model, params, seed):
-    ids = empirical_ids(model, int(params["L_ids"]), seed,
-                        range(int(params["realizations"])))
-    pooled = ids.pooled
-    grid = np.linspace(pooled[0], pooled[-1], 513)
-    curve_rows = [(float(E), float(N)) for E, N in zip(grid, ids.evaluate(grid))]
-    sym_grid = np.linspace(0.0, float(np.abs(pooled).max()), 129)
-    sym_err = float(np.abs(ids.evaluate(sym_grid) + ids.evaluate(-sym_grid) - 1.0).max())
     reports = find_critical_energies(model)
+    extra = params.get("probe_energies") or []
+
+    def read_at(bottom, top):
+        grid, sym_grid = _ids_grids(bottom, top)
+        return np.concatenate([grid, sym_grid, -sym_grid, [rep.energy for rep in reports],
+                               np.asarray(extra, float)])
+
+    ids = pointwise_ids(model, int(params["L_ids"]), seed, range(int(params["realizations"])),
+                        read_at)
+    grid, sym_grid = _ids_grids(float(ids.pooled[0]), float(ids.pooled[-1]))
+    curve_rows = [(float(E), float(N)) for E, N in zip(grid, ids.evaluate(grid))]
+    sym_err = float(np.abs(ids.evaluate(sym_grid) + ids.evaluate(-sym_grid) - 1.0).max())
     probe_rows = []
     branch_err = 0.0
     for rep in reports:
@@ -400,9 +423,8 @@ def _exp_ids(model, params, seed):
         emp = float(ids.evaluate(rep.energy))
         probe_rows.append((rep.energy, emp, formula))
         branch_err = max(branch_err, abs(emp - formula))
-    extra = params.get("probe_energies") or []
     probe_rows.extend((float(E), float(ids.evaluate(E)), None) for E in extra)
-    stats = {"pooled_count": int(pooled.size), "symmetry_error": sym_err,
+    stats = {"pooled_count": int(ids.total_count), "symmetry_error": sym_err,
              "branch_error": branch_err,
              "probes": [{"energy": r[0], "empirical": r[1], "formula": r[2]}
                         for r in probe_rows]}

@@ -48,6 +48,7 @@ __all__ = [
     "build_hamiltonian",
     "sturm_counts_batch",
     "eigenvalues_in_window_batch",
+    "eigenvalues_by_index_batch",
     "twisted_eigenvectors",
     "dense_oracle",
 ]
@@ -94,6 +95,10 @@ def _pivmin(v: np.ndarray, tsq: np.ndarray) -> float:
 # a call runs serially: starting a thread and interleaving the threads'
 # numpy steps cost more than a second CPU saves
 _SPLIT_FLOOR = 200_000
+# the same for one Sturm sweep (site updates): below 1e7 (about 8 ms on one
+# CPU) a second thread measured no faster, and up to 2 ms slower where it
+# started late
+_COUNT_SPLIT_FLOOR = 10_000_000
 
 
 def _cpus() -> int:
@@ -104,19 +109,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_row_ranges(run, weights, work_per_weight: float) -> None:
+def _in_row_ranges(run, weights, work_per_weight: float, floor: int | None = None) -> None:
     """Call run(r0, r1) on contiguous row ranges that together cover every
     row of positive weight, one range of near-equal total weight per CPU.
 
     The calling thread runs the first range and a per-call executor the
     others, so no thread outlives the call.  With one CPU, or when the
-    total weight times work_per_weight is below _SPLIT_FLOOR, this is the
-    single range of all rows.  `run` must touch only its own rows and call
-    nothing of the package but the compiled kernels, so that every package
-    function stays on the calling thread.
+    total weight times work_per_weight is below `floor` (default
+    _SPLIT_FLOOR), this is the single range of all rows.  `run` must touch
+    only its own rows and call nothing of the package but the compiled
+    kernels, so that every package function stays on the calling thread.
     """
     cum = np.concatenate([[0], np.cumsum(weights)])  # weight of the rows before each
-    parts = _cpus() if cum[-1] * work_per_weight >= _SPLIT_FLOOR else 1
+    floor = _SPLIT_FLOOR if floor is None else floor
+    parts = _cpus() if cum[-1] * work_per_weight >= floor else 1
     # range j ends at the first row boundary with j/parts of the total weight before it
     bounds = sorted({0, *np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts).tolist(),
                      cum.size - 1})
@@ -198,13 +204,13 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     u64 = ndpointer(np.uint64, flags="C_CONTIGUOUS")
     u8 = ndpointer(np.bool_, flags="C_CONTIGUOUS")
     n, j = ctypes.c_int64, ctypes.c_uint64
-    dll.sturm_counts.argtypes = [n] * 3 + [f64, f64, f64, ctypes.c_double, i64, f64]
+    dll.sturm_counts.argtypes = [n] * 5 + [f64, f64, f64, ctypes.c_double, i64, f64]
     dll.stream_keys.argtypes = [n, j, u64, u64]
     dll.stream_below.argtypes = [n, u64, j, j, ctypes.c_double, u8]
     dll.fill_boxes.argtypes = [n, n, u64, ctypes.c_double, n, n, f64, f64, f64, f64]
     dll.lyapunov_steps.argtypes = [n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
-    dll.window_eigenvalues.argtypes = [n] * 4 + [i64, f64, f64] + [ctypes.c_double] * 4 + [
-        i64, f64, i64]
+    dll.window_eigenvalues.argtypes = [n] * 4 + [i64, f64, f64] + [ctypes.c_double] * 2 + [
+        i64, f64, f64, i64, i64, f64, i64]
     dll.twisted_vectors.argtypes = [n] * 4 + [f64, f64, ctypes.c_double, f64, f64, f64]
     for f in (dll.sturm_counts, dll.stream_keys, dll.stream_below, dll.lyapunov_steps):
         f.restype = None
@@ -235,7 +241,9 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
     H - E; `last_pivots` are the final pivots d_{L-1}.  Pivots smaller in
     magnitude than pivmin are replaced by -pivmin, so an eigenvalue exactly
     at a shift counts as below it and no returned pivot is zero.  The
-    recursion runs as one compiled loop, built on the first call.
+    recursion runs as one compiled loop, built on the first call; the
+    operators are split into contiguous ranges that run on one thread each
+    (see _in_row_ranges), and every count is the same for any split.
     """
     v = np.ascontiguousarray(v, float)
     tsq = np.ascontiguousarray(tsq, float)
@@ -246,8 +254,36 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
                          f"got {v.shape}, {tsq.shape}, {shifts.shape}")
     counts = np.empty((R, K), dtype=np.int64)
     d = np.empty((R, K))
-    _kernel().sturm_counts(L, R, K, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    sweep, pivmin = _kernel().sturm_counts, _pivmin(v, tsq)
+    _in_row_ranges(lambda r0, r1: sweep(L, R, K, r0, r1, v, tsq, shifts, pivmin, counts, d),
+                   np.full(R, K), L, _COUNT_SPLIT_FLOOR)
     return counts, d
+
+
+def _finite(**values) -> None:
+    for name, x in values.items():
+        bad = np.asarray(x)[~np.isfinite(x)]
+        if bad.size:
+            raise ValueError(f"{name.replace('_', ' ')} must be finite, got {bad[0]}")
+
+
+def _solve_columns(v, tsq, off, j, lo, hi, clo, chi, tol: float) -> np.ndarray:
+    """The compiled `window_eigenvalues` on packed columns: operator r owns
+    columns off[r] .. off[r+1] - 1, and column i finds eigenvalue j[i] from
+    the bracket [lo[i], hi[i]] whose counts are clo[i] <= j[i] < chi[i].
+    Contiguous ranges of operators of near-equal column count run on one
+    thread each (see _in_row_ranges); every column refines on its own, so
+    the result is the same for any split."""
+    L, R = v.shape
+    eig, sweeps = np.empty(int(off[-1])), np.empty(int(off[-1]), dtype=np.int64)
+    solve, pivmin = _kernel().window_eigenvalues, _pivmin(v, tsq)
+
+    def refine(r0: int, r1: int) -> None:
+        if solve(L, R, r0, r1, off, v, tsq, pivmin, tol, j, lo, hi, clo, chi, eig, sweeps):
+            raise MemoryError("window_eigenvalues could not allocate its scratch")
+
+    _in_row_ranges(refine, np.diff(off), L)
+    return eig
 
 
 def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: float,
@@ -255,41 +291,66 @@ def eigenvalues_in_window_batch(v: np.ndarray, tsq: np.ndarray, a: float, b: flo
     """All eigenvalues in [a, b) for a batch of same-size operators.
 
     Sturm counts at a and b give each operator's eigenvalue indices in the
-    window, one packed column per (operator, index) pair.  The compiled
-    `window_eigenvalues` narrows each column's Sturm bracket until it holds
-    that eigenvalue alone, then refines it by Newton steps on the twist
-    pivot of a twisted factorization and confirms it by counts; every
-    eigenvalue is the midpoint of a bracket of width <= tol, and clusters
-    closer than tol are bisected to it.  The operators are split
-    into contiguous ranges of near-equal pair count that run on one thread
-    each (see _in_row_ranges); every pair refines on its own, so the result
-    is the same for any split.
+    window, one packed column per (operator, index) pair, all starting from
+    [a, b].  The compiled `window_eigenvalues` narrows each column's Sturm
+    bracket until it holds that eigenvalue alone, then refines it by Newton
+    steps on the twist pivot of a twisted factorization and confirms it by
+    counts; every eigenvalue is the midpoint of a bracket of width <= tol,
+    and clusters closer than tol are bisected to it.  The operators are
+    split into contiguous ranges of near-equal pair count that run on one
+    thread each (see _in_row_ranges); every pair refines on its own, so the
+    result is the same for any split.
     """
     a, b, tol = float(a), float(b), float(tol)
-    for name, x in (("window start a", a), ("window end b", b), ("tol", tol)):
-        if not np.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x}")
+    _finite(window_start_a=a, window_end_b=b, tol=tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not b > a:
         raise ValueError("window must be nonempty")
     v = np.ascontiguousarray(v, float)
     tsq = np.ascontiguousarray(tsq, float)
-    L, R = v.shape
+    R = v.shape[1]
     ends, _ = sturm_counts_batch(v, tsq, np.tile([[a, b]], (R, 1)))
-    na, nb = np.ascontiguousarray(ends.T)
-    # operator r owns the packed columns off[r] .. off[r+1] - 1, one per
-    # 0-based eigenvalue index in the window
+    na, nb = ends.T
     off = np.concatenate([[0], np.cumsum(nb - na)])
-    eig, sweeps = np.empty(int(off[-1])), np.empty(int(off[-1]), dtype=np.int64)
-    solve, pivmin = _kernel().window_eigenvalues, _pivmin(v, tsq)
-
-    def refine(r0: int, r1: int) -> None:
-        if solve(L, R, r0, r1, off, v, tsq, pivmin, a, b, tol, na, eig, sweeps):
-            raise MemoryError("window_eigenvalues could not allocate its scratch")
-
-    _in_row_ranges(refine, nb - na, L)
+    box = np.repeat(np.arange(R), nb - na)
+    clo, chi = na[box], nb[box]
+    j = clo + (np.arange(off[-1]) - off[box])
+    eig = _solve_columns(v, tsq, off, j, np.full(j.size, a), np.full(j.size, b), clo, chi, tol)
     return [np.sort(x) for x in np.split(eig, off[1:-1])]
+
+
+def eigenvalues_by_index_batch(v: np.ndarray, tsq: np.ndarray, box, index, lo, hi,
+                               below_lo, below_hi, tol: float = 1e-11) -> np.ndarray:
+    """Eigenvalue index[i] (0-based, ascending) of operator box[i], for each i.
+
+    The caller brackets each one: below_lo[i] <= index[i] < below_hi[i] are
+    the Sturm counts of operator box[i] at lo[i] < hi[i] (sturm_counts_batch),
+    so the eigenvalue lies in [lo[i], hi[i]).  `box` is nondecreasing, and
+    the entries of one operator that share a bracket are adjacent in
+    ascending index.  Each is found as in eigenvalues_in_window_batch, to the
+    midpoint of a bracket of width <= tol inside [lo[i], hi[i]]; the entries
+    of one operator share that operator's lockstep lanes whatever their
+    brackets, so one call serves many scattered indices.
+    """
+    v = np.ascontiguousarray(v, float)
+    tsq = np.ascontiguousarray(tsq, float)
+    box, index, below_lo, below_hi = (np.ascontiguousarray(x, np.int64)
+                                      for x in (box, index, below_lo, below_hi))
+    lo, hi = np.ascontiguousarray(lo, float), np.ascontiguousarray(hi, float)
+    tol = float(tol)
+    _finite(bracket=np.concatenate([lo, hi]), tol=tol)
+    R = v.shape[1]
+    if len({x.shape for x in (box, index, lo, hi, below_lo, below_hi)}) != 1 or box.ndim != 1:
+        raise ValueError("box, index, lo, hi, below_lo and below_hi must be 1-d and equal in size")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if (np.any(np.diff(box) < 0) or np.any(box < 0) or np.any(box >= R)
+            or not np.all((below_lo <= index) & (index < below_hi) & (lo < hi))):
+        raise ValueError("need 0 <= box < R nondecreasing, below_lo <= index < below_hi "
+                         "and lo < hi")
+    off = np.searchsorted(box, np.arange(R + 1))
+    return _solve_columns(v, tsq, off, index, lo, hi, below_lo, below_hi, tol)
 
 
 def twisted_eigenvectors(H: TridiagonalOperator,

@@ -11,12 +11,13 @@ static inline double pivot(double x, double pivmin)
 
 /* v (L, R) and tsq (L-1, R) hold one operator per column; s, counts and d
    (R, K) hold realization r's K shifts, counts below them and last pivots
-   in row r. */
-void sturm_counts(int64_t L, int64_t R, int64_t K, const double *restrict v,
-                  const double *restrict tsq, const double *restrict s, double pivmin,
-                  int64_t *restrict counts, double *restrict d)
+   in row r.  Only rows r0 .. r1 - 1 are swept and written. */
+void sturm_counts(int64_t L, int64_t R, int64_t K, int64_t r0, int64_t r1,
+                  const double *restrict v, const double *restrict tsq,
+                  const double *restrict s, double pivmin, int64_t *restrict counts,
+                  double *restrict d)
 {
-    for (int64_t r = 0; r < R; ++r)
+    for (int64_t r = r0; r < r1; ++r)
         for (int64_t i = r * K; i < (r + 1) * K; ++i) {
             const double x = pivot(v[r] - s[i], pivmin);
             d[i] = x;
@@ -25,10 +26,10 @@ void sturm_counts(int64_t L, int64_t R, int64_t K, const double *restrict v,
     /* sites outermost: each site's row of v and tsq is read once per sweep */
     for (int64_t n = 1; n < L; ++n) {
         const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
-        const double *sr = s;
-        double *dr = d;
-        int64_t *cr = counts;
-        for (int64_t r = 0; r < R; ++r, sr += K, dr += K, cr += K) {
+        const double *sr = s + r0 * K;
+        double *dr = d + r0 * K;
+        int64_t *cr = counts + r0 * K;
+        for (int64_t r = r0; r < r1; ++r, sr += K, dr += K, cr += K) {
             const double vr = vn[r], tr = tn[r];
             for (int64_t k = 0; k < K; ++k) {
                 const double x = pivot((vr - sr[k]) - tr / dr[k], pivmin);
@@ -260,7 +261,8 @@ enum { MAX_REFINE = 10 };
 enum { MULTI = 2 };
 
 struct window {
-    double a, b, tol;
+    double tol;
+    const double *lo0, *hi0;  /* each column's starting bracket */
     double *lo, *hi, *x, *g, *gp, *step, *work, *eig;
     int64_t *j, *clo, *chi, *tw, *nref, *rejected, *twists, *state;
 };
@@ -368,8 +370,8 @@ static void confirm(struct window *w, int64_t c, int64_t below_lo, int64_t below
     if (need_hi && (below_hi <= j ? xh > w->lo[c] : xh < w->hi[c]))
         narrow(w, c, xh, below_hi);
     if (!(w->lo[c] < w->hi[c])) {  /* counts disagree in the last bits: restart */
-        w->lo[c] = w->a;
-        w->hi[c] = w->b;
+        w->lo[c] = w->lo0[c];
+        w->hi[c] = w->hi0[c];
     }
     w->twists[c] = 0;
     settle(w, c);
@@ -422,16 +424,18 @@ static void scratch_close(struct scratch *s)
 #endif
 }
 
-/* Eigenvalues in [a, b) of realizations r0 .. r1 - 1 (v and tsq as in
-   sturm_counts; realization r has na[r] eigenvalues below a and owns the
-   columns off[r] .. off[r+1] - 1, one per eigenvalue in the window, column
-   i finding eigenvalue index na[r] + i - off[r]).  eig[i] gets the
-   midpoint of a bracket no wider than tol that holds the eigenvalue, and
-   sweeps[i] the column's share of the sweeps over the L sites, rounded (q
-   counts that g columns share add q/g to each, a twist pass 2).
+/* Eigenvalues of realizations r0 .. r1 - 1 (v and tsq as in sturm_counts),
+   one per packed column: realization r owns the columns off[r] ..
+   off[r+1] - 1, and column i finds its eigenvalue of 0-based index j[i],
+   starting from the bracket [lo[i], hi[i]] whose Sturm counts are clo[i]
+   <= j[i] < chi[i].  A realization's columns that start from one bracket
+   must be adjacent, in ascending j.  eig[i] gets the midpoint of a bracket
+   no wider than tol that holds the eigenvalue, and sweeps[i] the column's
+   share of the sweeps over the L sites, rounded (q counts that g columns
+   share add q/g to each, a twist pass 2).
 
-   The columns of a realization that share a bracket cut it at twice as
-   many points as they are, in one lockstep sweep, until each bracket holds
+   Adjacent columns of a realization that share a bracket cut it at twice
+   as many points as they are, in one lockstep sweep, until each bracket holds
    its eigenvalue alone.  A column then picks its twist index in one
    two-sided pass, takes safeguarded Newton steps on the twist pivot, whose
    root is the eigenvalue and whose negative count keeps the bracket, and
@@ -442,8 +446,10 @@ static void scratch_close(struct scratch *s)
    allocated, else 0. */
 int window_eigenvalues(int64_t L, int64_t R, int64_t r0, int64_t r1,
                        const int64_t *restrict off, const double *restrict v,
-                       const double *restrict tsq, double pivmin, double a, double b,
-                       double tol, const int64_t *restrict na, double *restrict eig,
+                       const double *restrict tsq, double pivmin, double tol,
+                       const int64_t *restrict j, const double *restrict lo,
+                       const double *restrict hi, const int64_t *restrict clo,
+                       const int64_t *restrict chi, double *restrict eig,
                        int64_t *restrict sweeps)
 {
     const int64_t c0 = off[r0], C = off[r1] - c0, nr = r1 - r0;
@@ -458,7 +464,7 @@ int window_eigenvalues(int64_t L, int64_t R, int64_t r0, int64_t r1,
     struct scratch sc;
     if (scratch_open(&sc, bytes))
         return -1;
-    struct window w = {.a = a, .b = b, .tol = tol};
+    struct window w = {.tol = tol, .lo0 = lo + c0, .hi0 = hi + c0};
     w.eig = eig + c0;
     double **cd[] = {&w.lo, &w.hi, &w.x, &w.g, &w.gp, &w.step, &w.work};
     for (int i = 0; i < 7; ++i)
@@ -485,23 +491,20 @@ int window_eigenvalues(int64_t L, int64_t R, int64_t r0, int64_t r1,
     int64_t *tcnt = carve(&sc, B * i8), *ttw = carve(&sc, B * i8), *tsr = carve(&sc, B * i8);
     int64_t *ts0 = carve(&sc, B * i8), *ts2 = carve(&sc, B * i8);
 
-    for (int64_t r = r0; r < r1; ++r) {
-        const int64_t K = off[r + 1] - off[r];
-        nact[r - r0] = K;
-        for (int64_t k = 0; k < K; ++k) {
-            const int64_t c = off[r] - c0 + k;
-            perm[c] = c;
-            w.j[c] = na[r] + k;
-            w.lo[c] = a;
-            w.hi[c] = b;
-            w.clo[c] = na[r];
-            w.chi[c] = na[r] + K;
-            w.nref[c] = 0;
-            w.rejected[c] = 0;
-            w.twists[c] = 2;
-            w.work[c] = 0.0;
-            settle(&w, c);
-        }
+    for (int64_t r = r0; r < r1; ++r)
+        nact[r - r0] = off[r + 1] - off[r];
+    for (int64_t c = 0; c < C; ++c) {
+        perm[c] = c;
+        w.j[c] = j[c0 + c];
+        w.lo[c] = lo[c0 + c];
+        w.hi[c] = hi[c0 + c];
+        w.clo[c] = clo[c0 + c];
+        w.chi[c] = chi[c0 + c];
+        w.nref[c] = 0;
+        w.rejected[c] = 0;
+        w.twists[c] = 2;
+        w.work[c] = 0.0;
+        settle(&w, c);
     }
     for (;;) {
         /* plan: per realization, refining columns ascending in twist index

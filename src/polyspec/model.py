@@ -148,18 +148,22 @@ class LatticeSequences:
 
 
 def _lay_boxes(model: PolymerModel, num_sites: int, seed: int, realization_indices,
-                first, rest) -> tuple[np.ndarray, np.ndarray]:
+                first, rest, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Boxes laid out from two per-polymer tables in one compiled call, one
     column per realization: the (num_sites, R) entries of `first` and the
-    (num_sites - 1, R) entries of `rest` at sites 1 .. num_sites - 1.  Each
-    table holds the plus polymer's site values, then the minus polymer's;
-    the kernel only copies them."""
+    (num_sites - 1, R) entries of `rest` at sites 1 .. num_sites - 1, into
+    the C-contiguous float arrays `out` if given, else new ones.  Each table
+    holds the plus polymer's site values, then the minus polymer's; the
+    kernel only copies them."""
     if num_sites < 1:
         raise ValueError("num_sites must be >= 1")
     from .eigensolve import _kernel  # eigensolve imports this module
     keys = _stream_keys(seed, realization_indices)
     R = len(keys)
-    a, b = np.empty((num_sites, R)), np.empty((num_sites - 1, R))
+    shapes = (num_sites, R), (num_sites - 1, R)
+    a, b = (np.empty(shape) for shape in shapes) if out is None else out
+    if (a.shape, b.shape) != shapes:
+        raise ValueError(f"out must have shapes {shapes}, got {a.shape} and {b.shape}")
     if _kernel().fill_boxes(num_sites, R, keys, model.p_plus, model.plus.length,
                             model.minus.length, first, rest, a, b):
         raise MemoryError("no memory for the box sampler's signs and per-box state")
@@ -184,18 +188,19 @@ def lattice_for_sites(model: PolymerModel, num_sites: int, seed: int,
 
 
 def potentials_for_sites_batch(model: PolymerModel, num_sites: int, seed: int,
-                               realization_indices) -> tuple[np.ndarray, np.ndarray]:
+                               realization_indices, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Potentials and squared hoppings of boxes, one column per realization.
 
     Returns (v, tsq) with shapes (num_sites, R) and (num_sites - 1, R), the
     two arrays every sweep reads: column r holds the potentials and the
     squared hoppings t(1)^2 .. t(L-1)^2 of box indices[r], the values of
     lattice_for_sites(model, num_sites, seed, indices[r]).  One compiled call
-    draws every realization's signs and lays its blocks.
+    draws every realization's signs and lays its blocks, into the
+    C-contiguous float pair `out` if given (which is returned).
     """
     pv = np.concatenate([model.plus.potentials, model.minus.potentials])
     ptsq = np.concatenate([model.plus.hoppings, model.minus.hoppings]) ** 2
-    return _lay_boxes(model, num_sites, seed, realization_indices, pv, ptsq)
+    return _lay_boxes(model, num_sites, seed, realization_indices, pv, ptsq, out)
 
 
 def dimer_preset(V: float, p: float) -> PolymerModel:

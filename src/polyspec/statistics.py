@@ -5,6 +5,14 @@ uniform clock process (gaps concentrate at 1), while unfolded eigenvalues
 centered anywhere else in the spectrum form a Poisson process (Exp(1) gaps,
 Poissonian counts).  Everything here is ensemble-driven with deterministic
 per-realization substreams.
+
+The empirical IDS N(E) interpolates the pooled eigenvalues of iid boxes at
+their plotting positions.  It is stored three ways, each holding what its
+readers use: the full pool (empirical_ids: holder_probe, the tests' oracle),
+a window of consecutive ranks around N(E0) (windowed_ids: unfolding), and
+the pool's two ends with the interpolation neighbours of given energies
+(pointwise_ids: the `ids` kind).  Sturm counts give the global ranks, and
+the compiled window kernel finds only the stored eigenvalues.
 """
 from __future__ import annotations
 
@@ -16,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PolymerModel, potentials_for_sites_batch
-from .eigensolve import eigenvalues_in_window_batch, sturm_counts_batch
+from .eigensolve import (eigenvalues_by_index_batch, eigenvalues_in_window_batch,
+                         sturm_counts_batch)
 from .transfer import CriticalEnergyReport, ExpansionCoeffs, expansion_coeffs
 from .prufer import free_phase_batch, angle_map_m, relative_prufer_batch
 
@@ -31,6 +40,7 @@ __all__ = [
     "pool_spectra",
     "empirical_ids",
     "windowed_ids",
+    "pointwise_ids",
     "ids_at_critical",
     "dos_at_critical",
     "les_ensemble",
@@ -56,6 +66,8 @@ _POOL_BATCH = 32
 _IDS_TOL = 1e-13
 _RANK_PAD = 2
 _BRACKET_POINTS = 7
+# pointwise IDS: pool eigenvalues a pruning window holds at the local density
+_SIDE_EIGS = 1.0
 # counting_statistics needs this many samples for its chi-square bins
 COUNTING_MIN_SAMPLES = 500
 
@@ -68,50 +80,66 @@ class InsufficientDataError(ValueError):
 class EmpiricalIDS:
     """Integrated density of states from pooled order statistics.
 
-    `pooled` holds the sorted eigenvalues of global ranks below + 1, ...,
-    below + pooled.size out of total_count = n pooled ones; the full pool is
-    below = 0 and total_count = pooled.size (the default).  evaluate()
-    interpolates linearly between them at the global plotting positions
-    i/(n+1), so it is strictly increasing on the stored range and exactly
-    invertible there.  Beyond an end of the whole pool evaluate() clamps to
-    0 or 1 and invert() to the extreme eigenvalue; beyond an end of a window
-    that is not an end of the pool, both raise ValueError.
+    `pooled` holds sorted eigenvalues out of a pool of total_count = n, and
+    `ranks` their global ranks in the pool (1-based, increasing); by default
+    the ranks are 1 .. pooled.size, the full pool.  evaluate() interpolates
+    linearly between stored neighbours at the plotting positions rank/(n+1),
+    exactly as np.interp over the whole pool does, and invert() the other way
+    round; on a stretch of consecutive ranks (windowed_ids) N is strictly
+    increasing and exactly invertible.  Beyond an end of the whole pool
+    evaluate() clamps to 0 or 1 and invert() to the extreme eigenvalue.  Where
+    the interpolation needs a rank that is not stored (beyond a stored
+    stretch that is not an end of the pool, or across a gap in the ranks),
+    both raise ValueError instead of interpolating across the gap.
     """
 
     pooled: np.ndarray
-    below: int = 0
+    ranks: np.ndarray | None = None
     total_count: int | None = None
 
     def __post_init__(self):
         pooled = np.asarray(self.pooled, float)
         pooled.flags.writeable = False
         object.__setattr__(self, "pooled", pooled)
+        ranks = np.arange(1, pooled.size + 1) if self.ranks is None else np.asarray(self.ranks)
+        ranks.flags.writeable = False
+        object.__setattr__(self, "ranks", ranks)
         if self.total_count is None:
-            object.__setattr__(self, "total_count", self.below + pooled.size)
-        if pooled.size == 0 or self.below < 0 or self.below + pooled.size > self.total_count:
-            raise ValueError("need 0 <= below and below + pooled.size <= total_count "
-                             "with pooled nonempty")
+            object.__setattr__(self, "total_count", pooled.size)
+        if (pooled.size == 0 or ranks.shape != pooled.shape or ranks.dtype.kind not in "iu"
+                or ranks[0] < 1 or ranks[-1] > self.total_count or np.any(np.diff(ranks) <= 0)):
+            raise ValueError("need pooled nonempty with one increasing rank in "
+                             "1 .. total_count per eigenvalue")
 
     @functools.cached_property
     def _quantiles(self) -> np.ndarray:
-        return np.arange(self.below + 1, self.below + self.pooled.size + 1) / (
-            self.total_count + 1.0)
+        return self.ranks / (self.total_count + 1.0)
 
-    def _inside(self, x, xp, what: str) -> None:
-        x = np.asarray(x)
-        if ((self.below > 0 and np.any(x < xp[0]))
-                or (self.below + xp.size < self.total_count and np.any(x > xp[-1]))):
-            raise ValueError(f"{what} outside the stored IDS window "
-                             f"[{xp[0]!r}, {xp[-1]!r}]")
+    @functools.cached_property
+    def _gap_after(self) -> np.ndarray:
+        """[i + 1]: whether the rank after stored node i is not stored, for
+        i = -1 (rank 0, below the pool) .. pooled.size - 1; past rank n
+        there is nothing to store."""
+        edges = np.concatenate([[0], self.ranks, [self.total_count + 1]])
+        return np.diff(edges) != 1
+
+    def _read(self, x, xp, fp, what: str, **ends):
+        """np.interp(x, xp, fp, **ends), raising where np.interp would read a
+        neighbour that is not stored: it starts from the last node at or
+        below x and reads the next one unless x is on that node."""
+        j = np.searchsorted(xp, x, side="right") - 1
+        bad = ((j < 0) | (x > xp[np.maximum(j, 0)])) & self._gap_after[j + 1]
+        if np.any(bad):
+            first = float(np.asarray(x)[bad].flat[0] if np.ndim(x) else x)
+            raise ValueError(f"{what} {first!r} reads an interpolation neighbour outside "
+                             f"the stored IDS window [{xp[0]!r}, {xp[-1]!r}]")
+        return np.interp(x, xp, fp, **ends)
 
     def evaluate(self, E):
-        self._inside(E, self.pooled, "energy")
-        return np.interp(E, self.pooled, self._quantiles, left=0.0, right=1.0)
+        return self._read(E, self.pooled, self._quantiles, "energy", left=0.0, right=1.0)
 
     def invert(self, u):
-        q = self._quantiles
-        self._inside(u, q, "IDS level")
-        return np.interp(u, q, self.pooled)
+        return self._read(u, self._quantiles, self.pooled, "IDS level")
 
 
 def _ids_eigenvalues(v: np.ndarray, tsq: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -168,14 +196,11 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
     decides the rest exactly.
     """
     idx = list(realization_indices)
-    boxes = _batched(lambda _, v, tsq: (v, tsq), model, L_ids, seed, idx)
+    boxes = _boxes(model, L_ids, seed, idx)
     n = L_ids * len(idx)
 
     def count(energies) -> np.ndarray:
-        """Summed counts below each energy, over all boxes in one sweep."""
-        shifts = np.asarray(energies, float)[None, :]
-        return sum(sturm_counts_batch(v, tsq, np.repeat(shifts, v.shape[1], 0))[0]
-                   .sum(axis=0) for v, tsq in boxes)
+        return _box_counts(boxes, energies).sum(axis=0)
 
     bottom, top = model.gershgorin_bound
     near = 1e-9 * (top - bottom)
@@ -205,7 +230,150 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
                 br[2:] = xs[j], int(cs[j])
     pooled = np.sort(np.concatenate([_ids_eigenvalues(v, tsq, float(lower[0]), float(upper[2]))
                                      for v, tsq in boxes]))
-    return EmpiricalIDS(pooled=pooled, below=int(lower[1]), total_count=n)
+    return EmpiricalIDS(pooled=pooled, ranks=np.arange(int(lower[1]) + 1,
+                                                      int(lower[1]) + pooled.size + 1),
+                        total_count=n)
+
+
+def _box_counts(boxes, energies) -> np.ndarray:
+    """Sturm counts (R, K) of every box below each energy, one sweep per batch."""
+    shifts = np.asarray(energies, float)[None, :]
+    return np.concatenate([sturm_counts_batch(v, tsq, np.repeat(shifts, v.shape[1], 0))[0]
+                           for v, tsq in boxes])
+
+
+def pointwise_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices,
+                  energies) -> EmpiricalIDS:
+    """The IDS of empirical_ids on the same boxes, stored only where it is read.
+
+    energies(bottom, top) gives the energies evaluate() will be called at,
+    from the pool's smallest and largest eigenvalue.  The IDS stores ranks 1
+    and n = L_ids R and, for each such E, the two pool eigenvalues
+    lambda_c <= E < lambda_{c+1} that np.interp over the full pool reads, so
+    evaluate() reads at E what empirical_ids reads there, up to the
+    bisection tol of the stored eigenvalues; elsewhere it may raise.
+
+    - Ranks: one Sturm sweep at the energies gives every box's count c_r(E),
+      and c = sum_r c_r.
+    - Pruning: summed counts at E -+ h leave only the boxes that hold an
+      eigenvalue within h of E.  h holds _SIDE_EIGS pool eigenvalues at the
+      density of the counts around E, and doubles where a side holds none.
+      lambda_c is the largest of those boxes' eigenvalues of index
+      c_r(E) - 1, and lambda_{c+1} the smallest of index c_r(E).
+    - Extraction: eigenvalues_by_index_batch finds each (box, index) once,
+      from the tightest bracket that the counts of its box give, and each
+      box's found eigenvalues are kept ascending in index and inside the
+      pool's ends.  A found eigenvalue on the wrong side of E (E within tol
+      of it) moves its box one rank towards that side, until every found
+      eigenvalue is on its side.
+    """
+    idx = list(realization_indices)
+    boxes = _boxes(model, L_ids, seed, idx)
+    R, L = len(idx), L_ids
+    n = L * R
+    a, b = model.spectrum_bracket
+    # the count table: energies X ascending and each box's counts below them,
+    # C (R, M); a and b bracket every box's spectrum
+    X, C = np.array([a, b]), np.tile(np.array([0, L]), (R, 1))
+    keys, vals = np.empty(0, np.int64), np.empty(0)  # found eigenvalues by box * L + index
+    # the pool's extremes once found: a value found later, out of index order
+    # with them inside a cluster closer than tol, is clipped to them, so the
+    # ends handed to energies() stay the store's
+    ends = [-np.inf, np.inf]
+
+    def learn(energies) -> None:
+        nonlocal X, C
+        new = np.setdiff1d(energies, X)
+        if new.size:
+            order = np.argsort(np.concatenate([X, new]), kind="stable")
+            X = np.concatenate([X, new])[order]
+            C = np.concatenate([C, _box_counts(boxes, new)], axis=1)[:, order]
+
+    def find(want) -> None:
+        nonlocal keys, vals
+        new = np.setdiff1d(want, keys)
+        if not new.size:
+            return
+        r, j = np.divmod(new, L)
+        at = np.searchsorted(r, np.arange(R + 1))
+        # each bracket: the last table energy with count <= j, the first above
+        hi = np.concatenate([np.searchsorted(C[box], j[s0:s1], side="right")
+                             for box, (s0, s1) in enumerate(zip(at[:-1], at[1:]))])
+        lo = hi - 1
+        at = at[np.r_[0:R:_BATCH, R]]  # the columns of each batch of boxes
+        got = [eigenvalues_by_index_batch(v, tsq, r[s0:s1] - k * _BATCH, j[s0:s1], X[lo[s0:s1]],
+                                          X[hi[s0:s1]], C[r[s0:s1], lo[s0:s1]],
+                                          C[r[s0:s1], hi[s0:s1]], tol=_IDS_TOL)
+               for k, ((v, tsq), s0, s1) in enumerate(zip(boxes, at[:-1], at[1:]))]
+        keys, vals = np.concatenate([keys, new]), np.clip(np.concatenate([vals, *got]), *ends)
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        vals = vals[np.lexsort((vals, keys // L))]  # ascending in index within a box
+
+    every = np.arange(R)
+    find(np.concatenate([every * L, every * L + L - 1]))
+    ends[:] = bottom, top = float(vals.min()), float(vals.max())
+    E = np.asarray(energies(bottom, top), float).ravel()
+    if not np.all(np.isfinite(E)):
+        raise ValueError("IDS energies must be finite")
+    E = np.unique(E)
+    learn(E)
+    pos = np.searchsorted(X, E)
+    cs, first = np.unique(C[:, pos].sum(axis=0), return_index=True)  # summed counts at E
+    # h from the summed counts two table energies either side of each count's first E
+    p0, p1 = np.maximum(pos[first] - 2, 0), np.minimum(pos[first] + 2, X.size - 1)
+    rise = C[:, p1].sum(axis=0) - C[:, p0].sum(axis=0)
+    h = (X[p1] - X[p0]) * np.where(rise > 0, _SIDE_EIGS / np.maximum(rise, 1), 1.0)
+    h_lo, h_hi = np.maximum(h, _IDS_TOL), np.maximum(h, _IDS_TOL)
+    while True:
+        # below count c the same-count stretch starts at X[lo + 1], and X[lo]
+        # is the tightest energy with fewer; above, X[hi - 1] and X[hi]
+        S = C.sum(axis=0)
+        lo = np.searchsorted(S, cs, side="left") - 1
+        hi = np.searchsorted(S, cs, side="right")
+        open_lo = (cs >= 1) & (X[lo + 1] - X[lo.clip(min=0)] > h_lo)
+        open_hi = (cs < n) & (X[hi.clip(max=X.size - 1)] - X[hi - 1] > h_hi)
+        if not (open_lo.any() or open_hi.any()):
+            break
+        learn(np.concatenate([X[lo + 1][open_lo] - h_lo[open_lo],
+                              X[hi - 1][open_hi] + h_hi[open_hi]]))
+        h_lo[open_lo] *= 2
+        h_hi[open_hi] *= 2
+    # per energy: every box's count and the pruning energies of their sum
+    k = C[:, np.searchsorted(X, E)]
+    group = np.searchsorted(cs, k.sum(axis=0))
+    x_lo, x_hi = lo.clip(min=0)[group], hi.clip(max=X.size - 1)[group]
+    base = every[:, None] * L  # each box's first key
+    while True:
+        low, up = C[:, x_lo] < k, C[:, x_hi] > k
+        # a side whose boxes all moved out of the pruned range takes every box
+        low |= ~low.any(axis=0) & (k > 0)
+        up |= ~up.any(axis=0) & (k < L)
+        (r_lo, q_lo), (r_up, q_up) = np.nonzero(low), np.nonzero(up)
+        find(np.concatenate([r_lo * L + k[r_lo, q_lo] - 1, r_up * L + k[r_up, q_up]]))
+        # each box's largest found value below index k and smallest from k
+        # on: the pruned boxes' neighbours, and any other value found for the
+        # box (its ends, other energies' neighbours) on the wrong side of E
+        # within tol
+        at = np.searchsorted(keys, base + k)
+        nxt = np.minimum(at, keys.size - 1)
+        below = np.where((at > 0) & (keys[at - 1] >= base), vals[at - 1], -np.inf)
+        above = np.where((at < keys.size) & (keys[nxt] < base + L), vals[nxt], np.inf)
+        fewer, more = below > E, above <= E
+        if not (fewer.any() or more.any()):
+            break
+        k = k - fewer + more
+    total = k.sum(axis=0)
+    lam_lo, lam_hi = below.max(axis=0), above.min(axis=0)
+    ranks = np.concatenate([[1, n], total[total >= 1], total[total < n] + 1])
+    values = np.concatenate([[bottom, top], lam_lo[total >= 1], lam_hi[total < n]])
+    order = np.lexsort((values, ranks))
+    ranks, values = ranks[order], values[order]
+    same = np.diff(ranks) == 0
+    if np.any(np.diff(values) < 0) or np.any(np.diff(values)[same] != 0):
+        raise RuntimeError("pointwise_ids found pool eigenvalues out of rank order")
+    return EmpiricalIDS(pooled=values[np.r_[True, ~same]], ranks=ranks[np.r_[True, ~same]],
+                        total_count=n)
 
 
 def ids_at_critical(report: CriticalEnergyReport, model: PolymerModel) -> float:
@@ -249,19 +417,39 @@ class ClockSpacingSample:
             raise ValueError("rescaled gaps must be nonnegative")
 
 
+def _blocks(realization_indices, size: int) -> list:
+    idx = list(realization_indices)
+    if not idx:
+        raise ValueError("realizations must be >= 1")
+    return [idx[s:s + size] for s in range(0, len(idx), size)]
+
+
+def _boxes(model: PolymerModel, L_sites: int, seed: int, realization_indices) -> list:
+    """[(v, tsq)] of consecutive blocks of _BATCH realization indices, each
+    block in arrays of its own: for the IDS readers, which keep every box."""
+    return [potentials_for_sites_batch(model, L_sites, seed, block)
+            for block in _blocks(realization_indices, _BATCH)]
+
+
 def _batched(fn, model: PolymerModel, L_sites: int, seed: int, realization_indices,
              size: int = _BATCH) -> list:
     """[fn(indices, v, tsq)] over consecutive blocks of `size` realization
     indices, the last block shorter.
 
-    Each batch's disorder (v, tsq) exists only as fn's arguments, so one
-    batch at a time is in memory unless fn keeps it.
+    Every batch's disorder (v, tsq) is laid into one pair of buffers (the
+    last, shorter batch into a contiguous view of them), so one batch is in
+    memory and its pages are mapped once per call: fn must keep nothing of
+    v or tsq.
     """
-    idx = list(realization_indices)
-    if not idx:
-        raise ValueError("realizations must be >= 1")
-    return [fn(block, *potentials_for_sites_batch(model, L_sites, seed, block))
-            for block in (idx[s:s + size] for s in range(0, len(idx), size))]
+    blocks = _blocks(realization_indices, size)
+    rows = max(L_sites, 0), max(L_sites - 1, 0)  # the sampler names a bad size
+    flat = [np.empty(k * len(blocks[0])) for k in rows]
+
+    def lay(block):
+        out = tuple(f[:k * len(block)].reshape(k, len(block)) for f, k in zip(flat, rows))
+        return potentials_for_sites_batch(model, L_sites, seed, block, out=out)
+
+    return [fn(block, *lay(block)) for block in blocks]
 
 
 def _critical_density(model: PolymerModel, report: CriticalEnergyReport) -> float:

@@ -367,7 +367,8 @@ def test_les_poisson_window_outside_ids_fails(tmp_path, capsys):
 
 def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
     # les-poisson and sharpness pool only their unfolding window, by Sturm
-    # counts and bisection; ids and holder-probe still pool full spectra
+    # counts and bisection, and ids only the neighbours of the energies it
+    # reads (pointwise_ids); holder-probe still pools full spectra
     from polyspec import statistics
     calls = {"pool_spectra": 0}
 
@@ -381,7 +382,7 @@ def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
                         counted("pool_spectra", statistics.pool_spectra))
     golden = json.loads((Path(__file__).parent / "golden_kinds.json").read_text())
     for kind, full_pool in (("les-poisson", False), ("sharpness", False),
-                            ("ids", True), ("holder-probe", True)):
+                            ("ids", False), ("holder-probe", True)):
         calls.update(dict.fromkeys(calls, 0))
         run(cfg(kind, tmp_path, params=golden[kind]["params"], seed=5))
         assert (calls["pool_spectra"] > 0) == full_pool, (kind, calls)

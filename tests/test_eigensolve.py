@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.linalg import LinAlgError
 from scipy.linalg import eigvalsh_tridiagonal
 
 from polyspec import eigensolve
@@ -382,6 +383,65 @@ def test_window_eigenvalues_within_tol_of_lapack(case):
     assert np.all(np.abs(mine - ref[k0:k1]) <= tol + _rounding(H.diagonal, H.offdiagonal ** 2))
 
 
+@st.composite
+def indexed_columns(draw):
+    """R <= 4 boxes of one random explicit model and up to 12 columns
+    (box, index) with Sturm brackets: each index lies between the counts of
+    its box at two energies of the padded Gershgorin interval; columns come
+    by box, those of a box that share a bracket ascending in index."""
+    model = draw(explicit_models())
+    L = draw(st.integers(1, 50))
+    R = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
+    spread = 2 * np.sqrt(tsq.max(initial=0.0)) + 1.0
+    lo, hi = v.min() - spread, v.max() + spread
+    picks = draw(st.lists(st.tuples(st.integers(0, R - 1), st.floats(0, 1), st.floats(0, 1),
+                                    st.floats(0, 1)), min_size=1, max_size=12))
+    cols = set()
+    for r, u1, u2, w in picks:
+        e = np.sort([lo + u1 * (hi - lo), lo + u2 * (hi - lo)])
+        e = e if e[0] < e[1] else np.array([lo, hi])
+        counts = sturm_counts_batch(v[:, [r]], tsq[:, [r]], e[None, :])[0][0]
+        if counts[1] > counts[0]:
+            j = int(counts[0] + min(int(w * (counts[1] - counts[0])), counts[1] - counts[0] - 1))
+            cols.add((r, float(e[0]), float(e[1]), j, int(counts[0]), int(counts[1])))
+    assume(cols)
+    return v, tsq, sorted(cols)
+
+
+@settings(max_examples=60)
+@given(case=indexed_columns(), tol=st.sampled_from([1e-11, 1e-13]))
+@example(case=(np.array([[np.finfo(float).tiny], [0.0], [0.0]]), np.ones((2, 1)),
+               [(0, -3.0, 3.0, 1, 0, 3)]), tol=1e-11)
+def test_eigenvalues_by_index_match_lapack(case, tol):
+    # each column's eigenvalue, from its own bracket, within tol of LAPACK's
+    # eigenvalue of that index (select="i") plus what rounding allows (the
+    # pivot floor is the batch's)
+    v, tsq, cols = case
+    box, lo, hi, j, clo, chi = (np.array(c) for c in zip(*cols))
+    got = eigensolve.eigenvalues_by_index_batch(v, tsq, box, j, lo, hi, clo, chi, tol)
+    for r, k, x in zip(box, j, got):
+        t = -np.sqrt(tsq[:, r])
+        try:
+            want = eigvalsh_tridiagonal(v[:, r], t, select="i", select_range=(k, k))[0]
+        except LinAlgError:  # stebz gives up on a potential of 2.2e-308 (the smallest normal)
+            want = eigvalsh_tridiagonal(v[:, r], t, lapack_driver="sterf")[k]
+        assert abs(x - want) <= tol + _rounding(v, tsq)
+    assert np.all((lo <= got) & (got <= hi))
+
+
+def test_eigenvalues_by_index_rejects_bad_columns():
+    v, tsq = potentials_for_sites_batch(dimer_preset(0.6, 0.5), 20, 1, range(2))
+    good = dict(box=[0, 1], index=[3, 3], lo=[-3.0, -3.0], hi=[3.0, 3.0], below_lo=[0, 0],
+                below_hi=[20, 20])
+    assert eigensolve.eigenvalues_by_index_batch(v, tsq, **good).shape == (2,)
+    for key, bad in (("box", [1, 0]), ("box", [0, 2]), ("index", [20, 3]),
+                     ("below_lo", [4, 0]), ("hi", [-3.0, 3.0]), ("lo", [np.nan, -3.0])):
+        with pytest.raises(ValueError):
+            eigensolve.eigenvalues_by_index_batch(v, tsq, **dict(good, **{key: bad}))
+
+
 def test_anderson_example_has_clusters_below_tol():
     H = build_hamiltonian(lattice_for_sites(ANDERSON, 60, 3))
     ref = eigvalsh_tridiagonal(H.diagonal, -H.offdiagonal)
@@ -511,13 +571,17 @@ def sturm_batches(draw):
 @given(case=sturm_batches())
 def test_sturm_kernel_matches_numpy_loop(case):
     v, tsq, shifts = case
-    # a strided v (one operator) and a Fortran-ordered one go through the same path
+    # a strided v (one operator) and a Fortran-ordered one go through the same
+    # path, and so do one row range and a range per box on three threads
     for vv in (v, np.asfortranarray(v), v[:, 0][:, None]):
         R = vv.shape[1]
-        counts, d = sturm_counts_batch(vv, tsq[:, :R], shifts[:R])
         ref_counts, ref_d = _sturm_oracle(vv, tsq[:, :R], shifts[:R])
-        assert np.array_equal(counts, ref_counts)
-        assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
+        for cpus, floor in ((1, eigensolve._COUNT_SPLIT_FLOOR), (3, 0)):
+            with mock.patch.object(eigensolve, "_cpus", return_value=cpus), \
+                    mock.patch.object(eigensolve, "_COUNT_SPLIT_FLOOR", floor):
+                counts, d = sturm_counts_batch(vv, tsq[:, :R], shifts[:R])
+            assert np.array_equal(counts, ref_counts)
+            assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
 
 
 def test_sturm_batch_rejects_mismatched_shapes():
@@ -580,14 +644,27 @@ for L in (1, 2, 9):
     tsq = rng.uniform(0.25, 2.0, (L - 1, R))
     pivmin = _pivmin(v, tsq)
     ends, d = np.empty(2 * R, dtype=np.int64), np.empty(2 * R)
-    k.sturm_counts(L, R, 2, v, tsq, np.tile([-3.0, 3.0], R), pivmin, ends, d)
-    na = np.ascontiguousarray(ends[0::2])
-    off = np.concatenate([[0], np.cumsum(ends[1::2] - na)]).astype(np.int64)
+    for r0, r1 in ((0, R), (1, 3), (4, 5)):
+        k.sturm_counts(L, R, 2, r0, r1, v, tsq, np.tile([-3.0, 3.0], R), pivmin, ends, d)
+    na, nb = ends[0::2], ends[1::2]
+    off = np.concatenate([[0], np.cumsum(nb - na)]).astype(np.int64)
     assert off[-1] > 0 and (np.diff(off) == 0).any()
+    box = np.repeat(np.arange(R), nb - na)
+    j = na[box] + np.arange(off[-1]) - off[box]
     eig, sweeps = np.empty(off[-1]), np.empty(off[-1], dtype=np.int64)
-    for r0, r1 in ((0, R), (2, 4), (1, 2), (3, 5), (4, 5)):
-        assert k.window_eigenvalues(L, R, r0, r1, off, v, tsq, pivmin, -3.0, 3.0, 1e-11,
-                                    na, eig, sweeps) == 0
+    # one bracket per realization, then each column's own bracket [-3, x_j]
+    # or [x_j, 3] about its eigenvalue's Sturm count at 0
+    na0 = np.empty(R, dtype=np.int64)
+    k.sturm_counts(L, R, 1, 0, R, v, tsq, np.zeros(R), pivmin, na0, d[:R])
+    below = j < na0[box]
+    brackets = ((np.full(j.size, -3.0), np.full(j.size, 3.0), na[box], nb[box]),
+                (np.where(below, -3.0, 0.0), np.where(below, 0.0, 3.0),
+                 np.where(below, na[box], na0[box]), np.where(below, na0[box], nb[box])))
+    for lo, hi, clo, chi in brackets:
+        for r0, r1 in ((0, R), (2, 4), (1, 2), (3, 5), (4, 5)):
+            assert k.window_eigenvalues(L, R, r0, r1, off, v, tsq, pivmin, 1e-11, j, lo, hi,
+                                        np.ascontiguousarray(clo), np.ascontiguousarray(chi),
+                                        eig, sweeps) == 0
     # the vectors of realization 0's window: all columns, a range from mid-batch, none
     v0, t0, lam = v[:, 0].copy(), np.sqrt(tsq[:, 0]), eig[off[0]:off[1]].copy()
     K = lam.size
@@ -597,7 +674,8 @@ for L in (1, 2, 9):
     assert k.twisted_vectors(L, 0, 0, 0, v0, t0, pivmin, np.empty(0), np.empty((L, 0)),
                              np.empty(0)) == 0
     counts, piv = np.empty((R, 3), dtype=np.int64), np.empty((R, 3))
-    k.sturm_counts(L, R, 3, v, tsq, np.tile([-1.0, 0.0, 11.0], (R, 1)), pivmin, counts, piv)
+    k.sturm_counts(L, R, 3, 0, R, v, tsq, np.tile([-1.0, 0.0, 11.0], (R, 1)), pivmin, counts,
+                   piv)
     keys = np.empty((R, 2), dtype=np.uint64)
     k.stream_keys(R, 7, np.arange(R, dtype=np.uint64), keys)
     below = np.empty((R, 13), dtype=np.bool_)
@@ -641,7 +719,7 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     shifts = np.linspace(-2.5, 2.5, 7)[None, :]
     counts, d = np.empty((1, 7), dtype=np.int64), np.empty((1, 7))
     kernels = _load_kernel(lib)
-    kernels.sturm_counts(300, 1, 7, v, tsq, shifts, _pivmin(v, tsq), counts, d)
+    kernels.sturm_counts(300, 1, 7, 0, 1, v, tsq, shifts, _pivmin(v, tsq), counts, d)
     ref_counts, ref_d = sturm_counts_batch(v, tsq, shifts)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))

@@ -218,6 +218,19 @@ def test_batch_validates_num_sites_and_indices():
             potentials_for_sites_batch(m, 5, 1, idx)
 
 
+def test_batch_fills_caller_arrays():
+    # `out` arrays get the same bytes as fresh ones and are returned; a
+    # pair of the wrong shape raises before any draw
+    m = dimer_preset(0.6, 0.5)
+    want = potentials_for_sites_batch(m, 7, 3, range(5))
+    out = (np.full((7, 5), np.nan), np.full((6, 5), np.nan))
+    got = potentials_for_sites_batch(m, 7, 3, range(5), out=out)
+    assert all(g is o for g, o in zip(got, out))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    with pytest.raises(ValueError, match="out must have shapes"):
+        potentials_for_sites_batch(m, 7, 3, range(4), out=out)
+
+
 # seeds and spawn indices of one and of two 32-bit words, and negative seeds
 _SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -1, -(2 ** 40) - 7]
 _INDICES = [0, 1, 10 ** 6, 10 ** 6 + 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 64 - 1]

@@ -19,7 +19,8 @@ from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, lattice_for
                             potentials_for_sites_batch)
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
-                                 empirical_ids, windowed_ids, pool_spectra, ids_at_critical,
+                                 empirical_ids, windowed_ids, pointwise_ids, pool_spectra,
+                                 ids_at_critical,
                                  dos_at_critical, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
@@ -134,8 +135,10 @@ def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
     assert win.total_count == n
     # eigenvalues agree to 1e-12 on the scale of H (hoppings reach 1e2 here)
     tol = 1e-12 * max(1.0, np.abs(full.pooled).max())
-    # the offset is the full pool's rank of the first stored eigenvalue
-    stored = full.pooled[win.below:win.below + win.pooled.size]
+    # the stored ranks are consecutive, and the full pool's at those ranks
+    below = int(win.ranks[0]) - 1
+    assert np.array_equal(win.ranks, np.arange(below + 1, below + win.pooled.size + 1))
+    stored = full.pooled[below:below + win.pooled.size]
     assert np.abs(win.pooled - stored).max() <= tol
     if not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1):
         return  # les_ensemble raises on this window
@@ -150,15 +153,94 @@ def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
     assert np.all(np.abs(win.evaluate(Es) - full.evaluate(Es))
                   <= 1e-12 + 2 * tol / ((n + 1) * gaps))
     # beyond a window end that is not an end of the pool, both raise
-    q = (win.below + np.array([1, win.pooled.size])) / (n + 1.0)
-    for inside_pool, E, u in ((win.below > 0, win.pooled[0] - 1e-9, q[0] - 1e-9),
-                              (win.below + win.pooled.size < n, win.pooled[-1] + 1e-9,
+    q = (below + np.array([1, win.pooled.size])) / (n + 1.0)
+    for inside_pool, E, u in ((below > 0, win.pooled[0] - 1e-9, q[0] - 1e-9),
+                              (below + win.pooled.size < n, win.pooled[-1] + 1e-9,
                                q[1] + 1e-9)):
         if inside_pool:
             with pytest.raises(ValueError, match="outside the stored IDS window"):
                 win.evaluate(E)
             with pytest.raises(ValueError, match="outside the stored IDS window"):
                 win.invert(u)
+
+
+FREE = PolymerModel(PolymerSpec(1, [0.0], [1.0]), PolymerSpec(1, [0.0], [1.0]), 0.5)
+ANDERSON = PolymerModel(PolymerSpec(1, [3.0], [1e-3]), PolymerSpec(1, [-3.0], [1e-3]), 0.5)
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L=st.integers(1, 40), R=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       shift=st.sampled_from([1e-13, 4e-14, 1e-9]))
+@example(model=FREE, L=7, R=3, seed=1, u=[0.5], shift=1e-13)  # -max is the minimum
+@example(model=ANDERSON, L=30, R=4, seed=2, u=[0.0, 0.3, 1.0], shift=4e-14)  # clusters
+@example(model=dimer_preset(0.6, 0.5), L=40, R=6, seed=3, u=[0.25, 0.5], shift=1e-13)
+@example(model=UNEQUAL, L=1, R=1, seed=3, u=[0.0], shift=1e-13)
+@example(model=PolymerModel(PolymerSpec(4, [0.0] * 4, [1.0, 100.0, 1.0, 1.0]),
+                            PolymerSpec(1, [0.0], [1.0]), 0.125),
+         L=19, R=2, seed=1, u=[0.0], shift=1e-13)  # a pair closer than tol at both ends
+@example(model=PolymerModel(PolymerSpec(4, [0.0, 1.0, 0.0, 0.0], [100.0, 1.0, 1.0, 1.0]),
+                            PolymerSpec(2, [0.0, 0.25], [1.0, 1.7782794100389228]), 0.5),
+         L=17, R=4, seed=2, u=[0.0], shift=1e-13)  # an end within tol of a pruned box's
+def test_pointwise_ids_matches_full_pool(model, L, R, seed, u, shift):
+    # evaluate() at the energies it was built for equals empirical_ids on the
+    # same boxes: at the pool's eigenvalues, within tol of them, at both ends
+    # of the pool and of the reader's store, outside the spectrum and on a
+    # grid.  The stored eigenvalues are within delta (both sides' bisection
+    # tol and rounding) of the pool's at the same ranks, so N moves by at most
+    # the pool's own increment over delta: 1e-12 where no pool eigenvalue is
+    # within delta of E.
+    full = empirical_ids(model, L, seed, range(R))
+    n = full.total_count
+    picked = full.pooled[(np.asarray(u) * (n - 1)).astype(int)]
+
+    def read_at(bottom, top):
+        return np.concatenate([[bottom, top, bottom - 1.0, top + 1.0, -top, -bottom],
+                               full.pooled[[0, -1]], picked, picked - shift, picked + shift,
+                               np.linspace(bottom, top, 9)])
+
+    ids = pointwise_ids(model, L, seed, range(R), read_at)
+    assert ids.total_count == n and ids.ranks[0] == 1 and ids.ranks[-1] == n
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
+    norm = np.abs(v).max() + 2 * np.sqrt(tsq.max(initial=0.0))
+    delta = statistics._IDS_TOL + 2 * (16 * np.finfo(float).eps * norm + 2 * _pivmin(v, tsq))
+    assert np.abs(ids.pooled - full.pooled[ids.ranks - 1]).max() <= delta
+    E = read_at(float(ids.pooled[0]), float(ids.pooled[-1]))
+    got, want = ids.evaluate(E), full.evaluate(E)
+    slack = np.maximum(full.evaluate(E + delta) - want, want - full.evaluate(E - delta))
+    assert np.all(np.abs(got - want) <= 1e-12 + slack)
+
+
+def test_pointwise_ids_draws_each_box_once(monkeypatch):
+    # the boxes are drawn once and kept; every count and every eigenvalue
+    # comes from those arrays
+    drawn = []
+
+    def recorded(model, num_sites, seed, indices, out=None):
+        drawn.extend(indices)
+        return potentials_for_sites_batch(model, num_sites, seed, indices, out)
+
+    monkeypatch.setattr(statistics, "potentials_for_sites_batch", recorded)
+    ids = pointwise_ids(dimer_preset(0.6, 0.5), 50, 4, range(300),
+                        lambda bottom, top: np.linspace(bottom, top, 5))
+    assert sorted(drawn) == list(range(300)) and ids.total_count == 15000
+
+
+def test_ids_raises_across_a_rank_gap():
+    # ranks 1, 2 and 5, 6 of 6: N reads on a stored node and between
+    # consecutive ranks, and raises where np.interp would join ranks 2 and 5
+    ids = EmpiricalIDS(pooled=[0.0, 1.0, 3.0, 4.0], ranks=[1, 2, 5, 6], total_count=6)
+    assert ids.evaluate([-1.0, 0.5, 1.0, 3.0, 3.5, 4.0, 9.0]) == pytest.approx(
+        [0.0, 1.5 / 7, 2 / 7, 5 / 7, 5.5 / 7, 6 / 7, 1.0], abs=1e-15)
+    assert ids.invert([2 / 7, 5 / 7, 5.5 / 7]) == pytest.approx([1.0, 3.0, 3.5], abs=1e-15)
+    for E in (1.5, 2.999, [0.5, 2.0]):
+        with pytest.raises(ValueError, match="outside the stored IDS window"):
+            ids.evaluate(E)
+    with pytest.raises(ValueError, match="outside the stored IDS window"):
+        ids.invert(3 / 7)
+    for ranks, n in (([1, 1, 5, 6], 6), ([0, 2, 5, 6], 6), ([1, 2, 5, 7], 6), ([1, 2, 5], 6)):
+        with pytest.raises(ValueError, match="increasing rank"):
+            EmpiricalIDS(pooled=[0.0, 1.0, 3.0, 4.0], ranks=ranks, total_count=n)
 
 
 @settings(max_examples=60)
