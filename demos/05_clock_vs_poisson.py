@@ -6,7 +6,7 @@ Rescaled nearest-neighbor spacings near the critical energy concentrate at 1
 import numpy as np
 from scipy.stats import kstest
 
-from polyspec import (dimer_preset, find_critical_energies, empirical_ids,
+from polyspec import (dimer_preset, find_critical_energies, windowed_ids,
                       les_ensemble, gap_statistics, clock_spacing_statistic,
                       counting_statistics)
 
@@ -21,7 +21,8 @@ print(f"  mean rescaled gap {summary['mean']:.4f}, variance {summary['variance']
 ks_clock = kstest(sample.rescaled_gaps, "expon").statistic
 
 L = 2000
-ids = empirical_ids(model, L_ids=L, seed=331, realization_indices=range(500))
+ids = windowed_ids(model, L_ids=L, seed=331, realization_indices=range(500),
+                   span=(1.2, 1.2), half_width=10 / L)
 samples = les_ensemble(model, 1.2, L, 500, seed=22, window_atoms=10, ids=ids)
 gs = gap_statistics(samples)
 print(f"\nPoisson side (E_0 = 1.2, unfolded):")

@@ -24,7 +24,7 @@ from .prufer import (angle_map_m, free_phase_batch, relative_prufer_batch,
                      phase_shift)
 from .statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
                          GapStatistics, CountingStatistics, HolderReport,
-                         InsufficientDataError, empirical_ids, windowed_ids,
+                         InsufficientDataError, windowed_ids, pointwise_ids,
                          ids_at_critical, dos_at_critical, les_ensemble,
                          gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test,

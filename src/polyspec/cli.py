@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .model import PolymerModel, model_from_dict, anderson_preset
 from .transfer import critical_tol_floor, find_critical_energies, expansion_coeffs, lyapunov
-from .statistics import (empirical_ids, windowed_ids, pointwise_ids, ids_at_critical,
+from .statistics import (windowed_ids, pointwise_ids, ids_at_critical,
                          dos_at_critical, les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
                          holder_probe, minami_probe, COUNTING_MIN_SAMPLES)
@@ -455,10 +455,11 @@ def _ids_indices(params):
     return range(10 ** 6, 10 ** 6 + int(params["ids_realizations"]))
 
 
-def _build_ids(model, params, seed, E0, half_width):
-    """The pooled IDS that unfolding at E0 reads, within +-half_width of N(E0)."""
+def _build_ids(model, params, seed, span, half_width):
+    """The pooled IDS that its reader reads on the energy span and within
+    +-half_width of N there."""
     return windowed_ids(model, int(params["ids_L"]), seed, _ids_indices(params),
-                        E0, half_width)
+                        span, half_width)
 
 
 def _gap_rows(samples, *prefix):
@@ -478,7 +479,7 @@ def _les_outputs(samples):
 
 def _exp_les_poisson(model, params, seed):
     E0, L, window_atoms = float(params["E0"]), int(params["L"]), int(params["window_atoms"])
-    ids = _build_ids(model, params, seed, E0, window_atoms / L)
+    ids = _build_ids(model, params, seed, (E0, E0), window_atoms / L)
     samples = les_ensemble(model, E0, L, int(params["realizations"]), seed,
                            window_atoms=window_atoms, ids=ids)
     gs, stats, tables = _les_outputs(samples)
@@ -587,7 +588,8 @@ def _exp_sharpness(model, params, seed):
     control_E0, control_L = float(params["control_E0"]), int(params["control_L"])
     control = (model, control_E0, control_L, int(params["control_realizations"]), seed)
     control_atoms = int(params["control_window_atoms"])
-    control_ids = _build_ids(model, params, seed, control_E0, control_atoms / control_L)
+    control_ids = _build_ids(model, params, seed, (control_E0, control_E0),
+                             control_atoms / control_L)
     control_unfolded = gap_statistics(les_ensemble(
         *control, window_atoms=control_atoms, ids=control_ids))
     control_resc_samples = les_ensemble(*control, window_atoms=control_atoms,
@@ -623,8 +625,9 @@ def _exp_minami(model, params, seed):
 
 
 def _exp_holder(model, params, seed):
-    ids = empirical_ids(model, int(params["ids_L"]), seed, _ids_indices(params))
-    rep = holder_probe(ids, float(params["E0"]), params["scales"])
+    E0, h_max = float(params["E0"]), float(max(params["scales"]))
+    ids = _build_ids(model, params, seed, (E0 - h_max, E0 + h_max), h_max)
+    rep = holder_probe(ids, E0, params["scales"])
     stats = {"rho1": rep.rho1, "rho2": rep.rho2, "product": rep.product,
              "satisfies_condition": rep.satisfies_condition}
     rows = [(float(h), float(a), float(b))

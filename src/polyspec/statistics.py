@@ -7,12 +7,13 @@ Poissonian counts).  Everything here is ensemble-driven with deterministic
 per-realization substreams.
 
 The empirical IDS N(E) interpolates the pooled eigenvalues of iid boxes at
-their plotting positions.  It is stored three ways, each holding what its
-readers use: the full pool (empirical_ids: holder_probe, the tests' oracle),
-a window of consecutive ranks around N(E0) (windowed_ids: unfolding), and
-the pool's two ends with the interpolation neighbours of given energies
-(pointwise_ids: the `ids` kind).  Sturm counts give the global ranks, and
-the compiled window kernel finds only the stored eigenvalues.
+their plotting positions.  No reader needs the whole pool, so it is stored
+two ways, each holding what its readers use: the consecutive ranks whose
+plotting positions lie near N on an energy span (windowed_ids: unfolding
+and holder_probe), and the pool's two ends with the interpolation
+neighbours of given energies (pointwise_ids: the `ids` kind).  Sturm counts
+give the global ranks, and the compiled window kernel finds only the
+stored eigenvalues.
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ __all__ = [
     "GapStatistics",
     "CountingStatistics",
     "HolderReport",
-    "pool_spectra",
-    "empirical_ids",
     "windowed_ids",
     "pointwise_ids",
     "ids_at_critical",
@@ -56,10 +55,6 @@ __all__ = [
 # fixed realization batch sizes; the Sturm pivot floor is taken per batch
 _BATCH = 256
 _PSI_BATCH = 16
-# full-spectrum pool: a block solves L packed columns per box, and smaller
-# blocks run faster (32 boxes of 2000 sites: 3.1 us per eigenvalue on 2
-# CPUs, against 4.0 at 256)
-_POOL_BATCH = 32
 # windowed IDS: bisection tol of the stored eigenvalues (they stay within
 # 1e-12 of LAPACK's), ranks stored beyond the unfolding window on each side,
 # and trial energies per bracket and Sturm sweep
@@ -142,59 +137,23 @@ class EmpiricalIDS:
         return self._read(u, self._quantiles, self.pooled, "IDS level")
 
 
-def _ids_eigenvalues(v: np.ndarray, tsq: np.ndarray, a: float, b: float) -> np.ndarray:
-    """All eigenvalues in [a, b) of one (v, tsq) box batch at _IDS_TOL,
-    each box's ascending, box after box."""
-    return np.concatenate(eigenvalues_in_window_batch(v, tsq, a, b, tol=_IDS_TOL))
-
-
-def pool_spectra(model: PolymerModel, L_ids: int, seed: int,
-                 realization_indices) -> np.ndarray:
-    """Concatenated full spectra of iid boxes, one per realization index.
-
-    Each box's spectrum is every eigenvalue in the model's spectrum_bracket,
-    found by the compiled window kernel at _IDS_TOL on every CPU; the boxes
-    are drawn in _POOL_BATCH blocks and each block is solved before the next
-    is drawn.  Raises RuntimeError rather than return fewer than L_ids
-    eigenvalues per box.
-    """
-    idx = list(realization_indices)
-    a, b = model.spectrum_bracket
-    pool = np.concatenate(_batched(lambda _, v, tsq: _ids_eigenvalues(v, tsq, a, b),
-                                   model, L_ids, seed, idx, _POOL_BATCH))
-    if pool.size != L_ids * len(idx):
-        raise RuntimeError(f"pool_spectra found {pool.size} eigenvalues in [{a!r}, {b!r}) "
-                           f"for {len(idx)} boxes of {L_ids} sites")
-    return pool
-
-
-def empirical_ids(model: PolymerModel, L_ids: int, seed: int,
-                  realization_indices) -> EmpiricalIDS:
-    """Pool the full spectra of iid boxes of L_ids sites, one per index."""
-    pooled = np.sort(pool_spectra(model, L_ids, seed, realization_indices))
-    return EmpiricalIDS(pooled=pooled)
-
-
-def _unfolding_window_error(E0, n: int) -> ValueError:
-    return ValueError(f"unfolding window at E0={E0} leaves the pooled IDS: N(E0) "
-                      f"+- window_atoms/L must lie in [1/(n+1), n/(n+1)], n={n}")
-
-
 def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices,
-                 E0: float, half_width: float) -> EmpiricalIDS:
-    """The IDS of empirical_ids on the same boxes, stored only where
-    evaluate/invert are read within +-half_width of N(E0).
+                 span, half_width: float) -> EmpiricalIDS:
+    """The IDS of the pooled spectra of iid boxes, one per realization index,
+    stored only where evaluate/invert are read: on the energy span
+    (E_lo, E_hi) and at the levels within +-half_width of N there.
 
-    Summed Sturm counts just below and above E0 place N(E0) between the
-    plotting positions of the eigenvalues near E0; n = L_ids R.  Summed counts
-    at _BRACKET_POINTS trial energies per bracket and sweep then bracket the
-    ranks n(N(E0) +- half_width), padded by _RANK_PAD ranks so that every
-    interpolation neighbour is stored.  Bisection extracts the eigenvalues
-    between the brackets, and the count below the lower one is their global
-    rank offset.  A window outside [1/(n+1), n/(n+1)] for every N(E0) the
-    counts allow raises les_ensemble's ValueError, naming E0; les_ensemble
-    decides the rest exactly.
+    Summed Sturm counts just below E_lo and above E_hi place N on the span
+    between the plotting positions of the eigenvalues near it; n = L_ids R.
+    Summed counts at _BRACKET_POINTS trial energies per bracket and sweep then
+    bracket the ranks n(N(E_lo) - half_width) and n(N(E_hi) + half_width),
+    padded by _RANK_PAD ranks so that every interpolation neighbour is stored
+    and clipped into 1 .. n.  Bisection extracts the eigenvalues between the
+    brackets, and the count below the lower one is their global rank offset.
     """
+    E_lo, E_hi = (float(E) for E in span)
+    if not E_lo <= E_hi:
+        raise ValueError(f"IDS span needs E_lo <= E_hi, got ({E_lo!r}, {E_hi!r})")
     idx = list(realization_indices)
     boxes = _boxes(model, L_ids, seed, idx)
     n = L_ids * len(idx)
@@ -204,16 +163,16 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
 
     bottom, top = model.gershgorin_bound
     near = 1e-9 * (top - bottom)
-    i_lo, i_hi = (int(c) for c in count([E0 - near, E0 + near]))
-    k = (n + 1) * half_width  # (n+1) N(E0) lies in [i_lo, i_hi + 1]
-    if i_hi < k or i_lo + k > n:
-        raise _unfolding_window_error(E0, n)
+    i_lo, i_hi = (int(c) for c in count([E_lo - near, E_hi + near]))
+    # (n+1) N on the span lies in [i_lo, i_hi + 1]; levels lie in [0, 1], so
+    # a half width beyond 1 stores every rank
+    k = (n + 1) * min(half_width, 1.0)
     lo_rank = max(math.floor(i_lo - k) - _RANK_PAD, 0)
     hi_rank = min(math.ceil(i_hi + 1 + k) + _RANK_PAD, n)
     # [x0, count(x0), x1, count(x1)] around lo_rank and hi_rank; a bracket
     # is done once its outer count is within `slack` ranks of its target
     a, b = model.spectrum_bracket
-    lower, upper = [a, 0, E0 - near, i_lo], [E0 + near, i_hi, b, n]
+    lower, upper = [a, 0, E_lo - near, i_lo], [E_hi + near, i_hi, b, n]
     slack = max(_RANK_PAD, (hi_rank - lo_rank) // 64)
     while todo := [(br, target) for br, target, off in
                    ((lower, lo_rank, lo_rank - lower[1]), (upper, hi_rank, upper[3] - hi_rank))
@@ -228,8 +187,10 @@ def windowed_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices
             j = np.searchsorted(cs, target, side="left")
             if j < _BRACKET_POINTS:
                 br[2:] = xs[j], int(cs[j])
-    pooled = np.sort(np.concatenate([_ids_eigenvalues(v, tsq, float(lower[0]), float(upper[2]))
-                                     for v, tsq in boxes]))
+    pooled = np.sort(np.concatenate([
+        e for v, tsq in boxes
+        for e in eigenvalues_in_window_batch(v, tsq, float(lower[0]), float(upper[2]),
+                                             tol=_IDS_TOL)]))
     return EmpiricalIDS(pooled=pooled, ranks=np.arange(int(lower[1]) + 1,
                                                       int(lower[1]) + pooled.size + 1),
                         total_count=n)
@@ -244,13 +205,14 @@ def _box_counts(boxes, energies) -> np.ndarray:
 
 def pointwise_ids(model: PolymerModel, L_ids: int, seed: int, realization_indices,
                   energies) -> EmpiricalIDS:
-    """The IDS of empirical_ids on the same boxes, stored only where it is read.
+    """The IDS of the pooled spectra of iid boxes, one per realization index,
+    stored only where it is read.
 
     energies(bottom, top) gives the energies evaluate() will be called at,
     from the pool's smallest and largest eigenvalue.  The IDS stores ranks 1
     and n = L_ids R and, for each such E, the two pool eigenvalues
     lambda_c <= E < lambda_{c+1} that np.interp over the full pool reads, so
-    evaluate() reads at E what empirical_ids reads there, up to the
+    evaluate() reads at E what the full pool reads there, up to the
     bisection tol of the stored eigenvalues; elsewhere it may raise.
 
     - Ranks: one Sturm sweep at the energies gives every box's count c_r(E),
@@ -476,7 +438,8 @@ def les_ensemble(model: PolymerModel, E0: float, L_sites: int, realizations: int
         N0 = float(ids.evaluate(E0))
         du, n = window_atoms / L_sites, ids.total_count
         if N0 - du < 1 / (n + 1) or N0 + du > n / (n + 1):
-            raise _unfolding_window_error(E0, n)
+            raise ValueError(f"unfolding window at E0={E0} leaves the pooled IDS: N(E0) "
+                             f"+- window_atoms/L must lie in [1/(n+1), n/(n+1)], n={n}")
         a, b = float(ids.invert(N0 - du)), float(ids.invert(N0 + du))
     else:
         n_Ec = float(dos_value)
@@ -702,7 +665,9 @@ def holder_probe(ids: EmpiricalIDS, E0: float, scales) -> HolderReport:
     rho1 regresses log |N(E0 +- h) - N(E0)| on log h over the given widths;
     rho2 does the same for the inverse function at u0 = N(E0).  Degenerate
     (zero) increments are skipped.  Slopes are reported raw, without capping
-    at 1.
+    at 1.  With h = max(scales), it reads N on [E0 - h, E0 + h] and its
+    inverse at the levels in [u0 - h, u0 + h], clamped to [0, 1]: the store
+    windowed_ids(..., (E0 - h, E0 + h), h) holds all of them.
     """
     scales = np.asarray(sorted(scales), float)
     if np.any(scales <= 0):

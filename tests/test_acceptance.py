@@ -18,7 +18,7 @@ from polyspec.model import dimer_preset, anderson_preset, lattice_for_sites
 from polyspec.eigensolve import build_hamiltonian, dense_oracle
 from polyspec.transfer import find_critical_energies, lyapunov
 from polyspec.prufer import phase_shift
-from polyspec.statistics import (empirical_ids, ids_at_critical, gap_statistics,
+from polyspec.statistics import (pointwise_ids, ids_at_critical, gap_statistics,
                                  les_ensemble)
 from polyspec.transport import transport_exponent
 
@@ -85,12 +85,13 @@ def test_criterion_02_lyapunov_dichotomy():
 
 def test_criterion_03_ids_branch_consistency():
     m = dimer_preset(SQ2, 0.5)
-    ids = empirical_ids(m, 2000, ACCEPT_SEED + 2, range(500))
     rep = find_critical_energies(m)[-1]
+    Es = np.linspace(0.0, 2.6, 200)
+    ids = pointwise_ids(m, 2000, ACCEPT_SEED + 2, range(500),
+                        lambda bottom, top: np.concatenate([Es, -Es, [rep.energy]]))
     formula = ids_at_critical(rep, m)
     emp = float(ids.evaluate(rep.energy))
     branch_err = abs(emp - formula)
-    Es = np.linspace(0.0, 2.6, 200)
     sym_err = float(np.abs(ids.evaluate(Es) + ids.evaluate(-Es) - 1.0).max())
     ok = ids.total_count >= 10 ** 6 and branch_err <= 0.01 and sym_err <= 0.01
     assert _report(3, "IDS branch consistency", ok,

@@ -365,27 +365,28 @@ def test_les_poisson_window_outside_ids_fails(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unfolding_kinds_read_windowed_ids(tmp_path, monkeypatch):
-    # les-poisson and sharpness pool only their unfolding window, by Sturm
-    # counts and bisection, and ids only the neighbours of the energies it
-    # reads (pointwise_ids); holder-probe still pools full spectra
-    from polyspec import statistics
-    calls = {"pool_spectra": 0}
+def test_no_kind_stores_its_whole_pool(tmp_path, monkeypatch):
+    # les-poisson, sharpness and holder-probe store the ranks near N on the
+    # span they read (windowed_ids), and ids only the neighbours of the
+    # energies it reads (pointwise_ids): each store holds fewer eigenvalues
+    # than the pool it interpolates
+    stores = []
 
-    def counted(name, original):
+    def recorded(original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+            stores.append(original(*args, **kwargs))
+            return stores[-1]
         return wrapper
 
-    monkeypatch.setattr(statistics, "pool_spectra",
-                        counted("pool_spectra", statistics.pool_spectra))
+    for name in ("windowed_ids", "pointwise_ids"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     golden = json.loads((Path(__file__).parent / "golden_kinds.json").read_text())
-    for kind, full_pool in (("les-poisson", False), ("sharpness", False),
-                            ("ids", False), ("holder-probe", True)):
-        calls.update(dict.fromkeys(calls, 0))
+    for kind in ("les-poisson", "sharpness", "ids", "holder-probe"):
+        stores.clear()
         run(cfg(kind, tmp_path, params=golden[kind]["params"], seed=5))
-        assert (calls["pool_spectra"] > 0) == full_pool, (kind, calls)
+        assert stores, kind
+        assert all(ids.pooled.size < ids.total_count for ids in stores), (
+            kind, [(ids.pooled.size, ids.total_count) for ids in stores])
 
 
 def test_ids_extra_probe_writes_null_formula(tmp_path):

@@ -19,15 +19,14 @@ from polyspec.model import (PolymerSpec, PolymerModel, dimer_preset, lattice_for
                             potentials_for_sites_batch)
 from polyspec.transfer import find_critical_energies, expansion_coeffs, CriticalEnergyReport
 from polyspec.statistics import (EmpiricalIDS, PointProcessSample, ClockSpacingSample,
-                                 empirical_ids, windowed_ids, pointwise_ids, pool_spectra,
-                                 ids_at_critical,
+                                 windowed_ids, pointwise_ids, ids_at_critical,
                                  dos_at_critical, les_ensemble, gap_statistics,
                                  counting_statistics, clock_spacing_statistic,
                                  uniformity_test, holder_probe, minami_probe,
                                  InsufficientDataError, _ks_distance, _exp1_cdf,
                                  _chi2_sf)
 
-from conftest import explicit_models
+from conftest import empirical_ids, explicit_models, pool_spectra
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -83,9 +82,11 @@ def test_pool_spectra_matches_serial_sterf(model, L_ids, seed, indices):
     assert np.abs(got - want).max() <= bound
 
 
-def test_pool_spectra_draws_boxes_on_calling_thread(tmp_path, monkeypatch):
-    # worker threads run only the compiled window kernel; every package
-    # function stays on the calling thread, and no thread outlives the pool
+@pytest.mark.parametrize("kind", ["ids", "holder-probe"])
+def test_ids_stores_draw_boxes_on_calling_thread(tmp_path, monkeypatch, kind):
+    # worker threads run only the compiled kernels; every package function
+    # stays on the calling thread, each box is drawn once, and no thread
+    # outlives the store
     threads = []
 
     def recorded(model, num_sites, seed, indices):
@@ -94,20 +95,22 @@ def test_pool_spectra_draws_boxes_on_calling_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(statistics, "potentials_for_sites_batch", recorded)
     before = threading.active_count()
-    code = main(["ids", "--out", str(tmp_path), "--seed", "5",
-                 "--param", "L_ids=200", "--param", "realizations=9"])
+    sizes = {"ids": ("L_ids", "realizations"), "holder-probe": ("ids_L", "ids_realizations")}
+    L_key, R_key = sizes[kind]
+    code = main([kind, "--out", str(tmp_path), "--seed", "5",
+                 "--param", f"{L_key}=200", "--param", f"{R_key}=9"])
     assert code in (0, 2)
     assert threading.active_count() == before
     assert len(threads) == 9 and set(threads) == {threading.get_ident()}
 
 
 def test_pool_spectra_refuses_a_short_pool():
-    # a bracket that misses part of the spectrum raises instead of
-    # returning fewer than L_ids eigenvalues per box
+    # the reference pool fails on a bracket that misses part of the spectrum
+    # instead of returning fewer than L_ids eigenvalues per box
     bottom, top = UNEQUAL.gershgorin_bound
     narrow = property(lambda self: (bottom, 0.5 * (bottom + top)))
     with mock.patch.object(PolymerModel, "gershgorin_bound", narrow), \
-            pytest.raises(RuntimeError, match="for 4 boxes of 20 sites"):
+            pytest.raises(AssertionError, match="for 4 boxes of 20 sites"):
         pool_spectra(UNEQUAL, 20, 1, range(4))
 
 
@@ -119,34 +122,49 @@ def test_empirical_ids_deterministic_chain():
 @settings(max_examples=40)
 @given(model=explicit_models(), L=st.integers(4, 40), R=st.integers(2, 12),
        seed=st.integers(0, 2 ** 32 - 1), x=st.floats(-0.1, 1.1),
-       h=st.floats(1e-4, 0.1))
-def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
+       span=st.just(0.0) | st.floats(0.0, 0.3), atoms=st.integers(1, 4),
+       L_les=st.integers(40, 10000))
+def test_windowed_ids_matches_full_pool(model, L, R, seed, x, span, atoms, L_les):
+    # the store on [E_lo, E_hi] and within h = atoms / L_les of N there; with
+    # E_lo = E_hi = E0 it is the store that unfolding at E0 reads
     full = empirical_ids(model, L, seed, range(R))
     n = full.total_count
-    E0 = float(full.pooled[0] + x * (full.pooled[-1] - full.pooled[0]))
-    N0 = float(full.evaluate(E0))
-    try:
-        win = windowed_ids(model, L, seed, range(R), E0, h)
-    except ValueError as e:
-        # raised only for a window outside [1/(n+1), n/(n+1)]
-        assert f"E0={E0}" in str(e)
-        assert not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1)
-        return
+    width = float(full.pooled[-1] - full.pooled[0])
+    E_lo = float(full.pooled[0] + x * width)
+    E_hi = E_lo + span * width
+    h = atoms / L_les
+    win = windowed_ids(model, L, seed, range(R), (E_lo, E_hi), h)
     assert win.total_count == n
+    N_lo, N_hi = float(full.evaluate(E_lo)), float(full.evaluate(E_hi))
+    # the ranks are clipped into 1 .. n, and reach an end of the pool where
+    # the levels read leave the plotting positions [1/(n+1), n/(n+1)]
+    assert 1 <= win.ranks[0] and win.ranks[-1] <= n
+    assert win.ranks[0] == 1 or (n + 1) * (N_lo - h) >= 1
+    assert win.ranks[-1] == n or (n + 1) * (N_hi + h) <= n
     # eigenvalues agree to 1e-12 on the scale of H (hoppings reach 1e2 here)
     tol = 1e-12 * max(1.0, np.abs(full.pooled).max())
+    # les_ensemble unfolding at E0 names E0 exactly when its window leaves
+    # them, on the full pool's N(E0); within tol of a pool eigenvalue the
+    # store's N(E0) may read the next rank, and either answer is right
+    for E0 in (E_lo, E_hi):
+        leaves = {not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1)
+                  for N0 in full.evaluate([E0 - tol, E0, E0 + tol])}
+        try:
+            les_ensemble(model, E0, L_les, 1, seed, window_atoms=atoms, ids=win)
+        except ValueError as e:
+            assert (f"E0={E0}" in str(e)) in leaves, str(e)
+        else:
+            assert False in leaves
     # the stored ranks are consecutive, and the full pool's at those ranks
     below = int(win.ranks[0]) - 1
     assert np.array_equal(win.ranks, np.arange(below + 1, below + win.pooled.size + 1))
     stored = full.pooled[below:below + win.pooled.size]
     assert np.abs(win.pooled - stored).max() <= tol
-    if not 1 / (n + 1) <= N0 - h <= N0 + h <= n / (n + 1):
-        return  # les_ensemble raises on this window
-    us = np.linspace(N0 - h, N0 + h, 17)
+    us = np.clip(np.linspace(N_lo - h, N_hi + h, 17), 0.0, 1.0)
     assert np.abs(win.invert(us) - full.invert(us)).max() <= tol
     # evaluate midway between stored neighbours, where it moves by at most
     # tol times its slope 1/((n+1) gap)
-    lo, hi = np.searchsorted(win.pooled, win.invert([N0 - h, N0 + h]))
+    lo, hi = np.searchsorted(win.pooled, win.invert(us[[0, -1]]))
     p = win.pooled[max(lo - 1, 0):hi + 1]
     gaps = np.diff(p)
     Es, gaps = (0.5 * (p[1:] + p[:-1]))[gaps > 1e-9], gaps[gaps > 1e-9]
@@ -162,6 +180,56 @@ def test_windowed_ids_matches_full_pool(model, L, R, seed, x, h):
                 win.evaluate(E)
             with pytest.raises(ValueError, match="outside the stored IDS window"):
                 win.invert(u)
+
+
+def test_windowed_ids_half_width_beyond_one_stores_every_rank():
+    # levels lie in [0, 1]: a wider half width (holder-probe's largest scale
+    # is not bounded) stores the whole pool instead of overflowing the ranks
+    full = empirical_ids(UNEQUAL, 30, 2, range(5))
+    for h in (1.0, 1e308):
+        win = windowed_ids(UNEQUAL, 30, 2, range(5), (0.1 - h, 0.1 + h), h)
+        assert list(win.ranks) == list(range(1, 151))
+        assert np.abs(win.pooled - full.pooled).max() <= 1e-12 * np.abs(full.pooled).max()
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L=st.integers(4, 40), R=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from(["inside", "bottom", "top", "outside"]), t=st.floats(-1.5, 1.5),
+       scales=st.lists(st.floats(1e-3, 0.3), min_size=2, max_size=6, unique=True))
+def test_holder_probe_on_span_store_matches_full_pool(model, L, R, seed, where, t, scales):
+    # holder_probe reads N within h = max(scales) of E0 and N^-1 within h of
+    # N(E0), so the span store answers as the full pool does: inside the
+    # spectrum, within h of either end (levels clamped to 0 or 1), and
+    # outside it, where both raise the same error.  The full pool holds the
+    # store's eigenvalues at the store's ranks: they agree with its own to
+    # the bisection tol (test_windowed_ids_matches_full_pool), which moves
+    # N by a rank where E0 is within tol of an eigenvalue, and the
+    # increments relatively more than 1e-10 inside clusters that close.
+    full = empirical_ids(model, L, seed, range(R))
+    bottom, top = float(full.pooled[0]), float(full.pooled[-1])
+    h = max(scales)
+    E0 = {"inside": bottom + (t + 1.5) / 3 * (top - bottom), "bottom": bottom + t * h,
+          "top": top + t * h, "outside": bottom - (2 + abs(t)) * h}[where]
+    win = windowed_ids(model, L, seed, range(R), (E0 - h, E0 + h), h)
+    pooled = full.pooled.copy()
+    pooled[win.ranks - 1] = win.pooled
+    full = EmpiricalIDS(pooled=np.sort(pooled))
+
+    def probe(ids):
+        try:
+            return holder_probe(ids, E0, scales)
+        except ValueError as e:
+            return type(e), str(e)
+
+    want, got = probe(full), probe(win)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert (got.rho1, got.rho2) == pytest.approx((want.rho1, want.rho2), rel=1e-10, abs=0)
+    np.testing.assert_allclose(got.dN, want.dN, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got.dE_inverse, want.dE_inverse, rtol=1e-10, atol=0)
 
 
 FREE = PolymerModel(PolymerSpec(1, [0.0], [1.0]), PolymerSpec(1, [0.0], [1.0]), 0.5)
@@ -405,7 +473,7 @@ def test_les_ensemble_argument_checks():
 
 def test_les_unit_intensity_localized():
     m = dimer_preset(0.6, 0.5)
-    ids = empirical_ids(m, L_ids=1000, seed=42, realization_indices=range(400))
+    ids = windowed_ids(m, 1000, 42, range(400), (1.2, 1.2), 8 / 1000)
     samples = les_ensemble(m, 1.2, 1000, 400, 43, window_atoms=8, ids=ids)
     counts = [np.searchsorted(s.atoms, 5.0) - np.searchsorted(s.atoms, -5.0)
               for s in samples]
