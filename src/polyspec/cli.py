@@ -388,8 +388,8 @@ def _exp_lyapunov(model, params, seed):
     steps = int(params["steps"])
     R = int(params["realizations"])
     rows, stats = [], {}
-    for E in params["energies"]:
-        g, se = lyapunov(model, float(E), steps, R, seed)
+    gammas, errors = lyapunov(model, np.array(params["energies"], float), steps, R, seed)
+    for E, g, se in zip(params["energies"], gammas.tolist(), errors.tolist()):
         rows.append((E, g, se, steps, R))
         stats[str(E)] = {"gamma": g, "stderr": se}
     return stats, {}, {"lyapunov": (["energy", "gamma", "stderr", "steps",

@@ -208,7 +208,7 @@ def _load_kernel(lib: Path) -> ctypes.CDLL:
     dll.stream_keys.argtypes = [n, j, u64, u64]
     dll.stream_below.argtypes = [n, u64, j, j, ctypes.c_double, u8]
     dll.fill_boxes.argtypes = [n, n, u64, ctypes.c_double, n, n, f64, f64, f64, f64]
-    dll.lyapunov_steps.argtypes = [n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
+    dll.lyapunov_steps.argtypes = [n, n, u64, j, j, ctypes.c_double, f64, f64, f64, i64]
     dll.window_eigenvalues.argtypes = [n] * 4 + [i64, f64, f64] + [ctypes.c_double] * 2 + [
         i64, f64, f64, i64, i64, f64, i64]
     dll.twisted_vectors.argtypes = [n] * 4 + [f64, f64, ctypes.c_double, f64, f64, f64]
@@ -241,9 +241,12 @@ def sturm_counts_batch(v: np.ndarray, tsq: np.ndarray,
     H - E; `last_pivots` are the final pivots d_{L-1}.  Pivots smaller in
     magnitude than pivmin are replaced by -pivmin, so an eigenvalue exactly
     at a shift counts as below it and no returned pivot is zero.  The
-    recursion runs as one compiled loop, built on the first call; the
-    operators are split into contiguous ranges that run on one thread each
-    (see _in_row_ranges), and every count is the same for any split.
+    recursion runs as one compiled loop, built on the first call, sites
+    outermost: below 8 shifts per operator (`LANE_SHIFTS` in kernels.c)
+    eight operators are the lanes of a vector, from 8 on the shifts are, and
+    every count and pivot is the same either way.  The operators are split
+    into contiguous ranges that run on one thread each (see _in_row_ranges),
+    and every count is the same for any split.
     """
     v = np.ascontiguousarray(v, float)
     tsq = np.ascontiguousarray(tsq, float)

@@ -1,6 +1,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <sys/mman.h>
 
 /* a pivot of magnitude below pivmin counts as -pivmin */
@@ -9,14 +10,113 @@ static inline double pivot(double x, double pivmin)
     return fabs(x) < pivmin ? -pivmin : x;
 }
 
+/* Lanes come in whole vectors: every run of lanes below starts and ends on
+   a multiple of VEC, padded with spare lanes whose results nobody reads,
+   so each lockstep loop is a whole number of fixed-width blocks. */
+enum { VEC = 8 };
+
+static int64_t vec_up(int64_t k)
+{
+    return (k + VEC - 1) / VEC * VEC;
+}
+
+/* VEC lanes of doubles, and of int64 masks or counts (a lane comparison
+   gives -1 where it holds, 0 elsewhere), in GCC's vector extensions, so
+   that any target's vector unit runs them.  No function takes or returns
+   one by value: the calling convention stays the same on every target. */
+typedef double vd __attribute__((vector_size(VEC * sizeof(double))));
+typedef int64_t vi __attribute__((vector_size(VEC * sizeof(int64_t))));
+/* x - (+0) is x itself, -0 and NaN included */
+#define SPLAT(x) ((x) - (vd){0})
+/* lanewise m ? a : b, for a mask m */
+#define SELECT(m, a, b) ((vd)(((m) & (vi)(a)) | (~(m) & (vi)(b))))
+#define VABS(x) ((vd)((vi)(x) & INT64_MAX))
+
+/* sturm_counts runs with VEC realizations as the vector lanes below this
+   many shifts per realization, and with the shifts as the lanes from it on */
+enum { LANE_SHIFTS = 8 };
+/* realizations of one panel of sturm_counts' realization lanes: its pivots,
+   shifts and counts stay in cache while each site's row segments of v and
+   tsq stream through */
+enum { PANEL = 32 * VEC };
+
+/* sturm_counts on the realizations r .. r1 - 1 (at most PANEL), VEC to a
+   vector, at K < LANE_SHIFTS shifts; sites outermost.  In a short last
+   block the lanes from r1 on repeat realization r1 - 1 and store nothing. */
+static void realization_lanes(int64_t L, int64_t R, int64_t K, int64_t r, int64_t r1,
+                              const double *restrict v, const double *restrict tsq,
+                              const double *restrict s, double pivmin,
+                              int64_t *restrict counts, double *restrict d)
+{
+    const int64_t nb = (r1 - r + VEC - 1) / VEC, whole = (r1 - r) / VEC;
+    const vd pm = SPLAT(pivmin), npm = SPLAT(-pivmin);
+    /* block b's pivots, shifts and counts at shift k sit at b K + k */
+    vd x[PANEL / VEC * (LANE_SHIFTS - 1)], sh[PANEL / VEC * (LANE_SHIFTS - 1)];
+    vi c[PANEL / VEC * (LANE_SHIFTS - 1)];
+    double lane[VEC];
+    int64_t at[VEC];  /* the short block's realization of each lane */
+    for (int g = 0; g < VEC; ++g)
+        at[g] = r + whole * VEC + g < r1 ? r + whole * VEC + g : r1 - 1;
+    for (int64_t b = 0; b < nb; ++b)
+        for (int k = 0; k < K; ++k) {
+            for (int g = 0; g < VEC; ++g)
+                lane[g] = s[(b < whole ? r + b * VEC + g : at[g]) * K + k];
+            memcpy(&sh[b * K + k], lane, sizeof(vd));
+            for (int g = 0; g < VEC; ++g)
+                lane[g] = v[b < whole ? r + b * VEC + g : at[g]];
+            vd y;
+            memcpy(&y, lane, sizeof y);
+            y -= sh[b * K + k];
+            x[b * K + k] = SELECT(VABS(y) < pm, npm, y);
+            c[b * K + k] = -(x[b * K + k] < 0.0);
+        }
+    for (int64_t n = 1; n < L; ++n) {
+        const double *vn = v + n * R, *tn = tsq + (n - 1) * R;
+        for (int64_t b = 0; b < nb; ++b) {
+            vd vr, tr;
+            if (b < whole) {
+                memcpy(&vr, vn + r + b * VEC, sizeof vr);
+                memcpy(&tr, tn + r + b * VEC, sizeof tr);
+            } else {
+                for (int g = 0; g < VEC; ++g)
+                    lane[g] = vn[at[g]];
+                memcpy(&vr, lane, sizeof vr);
+                for (int g = 0; g < VEC; ++g)
+                    lane[g] = tn[at[g]];
+                memcpy(&tr, lane, sizeof tr);
+            }
+            for (int64_t i = b * K; i < (b + 1) * K; ++i) {  /* as the shift lanes, bit for bit */
+                const vd y = (vr - sh[i]) - tr / x[i];
+                x[i] = SELECT(VABS(y) < pm, npm, y);
+                c[i] -= x[i] < 0.0;
+            }
+        }
+    }
+    for (int64_t i = 0; i < r1 - r; ++i)
+        for (int k = 0; k < K; ++k) {
+            d[(r + i) * K + k] = x[i / VEC * K + k][i % VEC];
+            counts[(r + i) * K + k] = c[i / VEC * K + k][i % VEC];
+        }
+}
+
 /* v (L, R) and tsq (L-1, R) hold one operator per column; s, counts and d
    (R, K) hold realization r's K shifts, counts below them and last pivots
-   in row r.  Only rows r0 .. r1 - 1 are swept and written. */
+   in row r.  Only rows r0 .. r1 - 1 are swept and written.  Below
+   LANE_SHIFTS shifts the realizations are the vector lanes, from it on the
+   shifts; each (r, k) runs the same recursion either way, so the counts
+   and pivots are the same. */
 void sturm_counts(int64_t L, int64_t R, int64_t K, int64_t r0, int64_t r1,
                   const double *restrict v, const double *restrict tsq,
                   const double *restrict s, double pivmin, int64_t *restrict counts,
                   double *restrict d)
 {
+    if (K < LANE_SHIFTS) {
+        for (int64_t r = r0; r < r1; r += PANEL) {
+            const int64_t e = r1 - r < PANEL ? r1 : r + PANEL;
+            realization_lanes(L, R, K, r, e, v, tsq, s, pivmin, counts, d);
+        }
+        return;
+    }
     for (int64_t r = r0; r < r1; ++r)
         for (int64_t i = r * K; i < (r + 1) * K; ++i) {
             const double x = pivot(v[r] - s[i], pivmin);
@@ -38,16 +138,6 @@ void sturm_counts(int64_t L, int64_t R, int64_t K, int64_t r0, int64_t r1,
             }
         }
     }
-}
-
-/* Lanes come in whole vectors: every run of lanes below starts and ends on
-   a multiple of VEC, padded with spare lanes whose results nobody reads,
-   so each lockstep loop is a whole number of fixed-width blocks. */
-enum { VEC = 8 };
-
-static int64_t vec_up(int64_t k)
-{
-    return (k + VEC - 1) / VEC * VEC;
 }
 
 /* One site's step of the twisted lanes k .. k + VEC - 1 of lane_sweep: the
@@ -845,22 +935,23 @@ void stream_keys(int64_t R, uint64_t seed, const uint64_t *idx, uint64_t *keys)
     }
 }
 
-/* GROUP streams, or GROUP products, advance in lockstep, so that their
-   independent Philox rounds and matrix products overlap in the CPU */
-enum { GROUP = 8, CHUNK = 256 };
+/* VEC streams advance in lockstep, so that their independent Philox rounds
+   overlap in the CPU; sign draws go CHUNK at a time */
+enum { CHUNK = 256 };
 
-/* below (R, n): whether draws j0 .. j0 + n - 1 of each stream (keys (R, 2))
-   are below p, as numpy's Generator(Philox(key=k)).random(j0 + n)[j0:] < p:
-   draw j is lane j % 4 of the block with counter j / 4 + 1, and its uniform
-   is (x >> 11) 2^-53. */
-void stream_below(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t n, double p,
-                  uint8_t *below)
+/* Draws j0 .. j0 + n - 1 of each stream (keys (R, 2)) below p, as numpy's
+   Generator(Philox(key=k)).random(j0 + n)[j0:] < p: draw j is lane j % 4
+   of the block with counter j / 4 + 1, and its uniform is (x >> 11) 2^-53.
+   Draw j of stream r goes to below[r rs + (j - j0) js]. */
+__attribute__((always_inline))
+static inline void draws_below(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t n,
+                               double p, uint8_t *below, const int64_t rs, const int64_t js)
 {
-    for (int64_t r0 = 0; r0 < R; r0 += GROUP) {
+    for (int64_t r0 = 0; r0 < R; r0 += VEC) {
         /* a short last group repeats its last stream and stores only its own */
-        const int64_t m = R - r0 < GROUP ? R - r0 : GROUP;
-        uint64_t key[GROUP][2];
-        for (int g = 0; g < GROUP; ++g) {
+        const int64_t m = R - r0 < VEC ? R - r0 : VEC;
+        uint64_t key[VEC][2];
+        for (int g = 0; g < VEC; ++g) {
             const int64_t r = g < m ? r0 + g : R - 1;
             key[g][0] = keys[2 * r];
             key[g][1] = keys[2 * r + 1];
@@ -868,20 +959,27 @@ void stream_below(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t n, doub
         for (uint64_t c = j0 / 4; 4 * c < j0 + n; ++c) {
             const uint64_t lo = 4 * c < j0 ? j0 : 4 * c;
             const uint64_t hi = 4 * c + 4 < j0 + n ? 4 * c + 4 : j0 + n;
-            uint64_t x[GROUP][4];
-            for (int g = 0; g < GROUP; ++g)
+            uint64_t x[VEC][4];
+            for (int g = 0; g < VEC; ++g)
                 philox_block(c + 1, key[g], x[g]);
             for (int64_t g = 0; g < m; ++g) {
-                uint8_t *out = below + (r0 + g) * n + (lo - j0);
+                uint8_t *out = below + (r0 + g) * rs + (lo - j0) * js;
                 if (hi - lo == 4)  /* a whole block: a fixed trip count */
                     for (int q = 0; q < 4; ++q)
-                        out[q] = (double)(x[g][q] >> 11) * 0x1p-53 < p;
+                        out[q * js] = (double)(x[g][q] >> 11) * 0x1p-53 < p;
                 else
                     for (uint64_t j = lo; j < hi; ++j)
-                        out[j - lo] = (double)(x[g][j % 4] >> 11) * 0x1p-53 < p;
+                        out[(j - lo) * js] = (double)(x[g][j % 4] >> 11) * 0x1p-53 < p;
             }
         }
     }
+}
+
+/* below (R, n): whether draws j0 .. j0 + n - 1 of each stream are below p */
+void stream_below(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t n, double p,
+                  uint8_t *below)
+{
+    draws_below(R, keys, j0, n, p, below, n, 1);
 }
 
 /* R boxes of L sites, one per stream: v (L, R) and tsq (L-1, R) get the
@@ -924,48 +1022,100 @@ int fill_boxes(int64_t L, int64_t R, const uint64_t *keys, double p, int64_t lp,
     return 0;
 }
 
-/* Advance R running 2x2 products P <- T P by steps j0 .. j0 + k - 1, step j
-   taking T = tp where draw j of the realization's stream (keys (R, 2)) is
-   below p and tm elsewhere.  P (R, 2, 2) and expo (R) are C-contiguous; tp
-   and tm are row-major 2x2.  The true product is 2^expo P: when an entry of
-   P exceeds 2^256, P is scaled by exactly 2^-256, so the only rounding is in
-   the products.  A short last group repeats its last realization and stores
-   only its own. */
-void lyapunov_steps(int64_t R, const uint64_t *keys, uint64_t j0, uint64_t k, double p,
-                    const double *tp, const double *tm, double *P, int64_t *expo)
+/* Steps 0 .. n - 1 of a chunk (mask[i]: step i's signs, -1 in a plus lane)
+   for the products of energies e0 .. e0 + eb - 1 (eb a constant once
+   inlined) and realizations r0 .. r0 + m - 1, the VEC lanes; lanes from m
+   on repeat realization r0 + m - 1 and store nothing.  An entry of T is
+   tm ^ (mask & (tp ^ tm)) in bits.  The eb products are independent, so
+   their steps overlap. */
+__attribute__((always_inline))
+static inline void lyapunov_lanes(int64_t K, int64_t r0, int64_t m, int64_t e0, const int eb,
+                                  uint64_t n, const int64_t (*restrict mask)[VEC],
+                                  const double *restrict tp, const double *restrict tm,
+                                  double *restrict P, int64_t *restrict expo)
 {
-    for (int64_t r0 = 0; r0 < R; r0 += GROUP) {
-        uint64_t key[2 * GROUP];
-        double a[GROUP], b[GROUP], c[GROUP], d[GROUP];
-        int64_t e[GROUP];
-        for (int g = 0; g < GROUP; ++g) {
-            const int64_t r = r0 + g < R ? r0 + g : R - 1;
-            key[2 * g] = keys[2 * r];
-            key[2 * g + 1] = keys[2 * r + 1];
-            a[g] = P[4 * r]; b[g] = P[4 * r + 1]; c[g] = P[4 * r + 2]; d[g] = P[4 * r + 3];
-            e[g] = expo[r];
+    const vd top = SPLAT(0x1p256), down = SPLAT(0x1p-256), one = SPLAT(1.0);
+    vd a[2], b[2], c[2], d[2], um[2][4];
+    vi x[2], dt[2][4];
+    for (int q = 0; q < eb; ++q) {
+        const int64_t e = e0 + q;
+        double lane[4][VEC];
+        int64_t le[VEC];
+        for (int u = 0; u < 4; ++u) {
+            um[q][u] = SPLAT(tm[4 * e + u]);
+            dt[q][u] = (vi)SPLAT(tp[4 * e + u]) ^ (vi)um[q][u];
         }
+        for (int g = 0; g < VEC; ++g) {
+            const int64_t i = (r0 + (g < m ? g : m - 1)) * K + e;
+            for (int u = 0; u < 4; ++u)
+                lane[u][g] = P[4 * i + u];
+            le[g] = expo[i];
+        }
+        memcpy(&a[q], lane[0], sizeof(vd));
+        memcpy(&b[q], lane[1], sizeof(vd));
+        memcpy(&c[q], lane[2], sizeof(vd));
+        memcpy(&d[q], lane[3], sizeof(vd));
+        memcpy(&x[q], le, sizeof(vi));
+    }
+    for (uint64_t i = 0; i < n; ++i) {
+        vi s;
+        memcpy(&s, mask[i], sizeof s);
+        for (int q = 0; q < eb; ++q) {
+            const vd t0 = (vd)((vi)um[q][0] ^ (s & dt[q][0]));
+            const vd t1 = (vd)((vi)um[q][1] ^ (s & dt[q][1]));
+            const vd t2 = (vd)((vi)um[q][2] ^ (s & dt[q][2]));
+            const vd t3 = (vd)((vi)um[q][3] ^ (s & dt[q][3]));
+            const vd na = t0 * a[q] + t1 * c[q], nb = t0 * b[q] + t1 * d[q];
+            const vd nc = t2 * a[q] + t3 * c[q], nd = t2 * b[q] + t3 * d[q];
+            const vi big = (VABS(na) > top) | (VABS(nb) > top) | (VABS(nc) > top)
+                           | (VABS(nd) > top);
+            const vd f = SELECT(big, down, one);  /* times 1 is exact */
+            a[q] = na * f;
+            b[q] = nb * f;
+            c[q] = nc * f;
+            d[q] = nd * f;
+            x[q] += big & 256;
+        }
+    }
+    for (int q = 0; q < eb; ++q)
+        for (int g = 0; g < m; ++g) {
+            const int64_t i = (r0 + g) * K + e0 + q;
+            P[4 * i] = a[q][g];
+            P[4 * i + 1] = b[q][g];
+            P[4 * i + 2] = c[q][g];
+            P[4 * i + 3] = d[q][g];
+            expo[i] = x[q][g];
+        }
+}
+
+/* Advance the R x K running 2x2 products P <- T P by steps j0 .. j0 + k - 1:
+   realization r's product at energy e takes T = tp[e] where draw j of the
+   realization's stream (keys (R, 2)) is below p, and tm[e] elsewhere.  tp,
+   tm (K, 2, 2), P (R, K, 2, 2) and expo (R, K) are C-contiguous.  The true
+   product is 2^expo P: when an entry of P exceeds 2^256, P is scaled by
+   exactly 2^-256, so the only rounding is in the products, and each
+   product is the same as with its energy alone.  VEC realizations are the
+   lanes of one vector (a short last group repeats its last realization);
+   each chunk of their signs is drawn once and read by all K energies, two
+   at a time. */
+void lyapunov_steps(int64_t R, int64_t K, const uint64_t *keys, uint64_t j0, uint64_t k,
+                    double p, const double *tp, const double *tm, double *P, int64_t *expo)
+{
+    for (int64_t r0 = 0; r0 < R; r0 += VEC) {
+        const int64_t m = R - r0 < VEC ? R - r0 : VEC;
         for (uint64_t j = j0; j < j0 + k; j += CHUNK) {
             const uint64_t n = j0 + k - j < CHUNK ? j0 + k - j : CHUNK;
-            uint8_t plus[GROUP * CHUNK];
-            stream_below(GROUP, key, j, n, p, plus);
+            uint8_t plus[CHUNK][VEC];  /* step i's signs, one per lane */
+            int64_t mask[CHUNK][VEC];
+            draws_below(m, keys + 2 * r0, j, n, p, plus[0], 1, VEC);
             for (uint64_t i = 0; i < n; ++i)
-                for (int g = 0; g < GROUP; ++g) {
-                    const double *t = plus[g * n + i] ? tp : tm;
-                    const double na = t[0] * a[g] + t[1] * c[g], nb = t[0] * b[g] + t[1] * d[g];
-                    const double nc = t[2] * a[g] + t[3] * c[g], nd = t[2] * b[g] + t[3] * d[g];
-                    a[g] = na; b[g] = nb; c[g] = nc; d[g] = nd;
-                    if (fabs(na) > 0x1p256 || fabs(nb) > 0x1p256 || fabs(nc) > 0x1p256
-                        || fabs(nd) > 0x1p256) {
-                        a[g] *= 0x1p-256; b[g] *= 0x1p-256; c[g] *= 0x1p-256; d[g] *= 0x1p-256;
-                        e[g] += 256;
-                    }
-                }
-        }
-        for (int g = 0; g < GROUP && r0 + g < R; ++g) {
-            const int64_t r = r0 + g;
-            P[4 * r] = a[g]; P[4 * r + 1] = b[g]; P[4 * r + 2] = c[g]; P[4 * r + 3] = d[g];
-            expo[r] = e[g];
+                for (int g = 0; g < VEC; ++g)
+                    mask[i][g] = -(int64_t)plus[i][g < m ? g : m - 1];
+            int64_t e0 = 0;
+            for (; e0 + 2 <= K; e0 += 2)
+                lyapunov_lanes(K, r0, m, e0, 2, n, mask, tp, tm, P, expo);
+            if (e0 < K)
+                lyapunov_lanes(K, r0, m, e0, 1, n, mask, tp, tm, P, expo);
         }
     }
 }

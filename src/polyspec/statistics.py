@@ -663,10 +663,14 @@ def holder_probe(ids: EmpiricalIDS, E0: float, scales) -> HolderReport:
     """Log-log regression slopes of IDS increments and inverse increments.
 
     rho1 regresses log |N(E0 +- h) - N(E0)| on log h over the given widths;
-    rho2 does the same for the inverse function at u0 = N(E0).  Degenerate
-    (zero) increments are skipped.  Slopes are reported raw, without capping
-    at 1.  With h = max(scales), it reads N on [E0 - h, E0 + h] and its
-    inverse at the levels in [u0 - h, u0 + h], clamped to [0, 1]: the store
+    rho2 does the same for the inverse function at u0 = N(E0), on the mean
+    width of the levels u0 +- h clamped to [0, 1].  Degenerate (zero)
+    increments are skipped, and so is every scale whose clamped width a
+    smaller scale already reached (both clamp at 0 and 1, so they read the
+    same levels); fewer than two points left for a slope raise
+    InsufficientDataError.  Slopes are reported raw, without capping at 1.
+    With h = max(scales), it reads N on [E0 - h, E0 + h] and its inverse at
+    the levels in [u0 - h, u0 + h], clamped to [0, 1]: the store
     windowed_ids(..., (E0 - h, E0 + h), h) holds all of them.
     """
     scales = np.asarray(sorted(scales), float)
@@ -682,9 +686,14 @@ def holder_probe(ids: EmpiricalIDS, E0: float, scales) -> HolderReport:
                          + abs(float(ids.invert(u0)) - float(ids.invert(kdn)))))
         ks.append(0.5 * ((kup - u0) + (u0 - kdn)))
     dN, dE, ks = np.array(dN), np.array(dE), np.array(ks)
-    okN, okE = dN > 0, (dE > 0) & (ks > 0)
+    # the widths rise with the sorted scales, so a repeat follows its first
+    fresh = np.concatenate([[True], ks[1:] != ks[:-1]])
+    okN, okE = dN > 0, (dE > 0) & (ks > 0) & fresh
     if okN.sum() < 2 or okE.sum() < 2:
-        raise InsufficientDataError("not enough nondegenerate scales for regression")
+        raise InsufficientDataError(
+            f"not enough nondegenerate scales for regression: {int(okN.sum())} for rho1, "
+            f"{int(okE.sum())} distinct level widths for rho2 (u0 = {u0:.6g}; u0 +- h is "
+            "clamped to [0, 1]), and a slope needs 2")
     rho1 = float(np.polyfit(np.log(scales[okN]), np.log(dN[okN]), 1)[0])
     rho2 = float(np.polyfit(np.log(ks[okE]), np.log(dE[okE]), 1)[0])
     return HolderReport(rho1=rho1, rho2=rho2, product=rho1 * rho2,

@@ -330,69 +330,86 @@ def find_critical_energies(model: PolymerModel, search=None,
     return reports
 
 
-def _lyapunov_log_norms(model: PolymerModel, E: float, steps: int,
-                        realization_indices, seed: int):
+def _lyapunov_log_norms(model: PolymerModel, E, steps: int, realization_indices, seed: int):
     """(half_at, log-norms at half_at, log-norms at steps) of each realization's
     product of `steps` polymer matrices, the signs drawn from its substream.
 
+    E is a scalar, giving log-norms of shape (R,), or a 1-d array of K
+    energies, giving (R, K): every energy's product runs on the same signs.
     half_at is the first multiple of 1024 at or above steps // 2, or steps // 2
     itself when that multiple would reach steps.  The products run in the
-    compiled kernel, which draws each step's sign from the realization's
-    Philox stream and keeps the product as 2^e P with exact power-of-two
-    rescaling.  The realizations are split into ranges, one per CPU
-    (`_in_row_ranges`); each range's thread advances its products over
+    compiled kernel, which draws each chunk of a realization's signs from its
+    Philox stream once for all K energies, with eight realizations as the
+    lanes of a vector, and keeps each product as 2^e P with exact
+    power-of-two rescaling, so each energy's log-norms are bit for bit those
+    of a call with that energy alone.  The realizations are split into
+    ranges, one per CPU (`_in_row_ranges`, a realization weighing steps
+    times K products); each range's thread advances its products over
     [0, half_at) and then [half_at, steps), so the result does not depend on
     the split.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    E = np.asarray(E, float)
+    if E.ndim > 1:
+        raise ValueError(f"E must be a scalar or a 1-d array of energies, got shape {E.shape}")
     half_at = -(-(steps // 2) // 1024) * 1024
     if half_at >= steps:
         half_at = steps // 2
-    Tp = polymer_matrix(model.plus, E)
-    Tm = polymer_matrix(model.minus, E)
+    Es = E.reshape(-1)
+    Tp = polymer_matrix(model.plus, Es)
+    Tm = polymer_matrix(model.minus, Es)
     keys = _stream_keys(seed, realization_indices)
-    R = len(keys)
-    prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
-    expo = np.zeros(R, dtype=np.int64)
+    R, K = len(keys), Es.size
+    prod = np.broadcast_to(np.eye(2), (R, K, 2, 2)).copy()
+    expo = np.zeros((R, K), dtype=np.int64)
     half_prod, half_expo = np.empty_like(prod), np.empty_like(expo)
     steps_kernel, p = _kernel().lyapunov_steps, model.p_plus
 
     def advance(r0: int, r1: int) -> None:
         rows = slice(r0, r1)
-        steps_kernel(r1 - r0, keys[rows], 0, half_at, p, Tp, Tm, prod[rows], expo[rows])
+        steps_kernel(r1 - r0, K, keys[rows], 0, half_at, p, Tp, Tm, prod[rows], expo[rows])
         half_prod[rows], half_expo[rows] = prod[rows], expo[rows]
-        steps_kernel(r1 - r0, keys[rows], half_at, steps - half_at, p, Tp, Tm,
+        steps_kernel(r1 - r0, K, keys[rows], half_at, steps - half_at, p, Tp, Tm,
                      prod[rows], expo[rows])
 
-    _in_row_ranges(advance, np.full(R, steps), 1)
-    log_norms = [e * np.log(2.0) + np.log(np.linalg.norm(P, ord=2, axis=(1, 2)))
-                 for P, e in ((half_prod, half_expo), (prod, expo))]
+    _in_row_ranges(advance, np.full(R, steps * K), 1)
+    log_norms = [(e * np.log(2.0) + np.log(np.linalg.norm(P, ord=2, axis=(-2, -1))))
+                 .reshape((R,) + E.shape) for P, e in ((half_prod, half_expo), (prod, expo))]
     return half_at, log_norms[0], log_norms[1]
 
 
-def _lyapunov_gammas(model: PolymerModel, E: float, steps: int,
+def _lyapunov_gammas(model: PolymerModel, E, steps: int,
                      realization_indices, seed: int) -> np.ndarray:
-    """Per-realization Lyapunov estimates (per site) over the given substreams."""
+    """Per-realization Lyapunov estimates (per site) over the given substreams,
+    shape (R,) for a scalar E and (R, K) for K energies."""
     half_at, half, total = _lyapunov_log_norms(model, E, steps, realization_indices, seed)
     return (total - half) / ((steps - half_at) * model.mean_length)
 
 
-def lyapunov(model: PolymerModel, E: float, steps: int, realizations: int,
-             seed: int) -> tuple[float, float]:
+def lyapunov(model: PolymerModel, E, steps: int, realizations: int, seed: int):
     """Lyapunov exponent estimate (per site) with its standard error.
 
-    Each realization multiplies `steps` polymer matrices, signs drawn from its
-    own substream inside one compiled loop that keeps the running product as
-    2^e P and rescales it by exact powers of two; the realizations run on
-    every CPU of the affinity set, with the same result for any CPU count.
-    The estimate is the log-norm increment from half_at to steps per site,
-    where half_at is the first multiple of 1024 at or above steps // 2
-    (steps // 2 itself for steps <= 1024); dropping the first half cancels
-    the bounded conjugation offset at critical energies.  The per-realization
-    estimates are averaged and stderr is their spread over sqrt(R).
+    E is a scalar, giving two floats, or a 1-d array of energies, giving two
+    arrays of its length; every energy is estimated from the same
+    realizations, each energy's pair bit for bit that of a call with that
+    energy alone.  Each realization multiplies `steps` polymer matrices,
+    signs drawn from its own substream inside one compiled loop that draws
+    each sign once for all energies and keeps every running product as 2^e P,
+    rescaled by exact powers of two; the realizations run on every CPU of the
+    affinity set, with the same result for any CPU count.  The estimate is
+    the log-norm increment from half_at to steps per site, where half_at is
+    the first multiple of 1024 at or above steps // 2 (steps // 2 itself for
+    steps <= 1024); dropping the first half cancels the bounded conjugation
+    offset at critical energies.  The per-realization estimates are averaged
+    and stderr is their spread over sqrt(R).
     """
     if realizations < 2:
         raise ValueError("realizations must be >= 2 for a standard error")
     gammas = _lyapunov_gammas(model, E, steps, range(realizations), seed)
-    return float(gammas.mean()), float(gammas.std(ddof=1) / np.sqrt(realizations))
+    # one contiguous row per energy: its sums run as in a 1-d array
+    g = np.ascontiguousarray(np.moveaxis(gammas, 0, -1))
+    mean, se = g.mean(axis=-1), g.std(ddof=1, axis=-1) / np.sqrt(realizations)
+    if g.ndim == 1:
+        return float(mean), float(se)
+    return mean, se

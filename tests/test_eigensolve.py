@@ -1,5 +1,7 @@
 import inspect
 import os
+import platform
+import re
 import subprocess
 import sys
 import threading
@@ -584,6 +586,45 @@ def test_sturm_kernel_matches_numpy_loop(case):
             assert np.array_equal(d.view(np.int64), ref_d.view(np.int64))
 
 
+# sturm_counts takes the realizations as vector lanes below this many shifts
+# and the shifts from it on
+_LANE_SHIFTS = int(re.search(r"LANE_SHIFTS = (\d+)", _KERNELS_C.read_text()).group(1))
+
+
+@settings(max_examples=40)
+@given(model=explicit_models(), L=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       R=st.integers(1, 45).filter(lambda r: r % 8), K=st.integers(1, _LANE_SHIFTS - 1),
+       cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+@example(model=dimer_preset(0.6, 0.5), L=9, seed=3, R=300, K=2,
+         cut=(0.01, 0.99))  # a range over two panels of 256 realizations
+def test_sturm_loop_orders_agree(model, L, seed, R, K, cut):
+    # K < LANE_SHIFTS shifts run realizations as lanes; the same shifts padded
+    # with dummy columns up to LANE_SHIFTS run shifts as lanes: the sliced
+    # counts and pivots agree bit for bit, on row ranges that cut a block of
+    # eight realizations
+    v, tsq = potentials_for_sites_batch(model, L, seed, range(R))
+    pivmin = _pivmin(v, tsq)
+    lo, hi = float(v.min()) - 3.0, float(v.max()) + 3.0
+    rng = np.random.default_rng(seed)
+    shifts = rng.uniform(lo, hi, (R, K))
+    shifts[:, 0] = v[0]  # the first pivot clamped to -pivmin
+    wide = np.hstack([shifts, rng.uniform(lo, hi, (R, _LANE_SHIFTS - K))])
+    r0 = min(int(cut[0] * R), R - 1)
+    r1 = max(r0 + 1, int(cut[1] * R))
+    kernel = eigensolve._kernel()
+    runs = []
+    for s in (shifts, wide):
+        counts = np.full(s.shape, -7, dtype=np.int64)
+        d = np.full(s.shape, np.nan)
+        kernel.sturm_counts(L, R, s.shape[1], r0, r1, v, tsq, s, pivmin, counts, d)
+        runs.append((counts[:, :K], d[:, :K]))
+    (c_lanes, d_lanes), (c_wide, d_wide) = runs
+    assert np.array_equal(c_lanes, c_wide)
+    assert np.array_equal(d_lanes.view(np.int64), d_wide.view(np.int64))
+    assert np.all(c_lanes[:r0] == -7) and np.all(c_lanes[r1:] == -7)  # only r0 .. r1 - 1
+    assert np.all(c_lanes[r0:r1] >= 0)
+
+
 def test_sturm_batch_rejects_mismatched_shapes():
     v, tsq = np.zeros((4, 2)), np.ones((3, 2))
     with pytest.raises(ValueError):
@@ -594,10 +635,18 @@ def test_sturm_batch_rejects_mismatched_shapes():
         sturm_counts_batch(np.zeros((0, 2)), np.ones((0, 2)), np.zeros((2, 1)))
 
 
-def test_kernel_source_compiles_without_warnings():
-    cmd = ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_KERNELS_C)]
-    out = subprocess.run(cmd, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # a full compile, so that the optimizer's warnings count too; on x86 hosts
+    # also for the baseline target, so that the vector lanes never come to
+    # need the host's vector unit (or change the calling convention without it)
+    flags = [list(_CFLAGS)]
+    if platform.machine() in ("x86_64", "AMD64"):
+        flags.append([f for f in _CFLAGS if not f.startswith("-march=")] + ["-march=x86-64"])
+    for i, cflags in enumerate(flags):
+        cmd = ["cc", *cflags, "-Wall", "-Wextra", "-Werror", str(_KERNELS_C), "-o",
+               str(tmp_path / f"kernels_{i}.so")]
+        out = subprocess.run(cmd, capture_output=True, text=True)
+        assert out.returncode == 0, f"{' '.join(cmd)}:\n{out.stderr}"
 
 
 def test_kernel_build_without_compiler_raises(tmp_path):
@@ -676,6 +725,16 @@ for L in (1, 2, 9):
     counts, piv = np.empty((R, 3), dtype=np.int64), np.empty((R, 3))
     k.sturm_counts(L, R, 3, 0, R, v, tsq, np.tile([-1.0, 0.0, 11.0], (R, 1)), pivmin, counts,
                    piv)
+    # 1-3 shifts (realizations as lanes) and 8 (shifts as lanes) on ranges
+    # that start and end mid-block, over two panels of 256 realizations too
+    for R2 in (21, 261):
+        v2 = rng.uniform(-1.0, 1.0, (L, R2))
+        t2 = rng.uniform(0.25, 2.0, (L - 1, R2))
+        for K in (1, 2, 3, 8):
+            s2 = rng.uniform(-3.0, 3.0, (R2, K))
+            c2, d2 = np.empty((R2, K), dtype=np.int64), np.empty((R2, K))
+            for r0, r1 in ((0, R2), (3, 13), (9, R2), (R2 - 1, R2), (5, 5)):
+                k.sturm_counts(L, R2, K, r0, r1, v2, t2, s2, _pivmin(v2, t2), c2, d2)
     keys = np.empty((R, 2), dtype=np.uint64)
     k.stream_keys(R, 7, np.arange(R, dtype=np.uint64), keys)
     below = np.empty((R, 13), dtype=np.bool_)
@@ -683,9 +742,11 @@ for L in (1, 2, 9):
     bv, bt = np.empty((L, R)), np.empty((L - 1, R))
     assert k.fill_boxes(L, R, keys, 0.5, 1, 2, np.array([0.1, 0.2, 0.3]),
                         np.array([1.0, 1.5, 2.0]), bv, bt) == 0
-    prod, expo = np.tile(np.eye(2), (R, 1, 1)), np.zeros(R, dtype=np.int64)
-    k.lyapunov_steps(R, keys, 1, 300, 0.5, np.array([[2.0, -1.0], [1.0, 0.0]]),
-                     np.array([[0.5, -1.0], [1.0, 0.0]]), prod, expo)
+    for K in (1, 3):
+        tp = np.tile([[2.0, -1.0], [1.0, 0.0]], (K, 1, 1))
+        tm = np.tile([[0.5, -1.0], [1.0, 0.0]], (K, 1, 1))
+        prod, expo = np.tile(np.eye(2), (R, K, 1, 1)), np.zeros((R, K), dtype=np.int64)
+        k.lyapunov_steps(R, K, keys, 1, 300, 0.5, tp, tm, prod, expo)
 print("ok")
 """
 
@@ -732,9 +793,9 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
                           .generate_state(2, np.uint64))
     assert np.array_equal(substream(0, 2).random(4)[1:] < 0.5, [True, False, True])
     tp, tm = np.array([[2.0, -1.0], [1.0, 0.5]]), np.array([[0.5, -1.0], [1.5, 0.25]])
-    prod, expo = np.eye(2)[None].copy(), np.zeros(1, dtype=np.int64)
-    kernels.lyapunov_steps(1, keys, 1, 3, 0.5, tp, tm, prod, expo)
-    assert np.array_equal(prod[0], tp @ tm @ tp) and expo[0] == 0
+    prod, expo = np.eye(2)[None, None].copy(), np.zeros((1, 1), dtype=np.int64)
+    kernels.lyapunov_steps(1, 1, keys, 1, 3, 0.5, tp[None], tm[None], prod, expo)
+    assert np.array_equal(prod[0, 0], tp @ tm @ tp) and expo[0, 0] == 0
     # the key is the source's bytes: a copy elsewhere hits, an edited copy misses
     copy = tmp_path / "copy" / "kernels.c"
     copy.parent.mkdir()

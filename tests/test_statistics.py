@@ -613,6 +613,29 @@ def test_holder_probe_sqrt_cdf_edge():
     assert rep.product > 2.0 / 3.0
 
 
+def test_holder_probe_drops_repeated_clamped_widths():
+    # once u0 +- h leaves [0, 1] on both sides, every larger scale reads the
+    # same clamped levels: only the first of them enters rho2's fit, and one
+    # distinct width left is a named error, not a slope through one point
+    ids = affine_ids()
+    small = [2.0 ** -k for k in range(3, 9)]
+    wide = holder_probe(ids, 0.5, small + [0.75, 2.0, 1e308])
+    assert wide.dE_inverse.size == len(small) + 3
+    assert wide.rho2 == pytest.approx(1.0, abs=0.05)
+    assert wide.rho2 == holder_probe(ids, 0.5, small + [0.75]).rho2  # 2 and 1e308 dropped
+    with pytest.raises(InsufficientDataError, match="distinct level widths"):
+        holder_probe(ids, 0.5, [1.0, 1e308])
+
+
+def test_holder_probe_cli_names_repeated_widths(tmp_path, capsys):
+    # the two clamped scales of one width: exit 1 with the named error, where
+    # a fit through the repeated point reported rho2 = -0.684 and exit 0
+    code = main(["holder-probe", "--param", "scales=[1e308,1.0]", "--param", "ids_L=200",
+                 "--param", "ids_realizations=40", "--out", str(tmp_path)])
+    assert code == 1
+    assert "distinct level widths" in capsys.readouterr().err
+
+
 def test_holder_probe_diagnostic_on_model():
     m = dimer_preset(0.6, 0.5)
     ids = empirical_ids(m, L_ids=1000, seed=31, realization_indices=range(100))

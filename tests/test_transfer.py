@@ -301,43 +301,86 @@ def test_lyapunov_free_chain_and_dichotomy():
 # explicit_models draws hoppings down to 1e-3, whose polymer matrices are
 # strongly hyperbolic: such products pass 2^256 within a few blocks, so the
 # kernel's rescaling branch runs
+HYPERBOLIC = PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
+                          PolymerSpec(1, [2.0], [0.05]), 0.4)
+
+
 @settings(max_examples=60)
-@given(model=explicit_models(), E=st.floats(-4.0, 4.0), steps=st.integers(2, 2000),
-       R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-@example(model=PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
-                            PolymerSpec(1, [2.0], [0.05]), 0.4),
-         E=0.3, steps=1500, R=2, seed=7)
-def test_lyapunov_log_norms_match_block_product(model, E, steps, R, seed):
+@given(model=explicit_models(), Es=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       steps=st.integers(2, 2000), R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(model=HYPERBOLIC, Es=[0.3], steps=1500, R=2, seed=7)
+@example(model=HYPERBOLIC, Es=[0.3, -1.1, 2.5], steps=1500, R=3, seed=7)
+def test_lyapunov_log_norms_match_block_product(model, Es, steps, R, seed):
     # the kernel's own sign draws must equal numpy's draws from the same
-    # substream, and its products block_product's up to rounding
-    half_at, half, total = _lyapunov_log_norms(model, E, steps, range(R), seed)
-    assert 1 <= half_at < steps
+    # substream, and its products at each of the K energies block_product's
+    # up to rounding
+    half_at, half, total = _lyapunov_log_norms(model, np.array(Es), steps, range(R), seed)
+    assert 1 <= half_at < steps and half.shape == total.shape == (R, len(Es))
     for r in range(R):
         signs = block_signs(model, steps, seed, r)
-        for stop, got in ((half_at, half[r]), (steps, total[r])):
-            P, log_scale = block_product(model, signs, E, 0, stop)
-            want = log_scale + np.log(np.linalg.norm(P, 2))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        for i, E in enumerate(Es):
+            for stop, got in ((half_at, half[r, i]), (steps, total[r, i])):
+                P, log_scale = block_product(model, signs, E, 0, stop)
+                want = log_scale + np.log(np.linalg.norm(P, 2))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 @settings(max_examples=60)
-@given(model=explicit_models(), E=st.floats(-4.0, 4.0), b=st.integers(0, 2000),
-       cut=st.floats(0.0, 1.0), R=st.integers(1, 3), seed=st.integers(-2 ** 40, 2 ** 64 - 1),
+@given(model=explicit_models(), Es=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+       steps=st.integers(2, 3000), R=st.integers(1, 30).filter(lambda r: r % 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(model=HYPERBOLIC, Es=[0.3, 0.3, -2.0, 1.7, 4.0], steps=1500, R=5, seed=7)
+@example(model=dimer_preset(0.5, 0.5), Es=[0.5, 0.8], steps=5000, R=17, seed=3)
+def test_lyapunov_energies_equal_single_energy_calls(model, Es, steps, R, seed):
+    # one call at K energies draws each sign once for all of them: every
+    # energy's log-norms are bit for bit those of its own call, for R not a
+    # multiple of the eight vector lanes and K odd or even
+    half_at, half, total = _lyapunov_log_norms(model, np.array(Es), steps, range(R), seed)
+    for i, E in enumerate(Es):
+        one_at, one_half, one_total = _lyapunov_log_norms(model, E, steps, range(R), seed)
+        assert one_at == half_at and one_half.shape == one_total.shape == (R,)
+        assert one_half.tobytes() == half[:, i].tobytes()
+        assert one_total.tobytes() == total[:, i].tobytes()
+
+
+@settings(max_examples=30)
+@given(model=explicit_models(), Es=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+       steps=st.integers(2, 3000), R=st.integers(2, 11), seed=st.integers(0, 2 ** 32 - 1))
+@example(model=dimer_preset(0.5, 0.5), Es=[0.5, 0.8], steps=4096, R=16, seed=3)
+def test_lyapunov_energy_array_equals_scalar_calls(model, Es, steps, R, seed):
+    # the estimate and its stderr at each energy of an array are bit for bit
+    # those of a scalar call
+    g, se = lyapunov(model, np.array(Es), steps, R, seed)
+    assert g.shape == se.shape == (len(Es),)
+    for i, E in enumerate(Es):
+        assert np.array(lyapunov(model, E, steps, R, seed)).tobytes() == \
+            np.array([g[i], se[i]]).tobytes()
+
+
+def test_lyapunov_rejects_energy_grids():
+    with pytest.raises(ValueError, match="1-d array"):
+        lyapunov(dimer_preset(0.5, 0.5), np.zeros((2, 2)), 100, 2, 1)
+
+
+@settings(max_examples=60)
+@given(model=explicit_models(), Es=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       b=st.integers(0, 2000), cut=st.floats(0.0, 1.0), R=st.integers(1, 10),
+       seed=st.integers(-2 ** 40, 2 ** 64 - 1),
        first=st.sampled_from([0, 10 ** 6 + 3, 2 ** 32 + 5]))
-@example(model=dimer_preset(0.5, 0.5), E=0.8, b=9, cut=0.4, R=2, seed=3, first=0)
-def test_lyapunov_kernel_resumes_at_any_step(model, E, b, cut, R, seed, first):
+@example(model=dimer_preset(0.5, 0.5), Es=[0.8], b=9, cut=0.4, R=2, seed=3, first=0)
+def test_lyapunov_kernel_resumes_at_any_step(model, Es, b, cut, R, seed, first):
     # steps [0, a) then [a, b) equal one call over [0, b) bit for bit, for
     # any a: the kernel draws sign j from the stream's position j alone
     a = int(cut * b)
     keys = _stream_keys(seed, range(first, first + R))
-    Tp, Tm = polymer_matrix(model.plus, E), polymer_matrix(model.minus, E)
-    kernel = eigensolve._kernel()
+    Tp, Tm = polymer_matrix(model.plus, np.array(Es)), polymer_matrix(model.minus, np.array(Es))
+    kernel, K = eigensolve._kernel(), len(Es)
 
     def run(*spans):
-        prod = np.broadcast_to(np.eye(2), (R, 2, 2)).copy()
-        expo = np.zeros(R, dtype=np.int64)
+        prod = np.broadcast_to(np.eye(2), (R, K, 2, 2)).copy()
+        expo = np.zeros((R, K), dtype=np.int64)
         for j0, k in spans:
-            kernel.lyapunov_steps(R, keys, j0, k, model.p_plus, Tp, Tm, prod, expo)
+            kernel.lyapunov_steps(R, K, keys, j0, k, model.p_plus, Tp, Tm, prod, expo)
         return prod.tobytes() + expo.tobytes()
 
     assert run((0, a), (a, b - a)) == run((0, b))
@@ -388,9 +431,7 @@ def test_lyapunov_split_keeps_package_functions_on_calling_thread(monkeypatch):
 
 
 def test_lyapunov_rescaling_runs_on_hyperbolic_products():
-    model = PolymerModel(PolymerSpec(2, [0.5, -1.0], [1e-3, 2.0]),
-                         PolymerSpec(1, [2.0], [0.05]), 0.4)
-    _, half, total = _lyapunov_log_norms(model, 0.3, 1500, range(2), 7)
+    _, half, total = _lyapunov_log_norms(HYPERBOLIC, 0.3, 1500, range(2), 7)
     assert np.all(half > 4 * 256 * np.log(2.0))   # rescaled at least four times
     assert np.all(total > half)
 
