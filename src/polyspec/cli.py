@@ -31,7 +31,7 @@ from .statistics import (windowed_ids, pointwise_ids, ids_at_critical,
                          dos_at_critical, les_ensemble, gap_statistics, counting_statistics,
                          clock_spacing_statistic, uniformity_test, psi_errors,
                          holder_probe, minami_probe, COUNTING_MIN_SAMPLES)
-from .transport import ABEL_TRUNCATION, _GUARD_FRACTION, transport_exponent
+from .transport import _GUARD_FRACTION, transport_exponent
 
 __all__ = ["ExperimentConfig", "RunReport", "validate", "experiment", "run", "main",
            "KINDS"]
@@ -109,14 +109,13 @@ class Param(NamedTuple):
     """A parameter's default and the values it accepts.  shape "int": an integer
     >= low (JSON 1e3 counts, a bool does not); "real": a finite number from low
     to high, each end open or closed as `ends` says; "pair": finite [lo, hi],
-    lo < hi; "choice": one of `choices`.  With `items` set, a list of at least
-    that many entries, all different if `distinct`.  A null default allows null."""
+    lo < hi.  With `items` set, a list of at least that many entries, all
+    different if `distinct`.  A null default allows null."""
     default: object
     shape: str
     low: float = -math.inf
     high: float = math.inf
     ends: str = "()"
-    choices: tuple = ()
     items: int | None = None
     distinct: bool = False
 
@@ -126,10 +125,8 @@ class Param(NamedTuple):
         if self.shape == "real":
             return _finite(x) and (self.low < x if self.ends[0] == "(" else self.low <= x) \
                 and (x < self.high if self.ends[1] == ")" else x <= self.high)
-        if self.shape == "pair":
-            return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_finite, x)) \
-                and x[0] < x[1]
-        return x in self.choices
+        return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_finite, x)) \
+            and x[0] < x[1]
 
     def accepts(self, x) -> bool:
         if x is None or self.items is None:
@@ -141,8 +138,7 @@ class Param(NamedTuple):
         """What the parameter accepts, in words."""
         lo, hi = f"{self.ends[0]}{self.low!r}", f"{self.high!r}{self.ends[1]}"
         want = {"int": f"an integer >= {self.low}", "real": f"a finite number in {lo}, {hi}",
-                "pair": "[lo, hi] with finite lo < hi",
-                "choice": f"one of {self.choices}"}[self.shape]
+                "pair": "[lo, hi] with finite lo < hi"}[self.shape]
         if self.items is not None:
             want = f"a list of {self.items}+ {'distinct ' * self.distinct}entries, each {want}"
         return "null or " + want if self.default is None else want
@@ -210,7 +206,6 @@ _KIND_TABLE = {
                   "T_grid": _real([50.0, 80.0, 125.0, 200.0, 300.0, 400.0], **_SLOPE_GRID),
                   "critical_window": Param([-0.6, 0.6], "pair"),
                   "localized_window": Param([1.0, 1.6], "pair"), "free_box_radius": _int(1000),
-                  "averaging": Param("cesaro", "choice", choices=("cesaro", "abel")),
                   "critical_slope_min": _real(1.0), "localized_slope_max": _real(0.2),
                   "free_slope_tolerance": _real(0.1, **_TOL), "quadrature_points": _int(800, 2),
                   "free_T_grid": _real([20.0, 40.0, 60.0, 80.0, 100.0], **_SLOPE_GRID)},
@@ -261,7 +256,7 @@ def _quadrature_reaches_T(p, model, key):
     # Cesàro values share the grid of quadrature_points times on
     # [0, max T]; a T below its second point would average nothing
     Ts, quad = [float(T) for T in p[key]], int(p["quadrature_points"])
-    if p["averaging"] != "abel" and min(Ts) < max(Ts) / (quad - 1):
+    if min(Ts) < max(Ts) / (quad - 1):
         return (f"every time must be at least max T / (quadrature_points - 1) = "
                 f"{max(Ts) / (quad - 1)!r}, so that [0, T] holds two quadrature points")
 
@@ -269,9 +264,8 @@ def _quadrature_reaches_T(p, model, key):
 def _free_chain_inside_guard(p, model, key):
     # the free chain (t = 1) spreads at most 2 sites per unit time
     radius, horizon = int(p["free_box_radius"]), max(float(T) for T in p[key])
-    horizon *= ABEL_TRUNCATION if p["averaging"] == "abel" else 1
     if 2 * horizon > _GUARD_FRACTION * radius:
-        return (f"{p['averaging']} averaging reaches t = {horizon:g}, by which the free "
+        return (f"the averaging reaches t = {horizon:g}, by which the free "
                 f"chain's wavefront (2 sites per unit time) passes {_GUARD_FRACTION:.0%} "
                 f"of free_box_radius = {radius}; need 2 * t <= {_GUARD_FRACTION * radius:g}")
 
@@ -295,9 +289,9 @@ _RULES = {
     "les-poisson": [(("count_intervals",), _disjoint_intervals)],
     "les-clock": [(("window_atoms", "L"), _window_in_box)],
     "minami-probe": [(("E0", "model"), _in_gershgorin_bound)],
-    "transport": [(("T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
-                  (("free_T_grid", "quadrature_points", "averaging"), _quadrature_reaches_T),
-                  (("free_T_grid", "free_box_radius", "averaging"), _free_chain_inside_guard),
+    "transport": [(("T_grid", "quadrature_points"), _quadrature_reaches_T),
+                  (("free_T_grid", "quadrature_points"), _quadrature_reaches_T),
+                  (("free_T_grid", "free_box_radius"), _free_chain_inside_guard),
                   (("q", "box_radius", "free_box_radius", "quadrature_points"), _moments_finite)],
 }
 
@@ -636,9 +630,8 @@ def _exp_holder(model, params, seed):
 
 
 def _exp_transport(model, params, seed):
-    averaging, q = params["averaging"], float(params["q"])
-    common = {"seed": seed, "averaging": averaging,
-              "quadrature_points": int(params["quadrature_points"])}
+    q = float(params["q"])
+    common = {"seed": seed, "quadrature_points": int(params["quadrature_points"])}
     windows = (tuple(params["critical_window"]), tuple(params["localized_window"]))
     crit, loc = transport_exponent(
         model, q, [float(x) for x in params["T_grid"]], int(params["box_radius"]),

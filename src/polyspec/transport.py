@@ -13,9 +13,9 @@ adjacent vectors overlap by more than _OVERLAP_MAX takes its modes from the
 dense LAPACK decomposition instead.  Either way a setup keeps only the
 modes whose weight |phi_k(j)| exceeds _WEIGHT_FLOOR times the largest, the
 ones the moments read.  Moments are
-M_q(T) time-averages of sum_x |x - center|^q |psi_t(x)|^2 in either the
-Cesaro form (1/T) int_0^T or the Abel form (1/T) int_0^inf e^{-t/T}
-(truncated at 10T), each by the trapezoid rule on grid points t_i = i delta.
+M_q(T) Cesaro time-averages (1/T) int_0^T of
+sum_x |x - center|^q |psi_t(x)|^2, by the trapezoid rule on the grid
+points t_i = i delta of [0, max(T)].
 
 The trapezoid sums are summed in closed form over the kept modes, with
 psi_t never formed on the whole box.  With B = modes |x - center|^{q/2},
@@ -24,42 +24,39 @@ theta = delta (E_k - E_l), every value is
 
     M_q(T) = (delta / T) sum_kl w_k w_l A_kl K(theta_kl),
 
-    Cesaro:  K = sum_{i=0..n}' cos(i theta) = sin(n theta) cot(theta/2) / 2,
-             n at theta = 0, with t_n the last grid point <= T;
-    Abel:    K = Re sum_{i=0..N}' r^i,  r = e^{-a + i theta},  a = delta / T,
-             = [(1 - rho cos N theta) sinh a + rho sin N theta sin theta]
-               / [4 (sinh^2(a/2) + sin^2(theta/2))],  rho = e^{-N a},
+    K = sum_{i=0..n}' cos(i theta) = sin(n theta) cot(theta/2) / 2,
 
-where ' halves the end terms and N + 1 is the number of points of T's own
-grid on [0, 10T].  Each T costs one pass over the m(m - 1)/2 pairs.
+n at theta = 0, where ' halves the end terms and t_n is the last grid
+point <= T.  Each T costs one pass over the m(m - 1)/2 pairs.
 
-Conditioning: (delta / T) |K| is at most 1 (Cesaro) or about
-peak = (a/2) coth(a/2) (Abel: 1 unless the grid is coarser than T), and
-a phase rounded by eps |theta| moves it by eps |omega| t_n, so each term
-G_kl (delta / T) K, G_kl = w_k w_l A_kl, carries a rounding error of about
-eps |G_kl| peak (1 + |omega| t), t up to the largest grid time.  Such
-errors add like a random walk, and the Frobenius norm of the positive
-semidefinite G is at most its trace, so every value's absolute error is
-about
+Conditioning: (delta / T) |K| is at most 1, and a phase rounded by
+eps |theta| moves it by eps |omega| t_n, so each term G_kl (delta / T) K,
+G_kl = w_k w_l A_kl, carries a rounding error of about
+eps |G_kl| (1 + |omega| t), t up to max(T).  Such errors add like a random
+walk, and the Frobenius norm of the positive semidefinite G is at most its
+trace, so every value's absolute error is about
 
-    MomentCurve.rounding = eps trace(G) peak (1 + width horizon),
+    MomentCurve.rounding = eps trace(G) (1 + width max(T)),
 
-with width = max E - min E over the kept modes and horizon the largest grid
-time, max(T) or 10 max(T).  Added coherently the same errors reach at
-most about eps m max|x - center|^q sum w^2 times those factors.  On free
-chains of 1001 sites (q = 2 to 10) and a dimer window of 2001 sites the
-estimate exceeded the measured error 90 to 400 times.  The terms have
-both signs, so relative to the moment the error grows where the moment is
-much smaller than trace(G), the limit of M_q at long times: large q on a
-box much wider than the wavefront.  transport_exponent raises where a
-moment is below 1 / _ROUNDING_SHARE times the estimate.  The sums are
-exact to rounding while delta times the width stays below pi.  Beyond it
-a Cesaro pair can alias, theta near a nonzero multiple of 2 pi, where the
-phases are first reduced to [-pi, pi]; the Abel kernel has no such pole.
+with width = max E - min E over the kept modes.  Added coherently the same
+errors reach at most about eps m max|x - center|^q sum w^2 times those
+factors.  On free chains of 1001 sites (q = 2 to 10) and a dimer window of
+2001 sites the estimate exceeded the measured error 90 to 400 times.  The
+terms have both signs, so relative to the moment the error grows where the
+moment is much smaller than trace(G), the limit of M_q at long times:
+large q on a box much wider than the wavefront.  transport_exponent raises
+where a moment is below 1 / _ROUNDING_SHARE times the estimate.  The sums
+are exact to rounding while delta times the width stays below pi.  Beyond
+it a pair can alias, theta near a nonzero multiple of 2 pi, where the
+phases are first reduced to [-pi, pi].
 
 The guard reads psi_t at every grid time on the guard rows only,
 |x - center| > _GUARD_FRACTION * radius, and raises
-BoundaryContaminationError before any moment is formed.
+BoundaryContaminationError before any moment is formed.  It scans the n
+grid times in blocks of b = ceil(sqrt(n)): the phases E t_{ab + c} come
+from those at t_{ab} and t_c by angle addition, so it takes about
+4 m sqrt(n) sines and cosines and holds O((m + g) sqrt(n)) entries for g
+guard rows.
 """
 from __future__ import annotations
 
@@ -80,7 +77,6 @@ __all__ = [
     "transport_exponent",
 ]
 
-ABEL_TRUNCATION = 10.0       # Abel integral truncated at this multiple of T
 DEFAULT_QUAD_POINTS = 2000
 _GUARD_FRACTION = 0.9
 _GUARD_MASS = 1e-6
@@ -98,9 +94,6 @@ _MARGIN = 1e-4
 # times the largest: each carries at most 1e-24 of the largest mode's share
 # of |P(I) delta_j|^2
 _WEIGHT_FLOOR = 1e-12
-# the guard's time chunks hold at most this many entries (16 MB) per array,
-# (guard rows x times) products and (modes x times) phases
-_CHUNK_ENTRIES = 1 << 21
 # transport_exponent needs every moment above 1 / _ROUNDING_SHARE times its
 # rounding estimate (module docstring).  The 1001-site free chain's T = 10
 # Cesaro moment is 1.8e10 times it at q = 2 and 2.1e7 times at q = 4, but
@@ -194,41 +187,43 @@ def _window_modes(H: TridiagonalOperator, lo: float, hi: float):
     return w[inside], Phi[:, inside], True
 
 
-def _check_guard(setup: EvolutionSetup, grids) -> None:
-    """Raise BoundaryContaminationError at the first time, grid by grid, at
-    which the guard zone's mass exceeds its t = 0 value by more than
-    max(_GUARD_MASS, that value).
+def _check_guard(setup: EvolutionSetup, times: np.ndarray) -> np.ndarray:
+    """The guard zone's mass at each time of the uniform grid `times`
+    (t_i = i delta) minus its t = 0 value; raise BoundaryContaminationError
+    at the first time at which it exceeds max(_GUARD_MASS, that value).
 
     The guard zone is the rows |x - center| > _GUARD_FRACTION * radius; psi_t
     is formed on those rows only, as two real products Re = rows @ (cos(E t)
-    w) and -Im = rows @ (sin(E t) w), over equal chunks of times that keep
-    each array within _CHUNK_ENTRIES entries.  A sharp spectral projection
-    already carries an O(1/radius) static tail, so only transported mass
-    counts as contamination.
+    w) and -Im = rows @ (sin(E t) w), one block of b = ceil(sqrt(n)) times at
+    a time: cos and sin of E t_{ab + c} by angle addition from those of
+    E t_{ab} and E t_c, c < b.  A sharp spectral projection already carries
+    an O(1/radius) static tail, so only transported mass counts as
+    contamination.
     """
     xs = np.abs(np.arange(setup.num_sites) - setup.initial_site)
     rows = setup.modes[xs > _GUARD_FRACTION * setup.radius]
-    energies, w = setup.energies, setup.weights[:, None]
+    energies, w = setup.energies[:, None], setup.weights[:, None]
     baseline = float(np.square(rows @ setup.weights).sum())
     threshold = max(_GUARD_MASS, baseline)  # trip when the static tail doubles
-    for times in grids:
-        leaked = np.empty(times.size)
-        chunks = -(-times.size * max(rows.shape[0], energies.size, 1) // _CHUNK_ENTRIES)
-        chunk = max(1, -(-times.size // max(chunks, 1)))
-        for i0 in range(0, times.size, chunk):
-            phase = np.outer(energies, times[i0:i0 + chunk])
-            cos = np.cos(phase)
-            cos *= w
-            sin = np.sin(phase, out=phase)
-            sin *= w
-            re, im = rows @ cos, rows @ sin
-            leaked[i0:i0 + chunk] = (np.einsum("ij,ij->j", re, re)
-                                     + np.einsum("ij,ij->j", im, im) - baseline)
-        tripped = leaked > threshold
-        if tripped.any():
-            raise BoundaryContaminationError(
-                f"wavefront mass {leaked.max():.2e} beyond {_GUARD_FRACTION:.0%} of "
-                f"the box radius at t={times[int(np.argmax(tripped))]:g}")
+    b = max(1, int(np.ceil(np.sqrt(times.size))))
+    step = energies * times[:b]
+    cos_c, sin_c = np.cos(step), np.sin(step)
+    leaked = np.empty(times.size)
+    for i0 in range(0, times.size, b):
+        n = min(b, times.size - i0)
+        base = energies * times[i0]
+        cos_a, sin_a = w * np.cos(base), w * np.sin(base)
+        cos = cos_a * cos_c[:, :n] - sin_a * sin_c[:, :n]
+        sin = sin_a * cos_c[:, :n] + cos_a * sin_c[:, :n]
+        re, im = rows @ cos, rows @ sin
+        leaked[i0:i0 + n] = (np.einsum("ij,ij->j", re, re)
+                             + np.einsum("ij,ij->j", im, im) - baseline)
+    tripped = leaked > threshold
+    if tripped.any():
+        raise BoundaryContaminationError(
+            f"wavefront mass {leaked.max():.2e} beyond {_GUARD_FRACTION:.0%} of "
+            f"the box radius at t={times[int(np.argmax(tripped))]:g}")
+    return leaked
 
 
 def _gram_pairs(setup: EvolutionSetup, q: float):
@@ -264,27 +259,6 @@ def _cesaro(omega, G, trace, times, Ts) -> np.ndarray:
     return values
 
 
-def _abel(omega, G, trace, Ts, quadrature_points: int) -> np.ndarray:
-    """Abel values, each on its own grid of quadrature_points on [0, 10T]:
-    the module docstring's closed form."""
-    values = np.zeros(Ts.size)
-    N = quadrature_points - 1
-    if N < 1:
-        return values
-    for i, T in enumerate(Ts):
-        delta = ABEL_TRUNCATION * T / N  # np.linspace's step
-        a = delta / T
-        rho, sinh_a, floor = np.exp(-N * a), np.sinh(a), np.sinh(0.5 * a) ** 2
-        theta = omega * delta
-        phase = N * theta
-        kernel = ((1.0 - rho * np.cos(phase)) * sinh_a + rho * np.sin(phase) * np.sin(theta)) \
-            / (4.0 * (floor + np.sin(0.5 * theta) ** 2))
-        kernel *= G
-        values[i] = delta * (2.0 * float(kernel.sum())
-                             + trace * (1.0 - rho) * sinh_a / (4.0 * floor)) / T
-    return values
-
-
 @dataclass(frozen=True)
 class MomentCurve:
     """M_q(T) on a grid of averaging times."""
@@ -295,46 +269,33 @@ class MomentCurve:
     rounding: float              # about the absolute rounding error of every value
 
 
-def moment_curve(setup: EvolutionSetup, q: float, Ts, averaging: str = "cesaro",
+def moment_curve(setup: EvolutionSetup, q: float, Ts,
                  quadrature_points: int = DEFAULT_QUAD_POINTS) -> MomentCurve:
-    """Moment curve over a grid of averaging times, each the trapezoid rule
-    summed in closed form over the kept modes' pairs (module docstring).
-
-    Cesaro values share the grid of quadrature_points times on [0, max(T)];
-    each Abel value has its own grid on the truncated horizon [0, 10T].  The
-    guard reads psi_t at every grid time before any moment is formed.
+    """Cesaro moment curve over a grid of averaging times, each the trapezoid
+    rule on the shared grid of quadrature_points times on [0, max(T)], summed
+    in closed form over the kept modes' pairs (module docstring).  The guard
+    reads psi_t at every grid time before any moment is formed.
     """
     Ts = np.sort(np.asarray(Ts, float))
     if q <= 0:
         raise ValueError("q must be positive")
     if np.any(Ts <= 0):
         raise ValueError("averaging times must be positive")
-    if averaging == "cesaro":
-        times = np.linspace(0.0, Ts[-1], quadrature_points)
-        grids = [times]
-    elif averaging == "abel":
-        grids = (np.linspace(0.0, ABEL_TRUNCATION * T, quadrature_points) for T in Ts)
-    else:
-        raise ValueError("averaging must be 'cesaro' or 'abel'")
-    _check_guard(setup, grids)
+    times = np.linspace(0.0, Ts[-1], quadrature_points)
+    _check_guard(setup, times)
     omega, G, trace = _gram_pairs(setup, q)
-    if averaging == "cesaro":
-        values, horizon, peak = _cesaro(omega, G, trace, times, Ts), Ts[-1], 1.0
-    else:
-        values, horizon = _abel(omega, G, trace, Ts, quadrature_points), ABEL_TRUNCATION * Ts[-1]
-        a = ABEL_TRUNCATION / max(quadrature_points - 1, 1)
-        peak = 0.5 * a / np.tanh(0.5 * a)
     width = setup.energies[-1] - setup.energies[0] if setup.energies.size else 0.0
-    rounding = float(np.finfo(float).eps * trace * peak * (1.0 + width * horizon))
-    return MomentCurve(times=Ts, values=values, q=q, rounding=rounding)
+    rounding = float(np.finfo(float).eps * trace * (1.0 + width * Ts[-1]))
+    return MomentCurve(times=Ts, values=_cesaro(omega, G, trace, times, Ts), q=q,
+                       rounding=rounding)
 
 
 def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
                        windows=(None,), realizations: int = 1, seed: int = 0,
-                       averaging: str = "cesaro",
                        quadrature_points: int = DEFAULT_QUAD_POINTS) -> list[dict]:
-    """Least-squares slope of log M_q vs log T, averaged over realizations,
-    for each projection window (None: no projection).
+    """Least-squares slope of log M_q vs log T, with M_q the Cesaro moment
+    curve (moment_curve), averaged over realizations, for each projection
+    window (None: no projection).
 
     Boxes have 2*box_radius + 1 sites with the initial site at the center.
     Each window of a realization takes its own eigenpairs (evolution_setup);
@@ -360,7 +321,7 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
                 raise ValueError(f"window {setup.projection_window} holds no eigenvalue "
                                  f"of realization {r} ({num_sites} sites)")
             fallbacks[i] += setup.fallback
-            curve = moment_curve(setup, q, Ts, averaging, quadrature_points)
+            curve = moment_curve(setup, q, Ts, quadrature_points)
             if not np.all(curve.values * _ROUNDING_SHARE > curve.rounding):
                 raise ValueError(f"window {setup.projection_window} of realization {r} has "
                                  f"a moment {curve.values.min():.3g} below "
@@ -379,7 +340,6 @@ def transport_exponent(model: PolymerModel, q: float, T_grid, box_radius: int,
             "per_realization": slopes,
             "curves": wcurves,
             "times": Ts,
-            "averaging": averaging,
             "window": None if window is None else (float(window[0]), float(window[1])),
             "fallbacks": nfall,
         })

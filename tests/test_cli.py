@@ -76,7 +76,6 @@ def test_validate_bad_model_and_param():
             ("minami-probe", "beta", "x"), ("minami-probe", "gamma", [1.0]),
             ("sharpness", "delta", "big"),
             # each of these used to pass validation and then exit 1 in the run
-            ("transport", "averaging", "laplace"), ("transport", "averaging", "both"),
             ("critical", "grid", 1), ("lyapunov", "steps", 1),
             ("lyapunov", "realizations", 1), ("les-poisson", "realizations", 100),
             # a count that is not an integer used to be truncated silently
@@ -91,10 +90,6 @@ def test_validate_bad_model_and_param():
     for seed in (2.5, "7", True):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             build_config("lyapunov", {"seed": seed})
-    # Abel averages to 10 max T, where the free chain's wavefront passes the
-    # guard zone at the defaults: this too used to pass and then exit 1
-    diags = validate(cfg("transport", "x", params={"averaging": "abel"}))
-    assert any(d.startswith("params.free_T_grid:") for d in diags), diags
     # a Cesàro horizon is max T itself: 2 * 45 = 0.9 * 100 is the last one allowed
     for T_max, flagged in ((45.0, False), (46.0, True)):
         diags = validate(cfg("transport", "x", params={"free_box_radius": 100,
@@ -126,9 +121,20 @@ def test_validate_rejects_transport_quadrature_that_misses_a_time(tmp_path, caps
     assert validate(cfg("transport", "x", params={"quadrature_points": 5,
                                                   "T_grid": [100.0, 400.0],
                                                   "free_T_grid": [25.0, 100.0]})) == []
-    assert validate(cfg("transport", "x", params={"quadrature_points": 2,
-                                                  "averaging": "abel",
-                                                  "free_T_grid": [4.0, 8.0]})) == []
+
+
+def test_transport_averaging_is_an_unknown_parameter(tmp_path, capsys):
+    # transport averages in the Cesaro sense only, so no value of averaging is
+    # accepted, and the run stops before it writes anything
+    want = "params.averaging: unknown parameter for kind 'transport'"
+    for averaging in ("abel", "cesaro"):
+        assert validate(cfg("transport", "x", params={"averaging": averaging})) == [want]
+    path = tmp_path / "transport.json"
+    path.write_text(json.dumps({"kind": "transport", "params": {"averaging": "abel"},
+                                "out": str(tmp_path)}))
+    assert main(["transport", "--config", str(path)]) == 1
+    assert f"config error: {want}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_transport_q_whose_moments_overflow_is_a_config_error(tmp_path, capsys):
@@ -493,8 +499,6 @@ def entry_values(p, base):
     """(accepted, rejected) single entries at the edges of a declaration."""
     if p.shape == "int":
         return [p.low, float(p.low)], [p.low - 1, p.low + 0.5, True, "7"]
-    if p.shape == "choice":
-        return list(p.choices), ["x", 1]
     if p.shape == "pair":
         lo, hi = base
         return ([[lo, hi], [lo, math.nextafter(lo, math.inf)]],

@@ -41,19 +41,12 @@ def _moment_integrand(setup: EvolutionSetup, q: float, times: np.ndarray,
     return xs ** q @ prob
 
 
-def oracle_curve(setup, q, Ts, averaging, quadrature_points):
+def oracle_curve(setup, q, Ts, quadrature_points):
     """moment_curve's values by the trapezoid rule on the oracle's integrand."""
     Ts = np.sort(np.asarray(Ts, float))
-    if averaging == "cesaro":
-        times = np.linspace(0.0, Ts[-1], quadrature_points)
-        m = _moment_integrand(setup, q, times)
-        return np.array([np.trapezoid(m[times <= T], times[times <= T]) / T for T in Ts])
-    values = []
-    for T in Ts:
-        times = np.linspace(0.0, transport.ABEL_TRUNCATION * T, quadrature_points)
-        m = _moment_integrand(setup, q, times)
-        values.append(np.trapezoid(m * np.exp(-times / T), times) / T)
-    return np.array(values)
+    times = np.linspace(0.0, Ts[-1], quadrature_points)
+    m = _moment_integrand(setup, q, times)
+    return np.array([np.trapezoid(m[times <= T], times[times <= T]) / T for T in Ts])
 
 
 def evolve_amplitudes(setup, t):
@@ -74,9 +67,9 @@ def dense_window_setup(H, window):
                           weights=Phi[j, inside].copy())
 
 
-def moment(setup, q, T, averaging="cesaro", quadrature_points=256):
+def moment(setup, q, T, quadrature_points=256):
     """M_q(T) at one averaging time."""
-    return moment_curve(setup, q, [T], averaging, quadrature_points).values[0]
+    return moment_curve(setup, q, [T], quadrature_points).values[0]
 
 
 def free_setup(L, window=None):
@@ -110,17 +103,15 @@ def test_free_chain_bessel_law():
 
 def test_moment_small_T_and_validation():
     setup = free_setup(201)
-    assert moment(setup, 2.0, 1e-6, "cesaro", quadrature_points=64) < 1e-9
+    assert moment(setup, 2.0, 1e-6, quadrature_points=64) < 1e-9
     with pytest.raises(ValueError, match="q must be positive"):
         moment(setup, 0.0, 1.0)
     with pytest.raises(ValueError, match="q must be positive"):
-        moment(setup, -1.0, 1.0, averaging="abel")
+        moment(setup, -1.0, 1.0)
     with pytest.raises(ValueError, match="times must be positive"):
         moment(setup, 2.0, -1.0)
     with pytest.raises(ValueError, match="times must be positive"):
-        moment(setup, 2.0, 0.0, averaging="abel")
-    with pytest.raises(ValueError, match="averaging must be"):
-        moment(setup, 2.0, 1.0, averaging="laplace")
+        moment(setup, 2.0, 0.0)
 
 
 def test_projection_full_range_equals_none():
@@ -183,22 +174,9 @@ def test_free_chain_ballistic_slope():
     assert abs(slope - 2.0) <= 0.1
 
 
-def test_abel_and_cesaro_agree_for_power_law():
-    # free chain is exactly ballistic, m(t) = 2 t^2:
-    # Abel gives (1/T)int e^{-t/T} m = 4T^2, Cesaro gives (2/3) T^2, ratio 6
-    setup = free_setup(2001)
-    abel, cesaro = (moment_curve(setup, 2.0, [20.0, 40.0], averaging=averaging,
-                                 quadrature_points=500).values
-                    for averaging in ("abel", "cesaro"))
-    assert np.allclose(abel / cesaro, 6.0, rtol=0.05)
-
-
 def test_moment_curve_mode_validation():
     setup = free_setup(201)
-    for averaging in ("trapezoid", "both"):
-        with pytest.raises(ValueError, match="averaging must be"):
-            moment_curve(setup, 2.0, [10.0], averaging=averaging)
-    c = moment_curve(setup, 2.0, [2.0, 1.0], averaging="abel", quadrature_points=64)
+    c = moment_curve(setup, 2.0, [2.0, 1.0], quadrature_points=64)
     assert c.times.tolist() == [1.0, 2.0] and c.values.shape == (2,) and c.q == 2.0
 
 
@@ -242,6 +220,28 @@ def test_projected_window_trips_guard():
     setup = dimer_setup((-0.6, 0.6))
     with pytest.raises(BoundaryContaminationError, match=r"at t=31\.3725$"):
         moment(setup, 2.0, 400.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 800, 801])
+def test_guard_blocks_match_direct_phases(n):
+    # the guard scans the grid in blocks of ceil(sqrt(n)) times, with phases
+    # by angle addition; 2, 3, 7 and 801 leave a short last block
+    setup = dimer_setup((-0.6, 0.6))
+    xs = np.abs(np.arange(setup.num_sites) - setup.initial_site)
+    guard = xs > transport._GUARD_FRACTION * setup.radius
+    times = np.linspace(0.0, 20.0, n)
+    prob = np.abs(np.stack([evolve_amplitudes(setup, t) for t in times], axis=1)) ** 2
+    mass = prob[guard].sum(axis=0)
+    want = mass - mass[0]
+    got = transport._check_guard(setup, times)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(mass, transport._GUARD_MASS))
+    # past the trip time both name the same grid time
+    times = np.linspace(0.0, 400.0, n)
+    with pytest.raises(BoundaryContaminationError) as direct:
+        _moment_integrand(setup, 2.0, times)
+    at = re.escape(str(direct.value).rsplit(" ", 1)[1])
+    with pytest.raises(BoundaryContaminationError, match=f" {at}$"):
+        transport._check_guard(setup, times)
 
 
 def test_dense_oracle_only_for_fallbacks(monkeypatch):
@@ -408,7 +408,7 @@ def test_moments_that_rounding_swamps_raise():
     Ts = [10.0, 20.0, 30.0, 40.0, 50.0]
     kwargs = dict(box_radius=500, quadrature_points=400)
     res, = transport_exponent(anderson_preset(0.0, 0.5), 4.0, Ts, **kwargs)
-    want = oracle_curve(free_setup(1001), 4.0, Ts, "cesaro", 400)
+    want = oracle_curve(free_setup(1001), 4.0, Ts, 400)
     assert np.allclose(res["curves"][0].values, want, rtol=1e-9, atol=0)
     with pytest.raises(ValueError, match=r"^window None of realization 0 has a moment "
                                          r"\S+ below 1e\+06 times its rounding error"):
@@ -424,13 +424,6 @@ def test_free_chain_moments_follow_the_exact_ballistic_law():
     times = np.linspace(0.0, Ts[-1], 500)
     want = [np.trapezoid(2 * times[times <= T] ** 2, times[times <= T]) / T for T in Ts]
     got = moment_curve(setup, 2.0, Ts, quadrature_points=500).values
-    assert np.allclose(got, want, rtol=1e-12, atol=0)
-    Ts = np.array([5.0, 10.0, 20.0, 40.0])
-    want = []
-    for T in Ts:
-        times = np.linspace(0.0, transport.ABEL_TRUNCATION * T, 500)
-        want.append(np.trapezoid(2 * times ** 2 * np.exp(-times / T), times) / T)
-    got = moment_curve(setup, 2.0, Ts, "abel", quadrature_points=500).values
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -459,23 +452,20 @@ def boxes(draw):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200)
-@example(mirror_box(), None, 0.5, 2.0, "cesaro", 2, [3.0])
+@example(mirror_box(), None, 0.5, 2.0, 2, [3.0])
 # a step of pi aliases the bond's beat 2: the trapezoid sums 40 cosines of 1
-@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * np.pi])
-@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * np.pi * (1 + 1e-12), 7.0])
+@example(lone_bond(), None, 0.5, 2.0, 41, [40 * np.pi])
+@example(lone_bond(), None, 0.5, 2.0, 41, [40 * np.pi * (1 + 1e-12), 7.0])
 # a step of 1000 pi + 0.15 rounds the beat's phase by 1e-12: the rounding
 # estimate must grow with the phase
-@example(lone_bond(), None, 0.5, 2.0, "cesaro", 41, [40 * (1000 * np.pi + 0.15)])
-# on an Abel grid coarser than T, (delta / T) K reaches 5, and so must the estimate
-@example(TridiagonalOperator(diagonal=np.zeros(9), offdiagonal=np.full(8, 0.01), num_sites=9),
-         None, 0.5, 0.5, "abel", 2, [1.0])
+@example(lone_bond(), None, 0.5, 2.0, 41, [40 * (1000 * np.pi + 0.15)])
 # the least positive q still weighs the initial site by 0
-@example(lone_bond(), None, 0.5, 5e-324, "abel", 41, [0.7])
-@example(mirror_box(), (0.0, 1.0), 0.3, 4.0, "abel", 3, [0.5, 2.0])
+@example(lone_bond(), None, 0.5, 5e-324, 41, [0.7])
+@example(mirror_box(), (0.0, 1.0), 0.3, 4.0, 3, [0.5, 2.0])
 @given(boxes(), st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-       st.floats(0.3, 0.7), st.floats(0.5, 4.0), st.sampled_from(["cesaro", "abel"]),
-       st.integers(2, 40), st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
-def test_moment_curve_matches_oracle(H, fractions, site, q, averaging, points, Ts):
+       st.floats(0.3, 0.7), st.floats(0.5, 4.0), st.integers(2, 40),
+       st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
+def test_moment_curve_matches_oracle(H, fractions, site, q, points, Ts):
     # the closed-form sums against the trapezoid rule of the per-time
     # oracle, on random boxes, windows, initial sites and grids; a guard
     # that trips for one trips for the other, at the same time
@@ -488,13 +478,13 @@ def test_moment_curve_matches_oracle(H, fractions, site, q, averaging, points, T
         window = (float(ends[i0]), float(ends[min(i1 + 1, L)]))
     setup = evolution_setup(H, initial_site=int(site * L), projection_window=window)
     try:
-        want = oracle_curve(setup, q, Ts, averaging, points)
+        want = oracle_curve(setup, q, Ts, points)
     except BoundaryContaminationError as e:
         at = re.escape(str(e).rsplit(" ", 1)[1])
         with pytest.raises(BoundaryContaminationError, match=f" {at}$"):
-            moment_curve(setup, q, Ts, averaging, points)
+            moment_curve(setup, q, Ts, points)
         return
-    curve = moment_curve(setup, q, Ts, averaging, points)
+    curve = moment_curve(setup, q, Ts, points)
     # the closed form errs by about its rounding estimate (at most 2.6 times
     # it over 10,000 random examples), the oracle by a relative eps |E| t
     assert np.all(np.abs(curve.values - want) <= 4 * curve.rounding + 1e-12 * np.abs(want))
